@@ -14,7 +14,6 @@
    fuzz    - B3 workload-fuzzing campaign: throughput + peak log residency
    scrub   - §3.2: eager (scrubbing) vs lazy latent-error discovery
    obs-overhead - cost of the observability layer on a campaign (off vs on)
-   snapshot-restore - executor image discipline: flat restore vs COW restore
    read-alloc - allocation per read: Dev.read vs Dev.read_into, fault-free
    micro   - Bechamel microbenchmarks of the hot primitives
 
@@ -348,84 +347,31 @@ let obs_overhead () =
 
 (* --- executor hot-path microbenchmarks --------------------------------- *)
 
-(* The two primitives the COW overhaul targets, measured directly:
-   restore-per-job cost and allocation-per-read. Results are stashed in
-   [collected_metrics] as counters so --json records them alongside the
-   campaign trajectory. *)
+(* Allocation per read on the executor's device stack, measured
+   directly. Results are stashed in [collected_metrics] as counters so
+   --json records them alongside the campaign trajectory. *)
 
 let stash name v =
   collected_metrics :=
     !collected_metrics @ [ (name, Iron_obs.Obs.Counter v) ]
 
-module Cow = Iron_disk.Cow
-
 let bench_params seed =
   { Memdisk.default_params with Memdisk.num_blocks = 2048; seed }
-
-let snapshot_restore () =
-  hr "Executor image discipline: flat restore vs COW restore";
-  Printf.printf
-    "One fingerprinting job = restore the 8 MiB base image, dirty a few\n\
-     dozen blocks, repeat. Flat restore blits the whole image; COW\n\
-     restore drops the overlay (O(dirty)).\n\n";
-  let cycles = 2000 and dirty = 24 in
-  let block = Bytes.make 4096 'd' in
-  let run name restore write =
-    Gc.full_major ();
-    let a0 = Gc.allocated_bytes () in
-    let t0 = Unix.gettimeofday () in
-    for c = 1 to cycles do
-      restore ();
-      for i = 1 to dirty do
-        write ((c + (i * 67)) mod 2048)
-      done
-    done;
-    let us = (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int cycles in
-    let bytes = (Gc.allocated_bytes () -. a0) /. float_of_int cycles in
-    Printf.printf "%-6s %10.1f us/cycle %12.0f alloc bytes/cycle\n" name us
-      bytes;
-    stash ("bench.snapshot_restore." ^ name ^ ".us_per_cycle")
-      (int_of_float us);
-    stash ("bench.snapshot_restore." ^ name ^ ".bytes_per_cycle")
-      (int_of_float bytes);
-    us
-  in
-  (* Shared base image: some pre-existing content, as after mkfs. *)
-  let flat = Memdisk.create ~params:(bench_params 5) () in
-  Memdisk.set_time_model flat false;
-  for b = 0 to 255 do
-    Memdisk.poke flat b (Bytes.make 4096 (Char.chr (b land 0xff)))
-  done;
-  let img = Memdisk.snapshot flat in
-  let fdev = Memdisk.dev flat in
-  let flat_us =
-    run "flat"
-      (fun () -> Memdisk.restore flat img)
-      (fun b -> ignore (fdev.Iron_disk.Dev.write b block))
-  in
-  let cow = Cow.create ~params:(bench_params 5) () in
-  Cow.set_time_model cow false;
-  Cow.restore cow img;
-  let cdev = Cow.dev cow in
-  let cow_us =
-    run "cow"
-      (fun () -> Cow.restore cow img)
-      (fun b -> ignore (cdev.Iron_disk.Dev.write b block))
-  in
-  stash "bench.snapshot_restore.cow_speedup_x"
-    (int_of_float (flat_us /. cow_us));
-  Printf.printf "\ncow restore speedup over flat: %.1fx\n" (flat_us /. cow_us)
 
 let read_alloc () =
   hr "Per-read allocation on the fault-free path";
   Printf.printf
-    "The executor's device stack (COW disk under the fault injector),\n\
+    "The executor's device stack (Memdisk under the fault injector),\n\
      fault-free: [read] allocates a fresh block per call, [read_into]\n\
-     fills the caller's buffer.\n\n";
+     fills the caller's buffer. Even blocks are dirty (overlay reads),\n\
+     odd blocks come from the frozen image.\n\n";
   let n = 50_000 in
-  let cow = Cow.create ~params:(bench_params 6) () in
-  Cow.set_time_model cow false;
-  let inj = Fault.create (Cow.dev cow) in
+  let disk = Memdisk.create ~params:(bench_params 6) () in
+  Memdisk.set_time_model disk false;
+  for b = 0 to 1023 do
+    Memdisk.poke disk (2 * b) (Bytes.make 4096 (Char.chr (b land 0xff)))
+  done;
+  let inj = Fault.create (Memdisk.dev disk) in
   Fault.set_tracing inj false;
   let dev = Fault.dev inj in
   let buf = Bytes.create dev.Iron_disk.Dev.block_size in
@@ -647,7 +593,6 @@ let all_experiments =
     ("forensics-overhead", forensics_overhead);
     ("scrub", scrub);
     ("obs-overhead", obs_overhead);
-    ("snapshot-restore", snapshot_restore);
     ("read-alloc", read_alloc);
     ("micro", micro);
   ]

@@ -4,8 +4,8 @@
      executor   prepare + run_job — one job, one private device stack
      aggregator aggregate — fold observations into matrices, spec order
 
-   The executor is embarrassingly parallel: every job overlays its own
-   copy-on-write view of a shared (immutable) image, builds its own
+   The executor is embarrassingly parallel: every job restores its own
+   device onto a shared (immutable) image, builds its own
    injector and file-system instance, and returns a plain record.
    Worker count therefore cannot change the output — the determinism
    contract the tests pin down.
@@ -13,19 +13,18 @@
    Hot-path discipline (this is the loop the whole reproduction's
    throughput hangs on — ~2220 jobs per Figure-2 sweep):
 
-   - images are COW ({!Iron_disk.Cow}): restoring a job's disk drops
-     an overlay (O(dirty)) instead of blitting 8 MiB;
+   - images are frozen {!Iron_disk.Memdisk} images: restoring a job's
+     disk drops an overlay (O(dirty)) instead of blitting 8 MiB;
    - dry traces are frozen into arrays with a precomputed
      (direction, block type) -> target block index, so target lookup
      is O(1) and jobs without a target are resolved at spec time and
      never enter the worker pool;
-   - each worker domain keeps one scratch COW device and (in the
+   - each worker domain keeps one scratch device and (in the
      unobserved case) one injector, reused across jobs;
    - reads below the block cache go through the zero-copy
      [Dev.read_into] path. *)
 
 module Memdisk = Iron_disk.Memdisk
-module Cow = Iron_disk.Cow
 module Fault = Iron_fault.Fault
 module Fs = Iron_vfs.Fs
 module Errno = Iron_vfs.Errno
@@ -324,23 +323,23 @@ type dry = {
   targets : (Fault.direction * string, int) Hashtbl.t;
 }
 
-(* [base]/[crash] are frozen COW images each job overlays with its
+(* [base]/[crash] are frozen images each job restores into its
    private scratch device; restoring one is O(blocks the previous job
    dirtied), not O(volume size). *)
 type prepared = {
-  base : Cow.image;
-  crash : Cow.image;
+  base : Memdisk.image;
+  crash : Memdisk.image;
   dry : (char, dry) Hashtbl.t;
 }
 
-let fresh_cow ~num_blocks ~seed =
-  let cow =
-    Cow.create
+let fresh_disk ~num_blocks ~seed =
+  let disk =
+    Memdisk.create
       ~params:{ Memdisk.default_params with Memdisk.num_blocks = num_blocks; seed }
       ()
   in
-  Cow.set_time_model cow false;
-  cow
+  Memdisk.set_time_model disk false;
+  disk
 
 let image_for prepared (w : Workload.t) =
   match w.Workload.kind with
@@ -368,7 +367,7 @@ let target_for prepared (job : Experiment.job) =
 let prepare_uncached ?obs (c : Experiment.t) =
   (* With a context, the whole phase runs with it ambient (so journal
      spans from deep inside the file systems land here) and the device
-     stack is instrumented: cow -> injector(obs) -> Dev.observe. *)
+     stack is instrumented: disk -> injector(obs) -> Dev.observe. *)
   let instrument f =
     match obs with
     | None -> f ()
@@ -380,8 +379,8 @@ let prepare_uncached ?obs (c : Experiment.t) =
   let (Fs.Brand (module F)) = c.Experiment.brand in
   let brand = c.Experiment.brand in
   let num_blocks = c.Experiment.num_blocks in
-  let cow = fresh_cow ~num_blocks ~seed:c.Experiment.seed in
-  let inj = Fault.create ?obs (Cow.dev cow) in
+  let disk = fresh_disk ~num_blocks ~seed:c.Experiment.seed in
+  let inj = Fault.create ?obs (Memdisk.dev disk) in
   let dev = Fault.dev inj in
   let dev =
     match obs with None -> dev | Some o -> Iron_disk.Dev.observe o dev
@@ -399,7 +398,7 @@ let prepare_uncached ?obs (c : Experiment.t) =
       match M.unmount t with
       | Ok () -> ()
       | Error e -> failwith ("fingerprint: unmount failed: " ^ Errno.to_string e)));
-  let base = Cow.snapshot cow in
+  let base = Memdisk.snapshot disk in
   (* Crash image for the recovery column. *)
   (match Fs.mount brand dev with
   | Error e -> failwith ("fingerprint: remount failed: " ^ Errno.to_string e)
@@ -407,7 +406,7 @@ let prepare_uncached ?obs (c : Experiment.t) =
       match Workload.crash_prep boxed with
       | Ok () -> () (* instance abandoned: this is the crash *)
       | Error e -> failwith ("fingerprint: crash prep failed: " ^ Errno.to_string e)));
-  let crash = Cow.snapshot cow in
+  let crash = Memdisk.snapshot disk in
   let image_for_kind (w : Workload.t) =
     match w.Workload.kind with
     | Workload.Recovery_op -> crash
@@ -417,8 +416,8 @@ let prepare_uncached ?obs (c : Experiment.t) =
      the same [base] (or [crash]) for every column: freeze each image's
      oracle once instead of rebuilding it per dry run. *)
   let labels_of_image img =
-    Cow.restore cow img;
-    let cls = F.classifier (Cow.peek cow) in
+    Memdisk.restore disk img;
+    let cls = F.classifier (Memdisk.peek disk) in
     Array.init num_blocks cls
   in
   let base_labels = labels_of_image base in
@@ -431,11 +430,11 @@ let prepare_uncached ?obs (c : Experiment.t) =
       let w = Workload.find col in
       let img = image_for_kind w in
       let pre = if img == crash then crash_labels else base_labels in
-      Cow.restore cow img;
+      Memdisk.restore disk img;
       Fault.disarm_all inj;
       Fault.clear_trace inj;
       let _obs = run_workload brand inj dev w ~arm:(fun () -> ()) in
-      let post = F.classifier (Cow.peek cow) in
+      let post = F.classifier (Memdisk.peek disk) in
       (* Freeze the combined oracle into a pure table. *)
       let labels =
         Array.init num_blocks (fun b ->
@@ -500,13 +499,13 @@ let prepare ?obs (c : Experiment.t) =
               prep_cache := ((brand, nb, seed, cols), p) :: !prep_cache);
           p)
 
-(* Each worker domain keeps one scratch COW device and one injector,
-   reused across jobs ([Cow.restore] gives a job exactly the image it
+(* Each worker domain keeps one scratch device and one injector,
+   reused across jobs ([Memdisk.restore] gives a job exactly the image it
    asked for, in O(dirty)). Without the reuse, every job's device
    stack hammers the shared major heap and the parallel run is slower
    than the serial one. Keyed by geometry so campaigns with different
    [num_blocks] do not mix. *)
-type scratch = { s_cow : Cow.t; s_inj : Fault.t; s_dev : Iron_disk.Dev.t }
+type scratch = { s_disk : Memdisk.t; s_inj : Fault.t; s_dev : Iron_disk.Dev.t }
 
 let scratch_slot : (int * scratch) option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
@@ -516,14 +515,14 @@ let scratch ~num_blocks ~seed =
   match !slot with
   | Some (nb, s) when nb = num_blocks -> s
   | Some _ | None ->
-      let cow = fresh_cow ~num_blocks ~seed in
-      let inj = Fault.create (Cow.dev cow) in
-      let s = { s_cow = cow; s_inj = inj; s_dev = Fault.dev inj } in
+      let disk = fresh_disk ~num_blocks ~seed in
+      let inj = Fault.create (Memdisk.dev disk) in
+      let s = { s_disk = disk; s_inj = inj; s_dev = Fault.dev inj } in
       slot := Some (num_blocks, s);
       s
 
-(* One job, one private device stack: overlay this domain's scratch
-   COW device on the job's image, arm exactly one fault, run, infer.
+(* One job, one private device stack: restore this domain's scratch
+   device onto the job's image, arm exactly one fault, run, infer.
    Self-contained and re-entrant — this is the unit the domain pool
    schedules. [target] comes from the spec-time index. *)
 let run_armed ?obs prepared (c : Experiment.t) (job : Experiment.job) ~target =
@@ -531,7 +530,7 @@ let run_armed ?obs prepared (c : Experiment.t) (job : Experiment.job) ~target =
   let w = Workload.find job.Experiment.workload in
   let labels = (Hashtbl.find prepared.dry job.Experiment.workload).labels in
   let s = scratch ~num_blocks:c.Experiment.num_blocks ~seed:job.Experiment.seed in
-  let cow = s.s_cow in
+  let disk = s.s_disk in
   (* Unobserved jobs reuse the scratch injector; an observed job needs
      a private one with its context baked in (exactly what the
      pre-reuse executor built per job). *)
@@ -542,10 +541,10 @@ let run_armed ?obs prepared (c : Experiment.t) (job : Experiment.job) ~target =
         Fault.clear_trace s.s_inj;
         (s.s_inj, s.s_dev)
     | Some o ->
-        let inj = Fault.create ~obs:o (Cow.dev cow) in
+        let inj = Fault.create ~obs:o (Memdisk.dev disk) in
         (inj, Iron_disk.Dev.observe o (Fault.dev inj))
   in
-  Cow.restore cow (image_for prepared w);
+  Memdisk.restore disk (image_for prepared w);
   Fault.set_classifier inj (fun b ->
       if b >= 0 && b < Array.length labels then labels.(b) else "?");
   let kind =
@@ -570,11 +569,11 @@ let run_armed ?obs prepared (c : Experiment.t) (job : Experiment.job) ~target =
   (* Speculative restore for the next job: consecutive jobs in a chunk
      almost always run the same workload on the same image, so dropping
      this job's overlay now leaves the scratch device already clean and
-     based on the right image — the next job's [Cow.restore] is then a
+     based on the right image — the next job's [Memdisk.restore] is then a
      no-op rebase instead of an O(dirty) teardown on its critical
      path. A wrong guess costs nothing: restore to a different image is
      the same O(dirty) work either way. *)
-  Cow.restore cow (image_for prepared w);
+  Memdisk.restore disk (image_for prepared w);
   infer job.Experiment.fault obs_run ftrace target
 
 (* The public per-job entry: resolve the target through the index and

@@ -5,7 +5,7 @@
       list of self-contained jobs (fault kind × workload × block type,
       each with a derived seed);
     + {b executor} — each job runs against a {e private} device stack
-      (its own copy-on-write {!Iron_disk.Cow} overlay over a shared
+      (its own {!Iron_disk.Memdisk} device restored onto a shared
       frozen image — restore is O(dirty blocks), not O(disk) — its own
       injector, its own file-system instance) and yields one {!cell};
       jobs with a resolved target are scheduled on a fixed-size

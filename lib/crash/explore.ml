@@ -3,7 +3,7 @@
    Pipeline:
 
      record      mkfs + durable (fsync'd) files, clean unmount, remount;
-                 snapshot the COW base image; run the racing workload
+                 snapshot the base image; run the racing workload
                  through a Wlog recorder (every write copied, epochs at
                  sync boundaries)
      enumerate   pure: turn the log into crash-state specs, one reorder
@@ -14,12 +14,11 @@
      aggregate   fold per-state outcomes (in spec order) into a report
 
    The check phase is embarrassingly parallel: a spec is immutable, the
-   base image is frozen, and each worker domain keeps one private COW
-   scratch in domain-local storage — the same discipline as the
+   base image is frozen, and each worker domain keeps one private
+   scratch device in domain-local storage — the same discipline as the
    fingerprinting executor. Results are slotted by spec index, so the
    report cannot depend on the worker count. *)
 
-module Cow = Iron_disk.Cow
 module Memdisk = Iron_disk.Memdisk
 module Dev = Iron_disk.Dev
 module Fs = Iron_vfs.Fs
@@ -104,7 +103,7 @@ let content tag i =
        (Char.chr (Char.code 'a' + (i mod 26))))
 
 type recorded = {
-  baseline : Cow.image;
+  baseline : Memdisk.image;
   entries : Wlog.entry array;
   n_epochs : int;
   durable : (string * string) list;
@@ -114,9 +113,9 @@ let fail_setup what e =
   failwith ("crash explore: " ^ what ^ ": " ^ Errno.to_string e)
 
 let record ~params ~durable_files ~racing_files brand =
-  let cow = Cow.create ~params () in
-  Cow.set_time_model cow false;
-  let wlog = Wlog.create (Cow.dev cow) in
+  let disk = Memdisk.create ~params () in
+  Memdisk.set_time_model disk false;
+  let wlog = Wlog.create (Memdisk.dev disk) in
   let dev = Wlog.dev wlog in
   (match Fs.mkfs brand dev with Ok () -> () | Error e -> fail_setup "mkfs" e);
   let durable =
@@ -148,7 +147,7 @@ let record ~params ~durable_files ~racing_files brand =
   match Fs.mount brand dev with
   | Error e -> fail_setup "remount" e
   | Ok (Fs.Boxed ((module F), t)) ->
-      let baseline = Cow.snapshot cow in
+      let baseline = Memdisk.snapshot disk in
       Wlog.set_recording wlog true;
       (* Each racing VFS call runs under a Prov op scope, so every
          write the recorder journals below carries the workload step
@@ -392,9 +391,9 @@ let contains_sub ~needle hay =
 
 type outcome = { viol : (kind * string) option; tc : bool }
 
-(* Per-domain scratch COW device, reused across states (restore is
+(* Per-domain scratch device, reused across states (restore is
    O(blocks the previous state dirtied)). *)
-let scratch_slot : (int * Cow.t) option ref Domain.DLS.key =
+let scratch_slot : (int * Memdisk.t) option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
 let scratch ~params =
@@ -402,36 +401,36 @@ let scratch ~params =
   match !slot with
   | Some (nb, c) when nb = params.Memdisk.num_blocks -> c
   | Some _ | None ->
-      let c = Cow.create ~params () in
-      Cow.set_time_model c false;
+      let c = Memdisk.create ~params () in
+      Memdisk.set_time_model c false;
       slot := Some (params.Memdisk.num_blocks, c);
       c
 
-(* Materialize a spec on the calling domain's scratch COW: O(dirty)
+(* Materialize a spec on the calling domain's scratch device: O(dirty)
    restore of the base image plus one poke per chosen block. *)
 let materialize ~params ~baseline ~(entries : Wlog.entry array) spec =
-  let cow = scratch ~params in
-  Cow.restore cow baseline;
+  let disk = scratch ~params in
+  Memdisk.restore disk baseline;
   Array.iter
-    (fun (b, i) -> Cow.poke cow b entries.(i).Wlog.w_data)
+    (fun (b, i) -> Memdisk.poke disk b entries.(i).Wlog.w_data)
     spec.choices;
   (match spec.torn with
   | None -> ()
   | Some (i, len) ->
       let e = entries.(i) in
-      let cur = Cow.peek cow e.Wlog.w_block in
+      let cur = Memdisk.peek disk e.Wlog.w_block in
       let len = min len (Bytes.length e.Wlog.w_data) in
       Bytes.blit e.Wlog.w_data 0 cur 0 len;
-      Cow.poke cow e.Wlog.w_block cur);
-  cow
+      Memdisk.poke disk e.Wlog.w_block cur);
+  disk
 
 (* The invariant-check skeleton, shared by the fixed-workload explorer
    and the fuzzing campaign: materialize the spec, remount, detect Tc,
    run the caller-supplied data verifier, unmount, optionally fsck. *)
 let check_with ~params ~brand ~fsck ~verify ~baseline
     ~(entries : Wlog.entry array) spec =
-  let cow = materialize ~params ~baseline ~entries spec in
-  let dev = Cow.dev cow in
+  let disk = materialize ~params ~baseline ~entries spec in
+  let dev = Memdisk.dev disk in
   (* Power is back: remount and hold the invariants up to the light. *)
   match (try `Mounted (Fs.mount brand dev) with Klog.Panic m -> `Panic m) with
   | `Panic m -> { viol = Some (Panic, "panic during recovery: " ^ m); tc = false }
@@ -533,13 +532,13 @@ let forensic_ctx ~params ~fsck ~baseline ~(entries : Wlog.entry array) =
   Array.iter (fun g -> Array.iteri (fun p i -> pos.(i) <- p) g) whole.groups;
   let full = Array.map Array.length whole.groups in
   (* Block-type labels, resolved eagerly against the pre-crash baseline
-     (the scratch COW is about to be reused by the probes). *)
+     (the scratch device is about to be reused by the probes). *)
   let labels = Hashtbl.create 64 in
   if fsck then begin
-    let cow = scratch ~params in
-    Cow.restore cow baseline;
+    let disk = scratch ~params in
+    Memdisk.restore disk baseline;
     Array.iter
-      (fun b -> Hashtbl.replace labels b (Iron_ext3.Classifier.classify (Cow.peek cow) b))
+      (fun b -> Hashtbl.replace labels b (Iron_ext3.Classifier.classify (Memdisk.peek disk) b))
       whole.blocks
   end;
   {
@@ -580,7 +579,7 @@ let role_word = function
    persisted-prefix counts over the whole-log window (exact — every
    spec persists a per-block prefix by construction), then for each
    block with a dropped tail, persist that block fully and re-run the
-   invariant check on the domain's scratch COW (O(dirty) per probe).
+   invariant check on the domain's scratch device (O(dirty) per probe).
    If the violation kind survives, the block was irrelevant and stays
    restored; if it disappears, the block's dropped tail is a culprit
    and is reverted. The surviving dropped set is the minimized culprit
@@ -729,7 +728,7 @@ let spec_label (s : state_spec) = s.label
    owned by one campaign job at a time — the caches are not
    domain-safe, and do not need to be. *)
 type session = {
-  ss_baseline : Cow.image;
+  ss_baseline : Memdisk.image;
   ss_entries : Wlog.entry array;
   ss_epochs : int;
   mutable ss_geom : (window * int array * (int, int) Hashtbl.t) option;
@@ -745,11 +744,11 @@ let session_log_bytes s =
     0 s.ss_entries
 
 let make_base ~params ~setup brand =
-  let cow = scratch ~params in
-  Cow.restore cow
-    (Cow.blank_image ~block_size:params.Memdisk.block_size
+  let disk = scratch ~params in
+  Memdisk.restore disk
+    (Memdisk.blank_image ~block_size:params.Memdisk.block_size
        ~num_blocks:params.Memdisk.num_blocks);
-  let dev = Cow.dev cow in
+  let dev = Memdisk.dev disk in
   (match Fs.mkfs brand dev with Ok () -> () | Error e -> fail_setup "mkfs" e);
   (match Fs.mount brand dev with
   | Error e -> fail_setup "mount" e
@@ -758,12 +757,12 @@ let make_base ~params ~setup brand =
       match F.unmount t with
       | Ok () -> ()
       | Error e -> fail_setup "unmount" e));
-  Cow.snapshot cow
+  Memdisk.snapshot disk
 
 let record_session ~params ~base ~ops brand =
-  let cow = scratch ~params in
-  Cow.restore cow base;
-  let wlog = Wlog.create (Cow.dev cow) in
+  let disk = scratch ~params in
+  Memdisk.restore disk base;
+  let wlog = Wlog.create (Memdisk.dev disk) in
   let dev = Wlog.dev wlog in
   match
     try `Mounted (Fs.mount brand dev) with Klog.Panic m -> `Panic m
@@ -771,7 +770,7 @@ let record_session ~params ~base ~ops brand =
   | `Panic m -> failwith ("crash explore: mount panic: " ^ m)
   | `Mounted (Error e) -> fail_setup "mount" e
   | `Mounted (Ok fsb) ->
-      let baseline = Cow.snapshot cow in
+      let baseline = Memdisk.snapshot disk in
       Wlog.set_recording wlog true;
       (* The workload runs until it finishes or the model panics;
          either way, abandoning the instance here is the crash. *)
@@ -902,7 +901,7 @@ let spec_digest s (spec : spec) =
     | Some (i, len) ->
         let e = entries.(i) in
         let b = e.Wlog.w_block in
-        let under = ref (Cow.image_block s.ss_baseline b) in
+        let under = ref (Memdisk.image_block s.ss_baseline b) in
         Array.iter
           (fun (b', i') -> if b' = b then under := entries.(i').Wlog.w_data)
           spec.choices;
@@ -916,12 +915,12 @@ let spec_digest s (spec : spec) =
     (fun (b, i) ->
       if
         b <> torn_block
-        && not (Bytes.equal entries.(i).Wlog.w_data (Cow.image_block s.ss_baseline b))
+        && not (Bytes.equal entries.(i).Wlog.w_data (Memdisk.image_block s.ss_baseline b))
       then parts := (b, dig.(i)) :: !parts)
     spec.choices;
   if
     torn_block >= 0
-    && not (Bytes.equal torn_bytes (Cow.image_block s.ss_baseline torn_block))
+    && not (Bytes.equal torn_bytes (Memdisk.image_block s.ss_baseline torn_block))
   then parts := (torn_block, Sha1.to_raw (Sha1.digest torn_bytes)) :: !parts;
   let ctx = Sha1.init () in
   List.iter
@@ -1013,8 +1012,8 @@ type outcome_all = {
 }
 
 let check_spec_all ~params ~brand ~fsck ~expects s (spec : state_spec) =
-  let cow = materialize ~params ~baseline:s.ss_baseline ~entries:s.ss_entries spec in
-  let dev = Cow.dev cow in
+  let disk = materialize ~params ~baseline:s.ss_baseline ~entries:s.ss_entries spec in
+  let dev = Memdisk.dev disk in
   let none g = { oa_global = g; oa_failed = []; oa_fsck = None; oa_tc = false } in
   match (try `Mounted (Fs.mount brand dev) with Klog.Panic m -> `Panic m) with
   | `Panic m -> none (Some (Panic, "panic during recovery: " ^ m))

@@ -15,7 +15,7 @@
     The explorer:
 
     + records a racing workload through a {!Wlog} device on top of a
-      {!Iron_disk.Cow} overlay (durable, fsync'd files are created
+      {!Iron_disk.Memdisk} device (durable, fsync'd files are created
       {e before} recording starts);
     + enumerates crash-state specs per reorder window — every
       sync-delimited epoch (barriers honoured) plus the whole log
@@ -23,12 +23,12 @@
       global prefixes, per-block dropped write tails, torn variants of
       the first dropped write, and seeded random per-block prefixes,
       deduplicated by final disk content, bounded by [max_states];
-    + materializes each state cheaply: O(dirty) [Cow.restore] of the
+    + materializes each state cheaply: O(dirty) [Memdisk.restore] of the
       base image plus one poke per chosen block, then remounts and
       checks invariants — the volume mounts, no panic during recovery,
       every durable file intact, and (ext3 family) [Fsck.run] clean.
 
-    The run fans out over {!Iron_util.Pool} with one COW scratch per
+    The run fans out over {!Iron_util.Pool} with one scratch device per
     worker domain; the report is byte-identical for any [jobs]. *)
 
 type kind = Unmountable | Data_loss | Fsck_unclean | Panic
@@ -47,7 +47,7 @@ type violation = {
     writes did it}: the crash-state spec is re-expressed as per-block
     persisted-prefix counts over the whole log, and each dropped
     suffix is greedily restored and the state re-checked (O(dirty) per
-    probe via [Cow.restore]). Suffixes whose restoration leaves the
+    probe via [Memdisk.restore]). Suffixes whose restoration leaves the
     violation standing are irrelevant; the rest form a minimized
     culprit set. Each culprit carries the provenance its first dropped
     write was recorded with ({!Wlog.entry.w_prov}): originating
@@ -153,7 +153,7 @@ val explore :
     + {!make_base} builds the shared pre-workload image once per brand
       (mkfs + caller setup + clean unmount, frozen);
     + {!record_session} restores that image on the per-domain scratch
-      COW, remounts, snapshots, and records the caller's ops through a
+      device, remounts, snapshots, and records the caller's ops through a
       {!Wlog};
     + {!enumerate_session} enumerates crash-state specs exactly as the
       fixed-workload explorer does; {!spec_digest} gives each state a
@@ -180,15 +180,15 @@ val make_base :
   params:Iron_disk.Memdisk.params ->
   setup:(Iron_vfs.Fs.boxed -> unit) ->
   Iron_vfs.Fs.brand ->
-  Iron_disk.Cow.image
+  Iron_disk.Memdisk.image
 (** mkfs on a blank volume, run [setup] (which must leave the volume
     sync'd), cleanly unmount, freeze. Runs on the calling domain's
-    scratch COW; the frozen image is shareable across domains.
+    scratch device; the frozen image is shareable across domains.
     @raise Failure if mkfs/mount/setup/unmount fails. *)
 
 val record_session :
   params:Iron_disk.Memdisk.params ->
-  base:Iron_disk.Cow.image ->
+  base:Iron_disk.Memdisk.image ->
   ops:(Iron_vfs.Fs.boxed -> closed_epochs:(unit -> int) -> unit) ->
   Iron_vfs.Fs.brand ->
   session
@@ -254,7 +254,7 @@ val check_spec :
   session ->
   state_spec ->
   outcome
-(** Materialize the spec on the per-domain scratch COW, remount, check
+(** Materialize the spec on the per-domain scratch device, remount, check
     mount/panic invariants and [expects ~epoch:(spec_epoch _ spec)],
     unmount, and (with [~fsck:true]) cross-check with the offline
     checker. Expectation failures report as {!Data_loss}. *)

@@ -1,7 +1,7 @@
 (* Off-heap slab of fixed-size block slots.
 
-   Payload storage for the simulated disks: one Bigarray chunk holds
-   [chunk_slots] block-sized slots, and the slab grows by whole chunks
+   Payload storage for the simulated disk: one Bigarray chunk holds
+   256 block-sized slots, and the slab grows by whole chunks
    as [alloc] demands. Chunks never move, so a slot's address is
    stable for its lifetime; a free-list recycles released slots.
 
@@ -24,12 +24,12 @@ external unsafe_blit_of_bytes : bytes -> int -> ba -> int -> int -> unit
   = "iron_ba_blit_of_bytes"
 [@@noalloc]
 
-external unsafe_fill : ba -> int -> int -> char -> unit = "iron_ba_fill"
-[@@noalloc]
+(* 256 slots per chunk: the per-access slot → (chunk, offset) split is
+   a shift and a mask. *)
+let chunk_shift = 8
 
 type t = {
   slot_size : int;
-  chunk_shift : int; (* slots per chunk = 1 lsl chunk_shift *)
   mutable chunks : ba array;
   mutable capacity : int; (* slots backed by storage *)
   mutable next_fresh : int; (* first never-allocated slot *)
@@ -38,19 +38,10 @@ type t = {
   mutable alive_bits : Bytes.t; (* 1 bit per slot: currently allocated *)
 }
 
-(* Chunk capacity is rounded up to a power of two so the per-access
-   slot → (chunk, offset) split is a shift and a mask. *)
-let shift_for slots =
-  let s = ref 0 in
-  while 1 lsl !s < slots do incr s done;
-  !s
-
-let create ?(chunk_slots = 256) ~slot_size () =
+let create ~slot_size =
   if slot_size <= 0 then invalid_arg "Bigstore.create: slot_size";
-  if chunk_slots <= 0 then invalid_arg "Bigstore.create: chunk_slots";
   {
     slot_size;
-    chunk_shift = shift_for chunk_slots;
     chunks = [||];
     capacity = 0;
     next_fresh = 0;
@@ -79,13 +70,13 @@ let set_live t s on =
 let grow t =
   let chunk =
     Bigarray.Array1.create Bigarray.char Bigarray.c_layout
-      (t.slot_size lsl t.chunk_shift)
+      (t.slot_size lsl chunk_shift)
   in
   let n = Array.length t.chunks in
   let chunks = Array.make (n + 1) chunk in
   Array.blit t.chunks 0 chunks 0 n;
   t.chunks <- chunks;
-  t.capacity <- t.capacity + (1 lsl t.chunk_shift);
+  t.capacity <- t.capacity + (1 lsl chunk_shift);
   let bits = Bytes.make ((t.capacity + 7) / 8) '\000' in
   Bytes.blit t.alive_bits 0 bits 0 (Bytes.length t.alive_bits);
   t.alive_bits <- bits
@@ -106,15 +97,9 @@ let alloc t =
   t.live <- t.live + 1;
   s
 
-let chunk_of t s =
-  ( Array.unsafe_get t.chunks (s lsr t.chunk_shift),
-    (s land ((1 lsl t.chunk_shift) - 1)) * t.slot_size )
-
-let alloc_zeroed t =
-  let s = alloc t in
-  let chunk, off = chunk_of t s in
-  unsafe_fill chunk off t.slot_size '\000';
-  s
+(* Where slot [s] lives: its Bigarray chunk and the byte offset in it. *)
+let chunk t s = Array.unsafe_get t.chunks (s lsr chunk_shift)
+let offset t s = (s land ((1 lsl chunk_shift) - 1)) * t.slot_size
 
 let check t s op =
   if not (is_live t s) then
@@ -130,25 +115,21 @@ let read_into t s buf =
   check t s "read_into";
   if Bytes.length buf <> t.slot_size then
     invalid_arg "Bigstore.read_into: buffer size";
-  let chunk, off = chunk_of t s in
-  unsafe_blit_to_bytes chunk off buf 0 t.slot_size
+  unsafe_blit_to_bytes (chunk t s) (offset t s) buf 0 t.slot_size
 
 let copy_out t s =
   check t s "copy_out";
   let buf = Bytes.create t.slot_size in
-  let chunk, off = chunk_of t s in
-  unsafe_blit_to_bytes chunk off buf 0 t.slot_size;
+  unsafe_blit_to_bytes (chunk t s) (offset t s) buf 0 t.slot_size;
   buf
 
 let write t s buf =
   check t s "write";
   if Bytes.length buf <> t.slot_size then invalid_arg "Bigstore.write: buffer size";
-  let chunk, off = chunk_of t s in
-  unsafe_blit_of_bytes buf 0 chunk off t.slot_size
+  unsafe_blit_of_bytes buf 0 (chunk t s) (offset t s) t.slot_size
 
 let write_sub t s buf len =
   check t s "write_sub";
   if len < 0 || len > Bytes.length buf || len > t.slot_size then
     invalid_arg "Bigstore.write_sub: range";
-  let chunk, off = chunk_of t s in
-  unsafe_blit_of_bytes buf 0 chunk off len
+  unsafe_blit_of_bytes buf 0 (chunk t s) (offset t s) len

@@ -1,10 +1,10 @@
 (** Off-heap slab of fixed-size block slots, backed by [Bigarray].
 
-    The simulated disks keep their block payloads here instead of in
-    per-block [bytes] on the OCaml heap: a [Memdisk] owns one slot per
-    block, and a [Cow] overlay draws slots for its dirty blocks. Slabs
-    grow in coarse chunks, never move existing slots, and keep the
-    payload bytes out of the GC's scanned heap.
+    The simulated disk keeps the payloads of its dirty blocks here
+    instead of in per-block [bytes] on the OCaml heap: a {!Memdisk}
+    overlay draws one slot per dirty block. Slabs grow in coarse
+    chunks, never move existing slots, and keep the payload bytes out
+    of the GC's scanned heap.
 
     The API is bounds-checked — slot handles are validated against the
     slab's allocation map, and byte ranges against the slot size —
@@ -14,18 +14,15 @@
 
 type t
 
-val create : ?chunk_slots:int -> slot_size:int -> unit -> t
+val create : slot_size:int -> t
 (** An empty slab of [slot_size]-byte slots. Storage is reserved in
-    chunks of [chunk_slots] slots (default 256) as allocation demands;
-    chunks are never released or moved. *)
+    chunks of 256 slots as allocation demands; chunks are never
+    released or moved. *)
 
 val slot_size : t -> int
 
 val alloc : t -> int
 (** A fresh slot handle with unspecified contents. *)
-
-val alloc_zeroed : t -> int
-(** Like {!alloc} but the slot reads as all zero bytes. *)
 
 val free : t -> int -> unit
 (** Release a slot for reuse. The handle must be live: freeing an

@@ -1,11 +1,25 @@
-(** Flat in-memory simulated disk with a service-time model.
+(** The in-memory simulated disk: one block image for every campaign.
 
-    The store is a flat array of blocks; the timing model (shared with
-    {!Cow} via {!Model}) captures seek, rotation and transfer — see
-    {!Model} for the details. Fingerprinting campaigns now run on
-    {!Cow} overlay devices; the flat store remains the straightforward
-    reference implementation (the differential tests pin
-    [Cow ≡ Memdisk]) and the setup/bench workhorse. *)
+    A device is a frozen, structurally shared {e image} plus a private
+    overlay of the blocks written since the last {!snapshot} or
+    {!restore}; service time and statistics come from {!Model} (seek,
+    rotation, transfer). Everything per-block is O(touched), never
+    O(num_blocks):
+
+    - an image is an array of fixed {!chunk_blocks}-block chunks, each
+      [None] (all zero) until a block inside it is first frozen;
+      untouched slots of a materialized chunk alias one shared zero
+      block, so a blank multi-GB image is a few hundred words;
+    - the overlay keeps dirty blocks off-heap in a {!Bigstore} slab,
+      indexed per chunk by a plain slot array: the read path does no
+      hashing and [read_into] allocates nothing;
+    - a write of all zeroes onto a still-zero block is charged and
+      counted like any write but stores nothing, so mkfs's
+      zero-the-volume pass costs no memory.
+
+    {!snapshot} and {!restore} are O(dirty). Frozen images are never
+    written in place, so one image may be restored into any number of
+    devices across any number of domains. *)
 
 type params = Model.params = {
   block_size : int;  (** bytes per block (default 4096) *)
@@ -19,10 +33,40 @@ type params = Model.params = {
 
 val default_params : params
 
+val chunk_blocks : int
+(** [512] blocks per image chunk — 2 MiB at the default block size. *)
+
+(** {1 Images} *)
+
+type image
+(** An immutable disk image; distinct images share their clean chunks
+    and blocks. *)
+
+val blank_image : block_size:int -> num_blocks:int -> image
+(** The all-zeroes image, O(num_blocks / chunk_blocks) words. *)
+
+val image_block : image -> int -> bytes
+(** The frozen buffer for one block — {b do not mutate}. Untouched
+    blocks return the shared zero block. *)
+
+val image_chunks_touched : image -> int
+(** Materialized chunks — the image's footprint in chunk units. *)
+
+val image_blocks_touched : image -> int
+(** Blocks holding private (non-zero-aliased) buffers. *)
+
+(** {1 The device} *)
+
 type t
 
 val create : ?params:params -> unit -> t
+(** A fresh device over the blank image. *)
+
 val dev : t -> Dev.t
+
+val dirty_count : t -> int
+(** Blocks held by the overlay: written since the last
+    {!restore}/{!snapshot}, zero writes onto zero blocks excluded. *)
 
 (** {2 Statistics} *)
 
@@ -49,17 +93,14 @@ val set_time_model : t -> bool -> unit
 val peek : t -> int -> bytes
 val poke : t -> int -> bytes -> unit
 
-type snapshot = Cow.image
-(** Snapshots {e are} frozen COW images: capture once here, then
-    overlay any number of {!Cow} devices on the result — the
-    executor's O(dirty) restore discipline. *)
+val snapshot : t -> image
+(** Freeze the current state: O(dirty) byte work plus one pointer-array
+    copy per chunk holding a dirty block; clean chunks are shared. The
+    device continues over the new image with an empty overlay. *)
 
-val snapshot : t -> snapshot
-(** O(num_blocks): the flat store is copied into a frozen image. (On a
-    {!Cow} device, [snapshot] is O(dirty) — prefer it on hot paths.) *)
-
-val restore : t -> snapshot -> unit
-(** Full blit of the image into the store; also resets statistics and
-    the simulated clock, giving repeated runs identical initial
-    conditions.
-    @raise Invalid_argument on geometry mismatch. *)
+val restore : t -> image -> unit
+(** Point the device at the image, dropping the overlay (O(dirty),
+    slots recycled) and resetting statistics, clock and head position
+    — identical initial conditions for every run.
+    @raise Invalid_argument if the image's block size or block count
+    differs from the device's. *)

@@ -1,9 +1,6 @@
-(* The disk service-time model and statistics engine, shared by the
-   flat in-memory store (Memdisk) and the copy-on-write overlay device
-   (Cow). Both devices must behave identically through this interface
-   — the differential tests pin that — so the head position, the
-   rotational PRNG, the dirty flag and every counter live here, in one
-   place. *)
+(* The disk service-time model and statistics engine of Memdisk: the
+   head position, the rotational PRNG, the dirty flag and every counter
+   live here, apart from the block store. *)
 
 type params = {
   block_size : int;
@@ -122,7 +119,7 @@ let reset_stats t =
 
 (* A restore gives every run identical initial conditions: head parked,
    nothing dirty, statistics and clock zeroed. The PRNG deliberately
-   keeps its state — exactly what the flat memdisk always did. *)
+   keeps its state. *)
 let reset t =
   t.head <- 0;
   t.dirty <- false;

@@ -1,10 +1,6 @@
-(** The disk service-time model and statistics engine.
-
-    Shared by {!Memdisk} (the flat in-memory store) and {!Cow} (the
-    copy-on-write overlay device) so the two are {e behaviourally
-    identical} through the device interface: same seek/rotation/
-    transfer charges, same PRNG draw sequence, same counters. The
-    differential test suite pins this equivalence.
+(** The disk service-time model and statistics engine of {!Memdisk}:
+    head position, rotational PRNG, dirty flag and every counter live
+    here, apart from the block store.
 
     The three service-time components (paper Table 6 context):
 

@@ -25,7 +25,6 @@
      [Pool] with order-preserving slots, so [-j] cannot change the
      report. *)
 
-module Sparse = Iron_disk.Sparse
 module Memdisk = Iron_disk.Memdisk
 module Dev = Iron_disk.Dev
 module Fs = Iron_vfs.Fs
@@ -252,9 +251,9 @@ let run_load cfg brand =
       seed = cfg.seed lxor 0x51AB;
     }
   in
-  let disk = Sparse.create ~params () in
-  Sparse.set_time_model disk false;
-  let dev = Sparse.dev disk in
+  let disk = Memdisk.create ~params () in
+  Memdisk.set_time_model disk false;
+  let dev = Memdisk.dev disk in
   (match Fs.mkfs brand dev with
   | Ok () -> ()
   | Error e -> failwith ("traffic: mkfs: " ^ Iron_vfs.Errno.to_string e));
@@ -286,8 +285,8 @@ let run_load cfg brand =
   | Error e -> failwith ("traffic: sync: " ^ Iron_vfs.Errno.to_string e));
   (* Zero the clock and statistics without disturbing content, then
      turn the service-time model on for the measured window. *)
-  Sparse.restore disk (Sparse.snapshot disk);
-  Sparse.set_time_model disk true;
+  Memdisk.restore disk (Memdisk.snapshot disk);
+  Memdisk.set_time_model disk true;
   let zipf = Zipf.create ~n:cfg.files_per_tenant ~theta:cfg.zipf in
   let obs = Obs.create () in
   let duration = float_of_int cfg.duration_ms in
@@ -403,9 +402,9 @@ let run_load cfg brand =
    with
   | Stop_load -> ()
   | Klog.Panic _ -> ());
-  Sparse.set_time_model disk false;
+  Memdisk.set_time_model disk false;
   (match F.unmount t with Ok () -> () | Error _ -> ());
-  let img = Sparse.snapshot disk in
+  let img = Memdisk.snapshot disk in
   let hist =
     match List.assoc_opt "traffic.op.ms" (Obs.snapshot obs) with
     | Some (Obs.Histogram h) -> Some h
@@ -420,8 +419,8 @@ let run_load cfg brand =
     tenant_ops,
     p50,
     p99,
-    Sparse.image_chunks_touched img,
-    Sparse.image_blocks_touched img )
+    Memdisk.image_chunks_touched img,
+    Memdisk.image_blocks_touched img )
 
 (* ------------------------------------------------------------------ *)
 (* The blast-radius phase                                              *)

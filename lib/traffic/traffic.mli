@@ -9,7 +9,7 @@
     closed think-time loop, pick files from a Zipf-skewed per-tenant
     working set ({!Zipf}), and issue open/read/write/fsync/stat
     against a single FIFO disk server whose service times come from
-    {!Iron_disk.Model}. The volume is a {!Iron_disk.Sparse} image, so
+    {!Iron_disk.Model}. The volume is a zero-default {!Iron_disk.Memdisk} image, so
     a multi-GiB logical device costs memory proportional to the blocks
     actually touched.
 

@@ -1,7 +1,7 @@
 let () =
   Alcotest.run "iron"
     (Test_util.suites @ Test_obs.suites @ Test_pool.suites @ Test_disk.suites
-    @ Test_cow.suites @ Test_sparse.suites @ Test_bigstore.suites
+    @ Test_image.suites @ Test_bigstore.suites
     @ Test_fault.suites
     @ Test_vfs.suites
     @ Test_codecs.suites @ Test_jrnl.suites @ Test_ext3.suites
