@@ -914,13 +914,15 @@ let resolve_parent t path =
 
 (* Free every data and indirect block at or past file index [from].
    Read errors while walking the trees are where stock ext3 silently
-   leaks: it logs nothing and presses on. *)
+   leaks: it logs nothing and presses on. Blocks written through the
+   journal — indirect blocks, a directory's blocks, the parity block —
+   are revoked as they are freed. *)
 let free_file_from t inode ~from =
   let lay = t.lay in
   let d = lay.Layout.direct_ptrs and p = lay.Layout.ptrs_per_block in
   let errors = ref 0 in
   let freed = ref 0 in
-  let free_data b =
+  let free_plain b =
     if b <> 0 then (
       (match free_block t b with Ok () -> () | Error _ -> incr errors);
       incr freed)
@@ -931,6 +933,9 @@ let free_file_from t inode ~from =
       revoke_block t b;
       incr freed
     end
+  in
+  let free_data =
+    if inode.Inode.kind = Inode.Directory then free_meta else free_plain
   in
   (* Free the leaves at or past [from] under pointer block [b], whose
      file range starts at [base]; free [b] itself if its whole range is
@@ -969,7 +974,7 @@ let free_file_from t inode ~from =
   let tind = if from <= d + p + (p * p) then 0 else inode.Inode.tind in
   let parity =
     if from = 0 && inode.Inode.parity <> 0 then begin
-      free_data inode.Inode.parity;
+      free_meta inode.Inode.parity;
       0
     end
     else inode.Inode.parity

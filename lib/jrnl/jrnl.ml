@@ -185,10 +185,29 @@ let stage_block t b data =
         Obs.incr_a "jrnl.group_commit.coalesced";
         release t old
     | None -> t.txn_order <- b :: t.txn_order);
-    Hashtbl.replace t.txn b (Arena.copy (arena t) data)
+    Hashtbl.replace t.txn b (Arena.copy (arena t) data);
+    (* Replay skips a block revoked at this transaction or later, so a
+       revoke queued earlier in this transaction would swallow the new
+       image: the block is live again. *)
+    if List.mem b t.txn_revoked then
+      t.txn_revoked <- List.filter (( <> ) b) t.txn_revoked
   end
 
+(* A freed block's journaled images die with it: dropped from the open
+   transaction and the checkpoint list (or a read would be served, and
+   the checkpoint would write, the old owner's bytes over the new
+   owner's), and revoked so replay skips the copies already in the log. *)
 let revoke t b =
+  let drop table order =
+    match Hashtbl.find_opt table b with
+    | None -> order
+    | Some old ->
+        release t old;
+        Hashtbl.remove table b;
+        List.filter (( <> ) b) order
+  in
+  t.txn_order <- drop t.txn t.txn_order;
+  t.pending_order <- drop t.pending t.pending_order;
   if not (List.mem b t.txn_revoked) then t.txn_revoked <- b :: t.txn_revoked
 
 (* Data writes route by commit policy. Ordered (and its Tc variant)

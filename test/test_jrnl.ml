@@ -615,6 +615,112 @@ let t_spans name brand () =
     true
     (List.exists (fun s -> s.Obs.t0 > 0.) (jrnl "commit" @ jrnl "recover"))
 
+(* Fault-free PostMark-style churn with a read-back oracle. Files are
+   created, appended, read and deleted, and directories come and go,
+   all under the journal; every read is checked against the spec, and
+   so is every surviving file across a clean remount. A block freed
+   while its image still sits in the journal (an indirect, directory or
+   parity block) must neither be served to its next owner nor
+   checkpointed over it. *)
+let readback_brands =
+  [
+    ("ext3", Iron_ext3.Ext3.std);
+    ("ext3-writeback", Iron_ext3.Modes.writeback);
+    ("ext3-data", Iron_ext3.Modes.data);
+    ("ixt3", Iron_ext3.Ext3.ixt3);
+  ]
+  @ List.filter_map
+      (fun (p, brand) ->
+        let open Iron_ext3.Profile in
+        if p.data_checksum && not p.data_parity then
+          Some ("ixt3 " ^ variant_label p, brand)
+        else None)
+      Iron_ixt3.Ixt3.all_variants
+
+let readback brand seed =
+  let disk =
+    Memdisk.create
+      ~params:{ Memdisk.default_params with Memdisk.num_blocks = 4096; seed }
+      ()
+  in
+  Memdisk.set_time_model disk false;
+  let dev = Memdisk.dev disk in
+  let ok what = function
+    | Ok v -> v
+    | Error e -> Alcotest.failf "seed %d: %s: %s" seed what (Errno.to_string e)
+  in
+  ok "mkfs" (Fs.mkfs brand dev);
+  let (Fs.Boxed ((module F), t)) = ok "mount" (Fs.mount brand dev) in
+  let rng = Iron_util.Prng.create seed in
+  let spec = Hashtbl.create 64 and live = ref [] and next = ref 0 in
+  let path i = Printf.sprintf "/mail/s%d/f%d" (i mod 10) i in
+  let content base spread =
+    let b = Bytes.create (base + Iron_util.Prng.int rng spread) in
+    Iron_util.Prng.fill_bytes rng b;
+    b
+  in
+  let create () =
+    let i = !next in
+    incr next;
+    let data = content 4096 (28 * 1024) in
+    let fd = ok "creat" (F.creat t (path i)) in
+    ignore (ok "write" (F.write t fd ~off:0 data));
+    ok "close" (F.close t fd);
+    Hashtbl.replace spec (path i) data;
+    live := i :: !live
+  in
+  let wrong = ref [] in
+  let read_back (type a) (module F : Fs.S with type t = a) (t : a) p =
+    let data = Hashtbl.find spec p in
+    let fd = ok "open" (F.open_ t p Fs.Rd) in
+    let got = ok "read" (F.read t fd ~off:0 ~len:(Bytes.length data)) in
+    ok "close" (F.close t fd);
+    if not (Bytes.equal got data) then wrong := p :: !wrong
+  in
+  let pick () = List.nth !live (Iron_util.Prng.int rng (List.length !live)) in
+  ok "mkdir" (F.mkdir t "/mail");
+  for d = 0 to 9 do
+    ok "mkdir" (F.mkdir t (Printf.sprintf "/mail/s%d" d))
+  done;
+  for _ = 1 to 40 do
+    create ()
+  done;
+  ok "sync" (F.sync t);
+  for n = 1 to 300 do
+    (match Iron_util.Prng.int rng 5 with
+    | 0 -> create ()
+    | 1 when !live <> [] ->
+        let i = pick () in
+        live := List.filter (( <> ) i) !live;
+        Hashtbl.remove spec (path i);
+        ok "unlink" (F.unlink t (path i))
+    | 2 when !live <> [] -> read_back (module F) t (path (pick ()))
+    | 3 when !live <> [] ->
+        let p = path (pick ()) in
+        let old = Hashtbl.find spec p in
+        let more = content 512 4096 in
+        let fd = ok "open" (F.open_ t p Fs.Wr) in
+        ignore (ok "append" (F.write t fd ~off:(Bytes.length old) more));
+        ok "close" (F.close t fd);
+        Hashtbl.replace spec p (Bytes.cat old more)
+    | 4 ->
+        let d = Printf.sprintf "/tmp%d" n in
+        ok "mkdir" (F.mkdir t d);
+        ok "rmdir" (F.rmdir t d)
+    | _ -> ());
+    if n mod 100 = 0 then ok "sync" (F.sync t)
+  done;
+  ok "unmount" (F.unmount t);
+  let (Fs.Boxed ((module F), t)) = ok "remount" (Fs.mount brand dev) in
+  Hashtbl.iter (fun p _ -> read_back (module F) t p) spec;
+  ok "unmount" (F.unmount t);
+  check
+    Alcotest.(list string)
+    (Printf.sprintf "seed %d: files read back wrong" seed)
+    [] (List.sort_uniq compare !wrong)
+
+let t_readback brand () = List.iter (readback brand) [ 0; 1; 2 ]
+
 let suites =
   [
     ( "jrnl.refinement",
@@ -632,6 +738,11 @@ let suites =
           Alcotest.test_case "batching counters tell the truth" `Quick
             t_batch_counters;
         ] );
+    ( "jrnl.readback",
+      List.map
+        (fun (name, brand) ->
+          Alcotest.test_case (name ^ " reads back") `Quick (t_readback brand))
+        readback_brands );
     ( "jrnl.crash-exploration",
       [
         Alcotest.test_case "all functor brands, durable-map agreement" `Slow
