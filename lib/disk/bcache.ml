@@ -14,92 +14,69 @@ let create ?(capacity = 256) device =
 
 let dev t = t.device
 
-(* Cache-owned buffers are drawn from (and returned to) the calling
-   domain's block arena. This is sound because the internal buffers
-   never escape: [read] hands out copies, [read_into] blits, and the
-   only adopted buffers are [fill]'s fresh ones and [insert]'s private
-   copies. Looked up per call rather than stored so a cache created on
-   one domain but used on another (never happens today) stays safe. *)
+(* Buffer ownership: once a cache buffer is filled, nothing writes to it
+   again, and nothing hands it back to the arena — eviction, replacement
+   and [invalidate] simply drop it. That is what lets [borrow] return the
+   buffer itself: a borrower keeps valid, unchanging bytes for as long as
+   it holds them, whatever the cache does meanwhile. Buffers are drawn
+   from the calling domain's block arena, which the journal engine
+   refills as its transaction images die; it is looked up per call
+   rather than stored so a cache created on one domain but used on
+   another (never happens today) stays safe. *)
 let arena t = Arena.block t.device.Dev.block_size
 
 let evict_if_full t =
   while Hashtbl.length t.table >= t.capacity && not (Queue.is_empty t.order) do
-    let victim = Queue.pop t.order in
-    (match Hashtbl.find_opt t.table victim with
-    | Some old -> Arena.put (arena t) old
-    | None -> ());
-    Hashtbl.remove t.table victim
+    Hashtbl.remove t.table (Queue.pop t.order)
   done
 
-(* [insert] copies the caller's buffer; [insert_own] adopts it (the
-   zero-copy fill path — the caller must not reuse the buffer). *)
-let insert_own t b data =
-  (match Hashtbl.find_opt t.table b with
-  | Some old ->
-      (* Replacing in place: recycle the displaced buffer (guarding
-         against a caller re-adopting the cached buffer itself). *)
-      if old != data then Arena.put (arena t) old
-  | None ->
-      evict_if_full t;
-      Queue.push b t.order);
+(* [insert] adopts a buffer nobody else may write to: [fill]'s fresh
+   one or [write]'s private copy. *)
+let insert t b data =
+  if not (Hashtbl.mem t.table b) then begin
+    evict_if_full t;
+    Queue.push b t.order
+  end;
   Hashtbl.replace t.table b data
 
-let insert t b data = insert_own t b (Arena.copy (arena t) data)
-
 (* Miss path: fill a fresh cache-owned buffer via the device's
-   zero-copy read and adopt it — one allocation instead of the two the
-   read-then-copy discipline used to cost. *)
+   zero-copy read and adopt it. *)
 let fill t b =
   let buf = Arena.get (arena t) in
   match t.device.Dev.read_into b buf with
   | Ok () ->
-      insert_own t b buf;
+      insert t b buf;
       Ok buf
   | Error _ as e ->
       Arena.put (arena t) buf;
       e
 
-let read t b =
+let borrow t b =
   match Hashtbl.find_opt t.table b with
   | Some data ->
       t.hits <- t.hits + 1;
-      Ok (Bytes.copy data)
-  | None -> (
+      Ok data
+  | None ->
       t.misses <- t.misses + 1;
-      match fill t b with
-      | Ok cached -> Ok (Bytes.copy cached)
-      | Error _ as e -> e)
+      fill t b
+
+let read t b = Result.map Bytes.copy (borrow t b)
 
 let read_into t b buf =
-  match Hashtbl.find_opt t.table b with
-  | Some data ->
-      t.hits <- t.hits + 1;
+  match borrow t b with
+  | Ok data ->
       Bytes.blit data 0 buf 0 (min (Bytes.length data) (Bytes.length buf));
       Ok ()
-  | None -> (
-      t.misses <- t.misses + 1;
-      match fill t b with
-      | Ok cached ->
-          Bytes.blit cached 0 buf 0 (min (Bytes.length cached) (Bytes.length buf));
-          Ok ()
-      | Error _ as e -> e)
+  | Error _ as e -> e
 
 let write t b data =
-  insert t b data;
+  insert t b (Arena.copy (arena t) data);
   t.device.Dev.write b data
 
 let sync t = t.device.Dev.sync ()
-
-let invalidate t b =
-  match Hashtbl.find_opt t.table b with
-  | Some old ->
-      Arena.put (arena t) old;
-      Hashtbl.remove t.table b
-  | None -> ()
+let invalidate t b = Hashtbl.remove t.table b
 
 let invalidate_all t =
-  let a = arena t in
-  Hashtbl.iter (fun _ old -> Arena.put a old) t.table;
   Hashtbl.reset t.table;
   Queue.clear t.order
 

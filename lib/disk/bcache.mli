@@ -17,8 +17,16 @@ val create : ?capacity:int -> Dev.t -> t
 val dev : t -> Dev.t
 (** The underlying device, for uncached access. *)
 
+val borrow : t -> int -> (bytes, Dev.error) result
+(** The cached buffer itself, filled from the device on a miss (one
+    cache-buffer allocation, none on a hit). It is read-only: the caller
+    must never write to it. In return its bytes never change — eviction,
+    a replacing {!write}, {!invalidate} and a refill of the same block
+    all drop the cache's reference instead of reusing the buffer. *)
+
 val read : t -> int -> (bytes, Dev.error) result
-(** Returns a copy; mutating it does not affect the cache. *)
+(** {!borrow} plus a copy: the caller owns the result, and mutating it
+    does not affect the cache. Same hits, misses and device requests. *)
 
 val read_into : t -> int -> bytes -> (unit, Dev.error) result
 (** Zero-copy read: fill the caller's buffer from the cache (no

@@ -37,6 +37,7 @@ type state = {
   lay : Layout.t;
   klog : Klog.t;
   cache : Bcache.t;
+  zeros : bytes; (* read-only, like every borrowed buffer: holes read as it *)
   mutable free_blocks : int;
   mutable free_inodes : int;
   (* group descriptor table, kept in memory as on real systems *)
@@ -146,13 +147,21 @@ let policy_of_profile (p : Profile.t) : (module Jrnl.POLICY) =
 (* Low-level block access with journal overlay                         *)
 (* ------------------------------------------------------------------ *)
 
+(* Reads borrow: they return the journal's staged image or the cache's
+   buffer itself, not a copy. A borrowed buffer is read-only, and it is
+   used up before the next journal operation, since staging, commit and
+   revoke release staged images to the arena. Every site that modifies
+   what it read, or holds it across journal work, takes a private copy
+   through [owned]. *)
 let block_read_raw t b =
   match Jrnl.find t.jrnl b with
-  | Some d -> Ok (Bytes.copy d)
+  | Some d -> Ok d
   | None -> (
-      match Bcache.read t.cache b with
+      match Bcache.borrow t.cache b with
       | Ok d -> Ok d
       | Error _ -> Error Errno.EIO)
+
+let owned r = Result.map Bytes.copy r
 
 let txn_put t b data = Jrnl.stage t.jrnl b data
 
@@ -161,7 +170,7 @@ let txn_put t b data = Jrnl.stage t.jrnl b data
    correctness. *)
 let set_cksum t b data =
   let cb, off = Layout.cksum_location t.lay b in
-  match block_read_raw t cb with
+  match owned (block_read_raw t cb) with
   | Error _ -> Klog.warn t.klog "ixt3" "cannot update checksum block %d" cb
   | Ok blk ->
       let d = Sha1.to_raw (Sha1.digest data) in
@@ -201,7 +210,7 @@ let rmap_get t b =
 
 let rmap_set t b shadow =
   let rb, off = Layout.rmap_location t.lay b in
-  match block_read_raw t rb with
+  match owned (block_read_raw t rb) with
   | Error _ -> Klog.warn t.klog "ixt3" "cannot update replica map block %d" rb
   | Ok buf ->
       Codec.write_u32 buf off shadow;
@@ -331,7 +340,7 @@ let read_inode t ino =
 
 let write_inode t ino inode =
   let blk, off = Layout.inode_location t.lay ino in
-  let* buf = meta_read t Itable blk in
+  let* buf = owned (meta_read t Itable blk) in
   Inode.encode t.lay inode buf off;
   meta_write t Itable blk buf
 
@@ -375,7 +384,7 @@ let alloc_block t ~goal_group =
     else
       let g = (goal_group + k) mod lay.Layout.ngroups in
       let bb = t.gd_bitmap.(g) in
-      let* buf = txn_meta_read t BBitmap bb in
+      let* buf = owned (txn_meta_read t BBitmap bb) in
       match find_clear_bit buf per with
       | None -> try_group (k + 1)
       | Some i ->
@@ -412,7 +421,7 @@ let rec free_block t b =
       else
         let i = b - ds in
         let bb = t.gd_bitmap.(g) in
-        let* buf = txn_meta_read t BBitmap bb in
+        let* buf = owned (txn_meta_read t BBitmap bb) in
         if test_bit buf i then begin
           set_bit buf i false;
           let* () = meta_write t BBitmap bb buf in
@@ -428,7 +437,7 @@ let alloc_inode t ~goal_group =
     else
       let g = (goal_group + k) mod lay.Layout.ngroups in
       let ib = t.gd_ibitmap.(g) in
-      let* buf = txn_meta_read t IBitmap ib in
+      let* buf = owned (txn_meta_read t IBitmap ib) in
       match find_clear_bit buf lay.Layout.inodes_per_group with
       | None -> try_group (k + 1)
       | Some i ->
@@ -444,7 +453,7 @@ let free_inode t ino =
   let g = Layout.group_of_inode lay ino in
   let i = (ino - 1) mod lay.Layout.inodes_per_group in
   let ib = t.gd_ibitmap.(g) in
-  let* buf = txn_meta_read t IBitmap ib in
+  let* buf = owned (txn_meta_read t IBitmap ib) in
   set_bit buf i false;
   let* () = meta_write t IBitmap ib buf in
   t.free_inodes <- t.free_inodes + 1;
@@ -518,7 +527,7 @@ let bmap_alloc t ino inode fblock =
   (* Ensure a pointer slot inside pointer-block [b] is filled; return
      (target, allocated?). *)
   let ensure_slot b i ~alloc_child =
-    let* buf = read_ptr_block t b in
+    let* buf = owned (read_ptr_block t b) in
     let cur = get_ptr buf i in
     if cur <> 0 then Ok (cur, false)
     else
@@ -587,7 +596,7 @@ let bmap_set t inode fblock newb =
   let lay = t.lay in
   let d = lay.Layout.direct_ptrs and p = lay.Layout.ptrs_per_block in
   let set_slot b i =
-    let* buf = read_ptr_block t b in
+    let* buf = owned (read_ptr_block t b) in
     put_ptr buf i newb;
     let* () = meta_write t Indirect b buf in
     Ok inode
@@ -653,7 +662,7 @@ let reconstruct_from_parity t inode ~missing_fblock =
 (* Read file block [fblock]; holes read as zeroes. *)
 let data_read_block t inode fblock =
   let* b = bmap t inode fblock in
-  if b = 0 then Ok (zero_block t)
+  if b = 0 then Ok t.zeros
   else if b >= t.lay.Layout.num_blocks then begin
     (* A garbage pointer (corrupted indirect block): the device refuses. *)
     Klog.error t.klog "ext3" "read of impossible block %d" b;
@@ -696,7 +705,7 @@ let data_write_block t ino inode fblock data =
          for a freshly allocated slot); if the read fails (or fails
          verification), reconstruct from the parity group. *)
       let* old =
-        if fresh then Ok (zero_block t)
+        if fresh then Ok t.zeros
         else
         match block_read_raw t b with
         | Ok d when
@@ -714,7 +723,7 @@ let data_write_block t ino inode fblock data =
                 else Ok (zero_block t))
       in
       let pdata =
-        match block_read_raw t inode.Inode.parity with
+        match owned (block_read_raw t inode.Inode.parity) with
         | Ok d -> d
         | Error _ -> zero_block t
       in
@@ -946,7 +955,7 @@ let free_file_from t inode ~from =
       let span =
         match level with 1 -> 1 | 2 -> p | _ -> p * p
       in
-      (match read_ptr_block t b with
+      (match owned (read_ptr_block t b) with
       | Error _ -> incr errors
       | Ok buf ->
           for i = 0 to p - 1 do
@@ -1268,6 +1277,7 @@ let mount_impl profile dev =
         lay;
         klog;
         cache;
+        zeros = Bytes.make lay.Layout.block_size '\000';
         free_blocks = !free_blocks;
         free_inodes = !free_inodes;
         gd_bitmap;
@@ -1595,7 +1605,7 @@ let op_write t fd ~off data =
                   if boff = 0 && n = bs then Ok (Bytes.sub data pos n)
                   else
                     (* Read-modify-write for partial blocks. *)
-                    let* old = data_read_block t !inode fblock in
+                    let* old = owned (data_read_block t !inode fblock) in
                     Bytes.blit data pos old boff n;
                     Ok old
                 in
@@ -1631,7 +1641,7 @@ let op_truncate t path size =
             let* b = bmap t i' fblock in
             if b = 0 then Ok i'
             else
-              let* old = data_read_block t i' fblock in
+              let* old = owned (data_read_block t i' fblock) in
               Bytes.fill old (size mod bs) (bs - (size mod bs)) '\000';
               data_write_block t ino i' fblock old
         in

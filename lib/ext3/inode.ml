@@ -29,6 +29,8 @@ let kind_of_code = function
   | 3 -> Symlink
   | _ -> Free
 
+let kind_at buf off = kind_of_code (Char.code (Bytes.get buf off))
+
 let empty lay =
   {
     kind = Free;

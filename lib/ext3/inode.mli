@@ -27,6 +27,10 @@ type t = {
   symlink_target : string;
 }
 
+val kind_at : bytes -> int -> kind
+(** [kind_at buf off] is [(decode lay buf off).kind], read from the
+    slot's first byte alone. *)
+
 val empty : Layout.t -> t
 val fresh : Layout.t -> kind -> perms:int -> time:int -> t
 

@@ -27,7 +27,7 @@ let root_ino = 2
 let first_free_ino = 3
 let digest_size = 20
 
-let compute ~block_size ~num_blocks =
+let make ~block_size ~num_blocks =
   let inode_size = 128 in
   let inodes_per_block = block_size / inode_size in
   let itable_blocks = 4 in
@@ -50,10 +50,7 @@ let compute ~block_size ~num_blocks =
       if (num_blocks - groups_start) / bpg > gd_per_block then widen (bpg * 2)
       else bpg
     in
-    let bpg = widen 256 in
-    if bpg > bitmap_bits then
-      failwith "Layout.compute: volume too large for one-block bitmaps";
-    bpg
+    widen 256
   in
   let cksum_per_block = block_size / digest_size in
   let cksum_blocks = (num_blocks + cksum_per_block - 1) / cksum_per_block in
@@ -68,37 +65,47 @@ let compute ~block_size ~num_blocks =
     <= num_blocks
   in
   let rec find n = if n >= 1 && not (fits n) then find (n - 1) else n in
-  let ngroups = find ((num_blocks - groups_start) / blocks_per_group) in
-  if ngroups < 1 then failwith "Layout.compute: device too small";
-  let replica_blocks = 2 + (ngroups * (2 + itable_blocks)) in
-  let replica_start = num_blocks - replica_blocks in
-  let rmap_start = replica_start - rmap_blocks in
-  let rlog_start = rmap_start - rlog_blocks in
-  let cksum_start = rlog_start - cksum_blocks in
-  {
-    block_size;
-    num_blocks;
-    inode_size;
-    inodes_per_block;
-    direct_ptrs = 4;
-    ptrs_per_block = 16;
-    journal_start;
-    journal_len;
-    groups_start;
-    blocks_per_group;
-    itable_blocks;
-    inodes_per_group;
-    ngroups;
-    cksum_start;
-    cksum_blocks;
-    rlog_start;
-    rlog_blocks;
-    rmap_start;
-    rmap_blocks;
-    replica_start;
-    replica_blocks;
-    cksum_per_block;
-  }
+  if blocks_per_group > bitmap_bits then
+    Error "volume too large for one-block bitmaps"
+  else
+    let ngroups = find ((num_blocks - groups_start) / blocks_per_group) in
+    if ngroups < 1 then Error "device too small"
+    else
+      let replica_blocks = 2 + (ngroups * (2 + itable_blocks)) in
+      let replica_start = num_blocks - replica_blocks in
+      let rmap_start = replica_start - rmap_blocks in
+      let rlog_start = rmap_start - rlog_blocks in
+      let cksum_start = rlog_start - cksum_blocks in
+      Ok
+        {
+          block_size;
+          num_blocks;
+          inode_size;
+          inodes_per_block;
+          direct_ptrs = 4;
+          ptrs_per_block = 16;
+          journal_start;
+          journal_len;
+          groups_start;
+          blocks_per_group;
+          itable_blocks;
+          inodes_per_group;
+          ngroups;
+          cksum_start;
+          cksum_blocks;
+          rlog_start;
+          rlog_blocks;
+          rmap_start;
+          rmap_blocks;
+          replica_start;
+          replica_blocks;
+          cksum_per_block;
+        }
+
+let compute ~block_size ~num_blocks =
+  match make ~block_size ~num_blocks with
+  | Ok l -> l
+  | Error why -> failwith ("Layout.compute: " ^ why)
 
 let group_base l g = l.groups_start + (g * l.blocks_per_group)
 let super_copy_block l g = group_base l g

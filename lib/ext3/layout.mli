@@ -44,8 +44,12 @@ type t = {
   cksum_per_block : int;  (** SHA-1 digests per checksum-table block *)
 }
 
+val make : block_size:int -> num_blocks:int -> (t, string) result
+(** The layout, or why no layout fits: a device too small for even one
+    group, or a volume too large for one-block bitmaps. *)
+
 val compute : block_size:int -> num_blocks:int -> t
-(** Raises [Failure] if the device is too small for even one group. *)
+(** {!make}, raising [Failure] where it returns an error. *)
 
 (** {2 Per-group block numbers} *)
 

@@ -42,6 +42,8 @@ let decode buf =
       if block_size < 512 || block_size > 65536 || num_blocks < 8 then
         Error Errno.EUCLEAN
       else if free_blocks > num_blocks then Error Errno.EUCLEAN
+      else if Result.is_error (Layout.make ~block_size ~num_blocks) then
+        Error Errno.EUCLEAN
       else
         let state = if state_raw = 1 then Clean else Dirty in
         Ok { block_size; num_blocks; state; mount_count; free_blocks; free_inodes; features }

@@ -25,6 +25,7 @@ val encode : t -> bytes -> unit
 (** Serializes into the beginning of a block-sized buffer. *)
 
 val decode : bytes -> (t, Iron_vfs.Errno.t) result
-(** Fails with [EUCLEAN] on a bad magic or impossible geometry. *)
+(** Fails with [EUCLEAN] on a bad magic or an impossible geometry,
+    including one that {!Layout.make} finds no layout for. *)
 
 val features_of_profile : Profile.t -> int

@@ -154,9 +154,10 @@ let kind t b = t.cfg.kinds b
    calling domain's block arena: staged images are released when the
    checkpoint empties the pending table, scratch (desc/revoke/commit/
    jsuper) blocks right after the device write copies them out. Sound
-   because [find]'s callers copy what they keep and the hooks
-   ([post_commit], [jsb_shadow]) write through the device, which also
-   copies. *)
+   because [find] hands out a read-only loan that its callers finish
+   with before the next stage, commit, checkpoint or revoke (copying
+   whatever they modify or keep), and the hooks ([post_commit],
+   [jsb_shadow]) write through the device, which also copies. *)
 let arena t = Arena.block t.cfg.dev.Dev.block_size
 let zero_block t = Arena.get_zeroed (arena t)
 let release t buf = Arena.put (arena t) buf

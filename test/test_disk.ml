@@ -164,6 +164,111 @@ let test_bcache_invalidate () =
   ignore (Bcache.read c 5);
   check Alcotest.int "device read after invalidate" 1 (Memdisk.stats d).Memdisk.reads
 
+(* A borrowed buffer is the cache's own: it must keep its bytes through
+   everything the cache does afterwards, including the arena churn of
+   later fills that once recycled evicted buffers. *)
+let holds what c buf =
+  if not (Bytes.for_all (Char.equal c) buf) then
+    Alcotest.failf "%s: expected a block of %C, got one starting %C" what c
+      (Bytes.get buf 0)
+
+let test_bcache_borrow_is_stable () =
+  let _, dev = make () in
+  for b = 0 to 15 do
+    Dev.write_exn dev b (block dev (Char.chr (65 + b)))
+  done;
+  let c = Bcache.create ~capacity:2 dev in
+  let borrow b =
+    match Bcache.borrow c b with Ok d -> d | Error _ -> Alcotest.fail "borrow"
+  in
+  let b0 = borrow 0 in
+  check Alcotest.bool "a hit lends the same buffer" true (borrow 0 == b0);
+  for b = 1 to 8 do
+    ignore (borrow b)
+  done;
+  holds "kept across FIFO eviction and refills" 'A' b0;
+  let b8 = borrow 8 in
+  (match Bcache.write c 8 (block dev 'z') with Ok () -> () | Error _ -> assert false);
+  holds "kept across a replacing write" 'I' b8;
+  holds "the write is what the cache now lends" 'z' (borrow 8);
+  let b7 = borrow 7 in
+  Bcache.invalidate c 7;
+  holds "kept across invalidate" 'H' b7;
+  let again = borrow 0 in
+  check Alcotest.bool "a refill lends a new buffer" true (again != b0);
+  Bcache.invalidate_all c;
+  for b = 9 to 15 do
+    ignore (borrow b)
+  done;
+  holds "kept across invalidate_all and refills" 'A' b0;
+  holds "refilled buffer kept too" 'A' again
+
+let test_bcache_read_copies () =
+  let _, dev = make () in
+  Dev.write_exn dev 3 (block dev 'c');
+  let c = Bcache.create dev in
+  let lent = match Bcache.borrow c 3 with Ok d -> d | Error _ -> assert false in
+  (match Bcache.read c 3 with
+  | Ok d ->
+      check Alcotest.bool "read hands out a copy" true (d != lent);
+      Bytes.fill d 0 (Bytes.length d) 'x'
+  | Error _ -> Alcotest.fail "read");
+  let buf = Bytes.create dev.Dev.block_size in
+  (match Bcache.read_into c 3 buf with Ok () -> () | Error _ -> Alcotest.fail "read_into");
+  holds "read_into fills the caller's buffer" 'c' buf;
+  Bytes.fill buf 0 (Bytes.length buf) 'y';
+  holds "cache untouched by the callers' writes" 'c' lent;
+  match Bcache.read c 3 with
+  | Ok d -> holds "later reads see the cache" 'c' d
+  | Error _ -> Alcotest.fail "read"
+
+(* [borrow] and [read] are the same request: for any sequence of reads,
+   writes and invalidations over a small cache, serving the reads with
+   one or the other gives the same bytes, the same hit and miss counts
+   and the same device requests (including failed ones). *)
+let prop_borrow_same_requests =
+  let op =
+    QCheck.Gen.(
+      pair (int_bound 3) (int_bound 11) >|= fun (k, b) ->
+      match k with 0 | 1 -> `Read b | 2 -> `Write b | _ -> `Invalidate b)
+  in
+  QCheck.Test.make ~name:"borrow = read: bytes, counters, device requests"
+    ~count:200
+    QCheck.(make Gen.(list_size (int_range 1 60) op))
+    (fun ops ->
+      let stack () =
+        let d, dev = make () in
+        let inj = Iron_fault.Fault.create dev in
+        ignore
+          (Iron_fault.Fault.arm inj
+             (Iron_fault.Fault.rule
+                ~persistence:(Iron_fault.Fault.Transient 2)
+                (Iron_fault.Fault.Block 5) Iron_fault.Fault.Fail_read));
+        (d, inj, Bcache.create ~capacity:4 (Iron_fault.Fault.dev inj))
+      in
+      let _, ia, a = stack () and _, ib, b = stack () in
+      let same =
+        List.for_all
+          (function
+            | `Read blk -> (
+                match (Bcache.borrow a blk, Bcache.read b blk) with
+                | Ok x, Ok y -> Bytes.equal x y
+                | Error e, Error f -> e = f
+                | Ok _, Error _ | Error _, Ok _ -> false)
+            | `Write blk ->
+                let data = Bytes.make 4096 (Char.chr (97 + blk)) in
+                Bcache.write a blk data = Bcache.write b blk data
+            | `Invalidate blk ->
+                Bcache.invalidate a blk;
+                Bcache.invalidate b blk;
+                true)
+          ops
+      in
+      same
+      && Bcache.hits a = Bcache.hits b
+      && Bcache.misses a = Bcache.misses b
+      && Iron_fault.Fault.trace ia = Iron_fault.Fault.trace ib)
+
 let suites =
   [
     ( "disk.memdisk",
@@ -187,5 +292,9 @@ let suites =
         Alcotest.test_case "failed write keeps new data" `Quick
           test_bcache_failed_write_keeps_new_data;
         Alcotest.test_case "invalidate" `Quick test_bcache_invalidate;
+        Alcotest.test_case "borrowed buffers never change" `Quick
+          test_bcache_borrow_is_stable;
+        Alcotest.test_case "read and read_into copy" `Quick test_bcache_read_copies;
+        qtest prop_borrow_same_requests;
       ] );
   ]
