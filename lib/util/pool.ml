@@ -153,9 +153,12 @@ let map ?on_job t f xs =
 
 let map_jobs ?on_job ~jobs f xs =
   let n = List.length xs in
-  if jobs <= 1 || n <= 1 then begin
+  if jobs <= 1 || n <= 1 || clamp_workers (min jobs n) = 1 then begin
     (* The sequential baseline: same exactly-once + deferred-raise
-       semantics, no domains. *)
+       semantics, no domains. A pool clamped to one worker would run
+       the same jobs in the same order while the caller sleeps, and
+       spawning and joining that domain on every call costs time and,
+       in a long-lived process, heap the runtime does not give back. *)
     let results = Array.make n None in
     List.iteri
       (fun i x ->

@@ -62,9 +62,10 @@ val map_jobs :
   'a list ->
   'b list
 (** [map_jobs ~jobs f xs]: [jobs <= 1] runs sequentially in the
-    calling domain (no domains spawned — the deterministic baseline);
-    otherwise a temporary pool of [jobs] workers is created, used and
-    shut down. The result, including raising behaviour, is identical
+    calling domain (no domains spawned — the deterministic baseline),
+    and so does any call whose pool {!create} would clamp to a single
+    worker; otherwise a temporary pool of [jobs] workers is created,
+    used and shut down. The result, including raising behaviour, is identical
     in both modes. The sequential path reports [on_job] with
     [queue_ms = 0.]. *)
 

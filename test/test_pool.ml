@@ -12,6 +12,11 @@ open Iron_util
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
 
+(* An explicit pool of [n] workers: on a host where [map_jobs] would
+   clamp to one worker and run on the caller, this still exercises the
+   queue, the chunking and the worker domains. *)
+let pooled ?on_job n f xs = Pool.with_pool n (fun p -> Pool.map ?on_job p f xs)
+
 let test_map_empty () =
   Pool.with_pool 4 (fun p ->
       check Alcotest.(list int) "empty" [] (Pool.map p (fun x -> x) []))
@@ -63,7 +68,21 @@ let test_map_jobs_sequential_matches_pool () =
     Alcotest.(list int)
     "jobs=1 matches jobs=4"
     (Pool.map_jobs ~jobs:1 f xs)
-    (Pool.map_jobs ~jobs:4 f xs)
+    (Pool.map_jobs ~jobs:4 f xs);
+  check
+    Alcotest.(list int)
+    "jobs=1 matches a 4-worker pool"
+    (Pool.map_jobs ~jobs:1 f xs)
+    (pooled 4 f xs)
+
+(* One worker plus a sleeping caller is sequential execution: such a
+   call runs on the caller and spawns no domain. *)
+let test_single_worker_runs_on_caller () =
+  let me = (Domain.self () :> int) in
+  let ran_on = Pool.map_jobs ~jobs:2 (fun _ -> (Domain.self () :> int)) [ 1; 2; 3; 4 ] in
+  check Alcotest.bool "on the caller exactly when the pool would have one worker"
+    (Domain.recommended_domain_count () <= 2)
+    (List.for_all (( = ) me) ran_on)
 
 (* The chunked submission path (jobs per queue entry scales with
    input size, capped at [max_chunk]) must stay invisible: for input
@@ -81,13 +100,18 @@ let test_chunk_heuristic_boundaries () =
       let on_job ~queue_ms:_ ~run_ms:_ = Atomic.incr fired in
       let seq = Pool.map_jobs ~jobs:1 f xs in
       let par = Pool.map_jobs ~on_job ~jobs:4 f xs in
+      let pool = pooled ~on_job 4 f xs in
       check
         Alcotest.(list int)
         (Printf.sprintf "n=%d: jobs=1 = jobs=4" n)
         seq par;
+      check
+        Alcotest.(list int)
+        (Printf.sprintf "n=%d: jobs=1 = 4-worker pool" n)
+        seq pool;
       check Alcotest.int
         (Printf.sprintf "n=%d: telemetry once per job" n)
-        n (Atomic.get fired))
+        (2 * n) (Atomic.get fired))
     [ 0; 1; 2; 15; 16; 17; 63; 64; 65; 200; 1000 ]
 
 let test_default_jobs_positive () =
@@ -100,24 +124,27 @@ let prop_map_preserves_order =
     QCheck.(pair (int_range 1 6) (small_list small_int))
     (fun (n, xs) ->
       let f x = (x * 2654435761) lxor 0x5A5A in
-      Pool.map_jobs ~jobs:n f xs = List.map f xs)
+      Pool.map_jobs ~jobs:n f xs = List.map f xs && pooled n f xs = List.map f xs)
 
 let prop_map_runs_each_job_exactly_once =
   QCheck.Test.make ~name:"Pool.map runs every job exactly once" ~count:50
     QCheck.(pair (int_range 1 6) (int_bound 60))
     (fun (n, len) ->
-      let ran = Array.make (max 1 len) 0 in
-      let m = Mutex.create () in
-      let _ =
-        Pool.map_jobs ~jobs:n
-          (fun i ->
-            Mutex.lock m;
-            ran.(i) <- ran.(i) + 1;
-            Mutex.unlock m;
-            i)
-          (List.init len Fun.id)
-      in
-      Array.for_all (fun c -> c = 1) (Array.sub ran 0 len))
+      List.for_all
+        (fun map ->
+          let ran = Array.make (max 1 len) 0 in
+          let m = Mutex.create () in
+          let _ =
+            map
+              (fun i ->
+                Mutex.lock m;
+                ran.(i) <- ran.(i) + 1;
+                Mutex.unlock m;
+                i)
+              (List.init len Fun.id)
+          in
+          Array.for_all (fun c -> c = 1) (Array.sub ran 0 len))
+        [ Pool.map_jobs ~jobs:n; pooled n ])
 
 let prop_map_exactly_once_with_raising_jobs =
   QCheck.Test.make ~name:"Pool.map exactly-once survives raising jobs"
@@ -125,21 +152,24 @@ let prop_map_exactly_once_with_raising_jobs =
     QCheck.(triple (int_range 1 6) (int_range 1 40) (int_bound 39))
     (fun (n, len, bad) ->
       let bad = bad mod len in
-      let ran = Array.make len 0 in
-      let m = Mutex.create () in
-      (match
-         Pool.map_jobs ~jobs:n
-           (fun i ->
-             Mutex.lock m;
-             ran.(i) <- ran.(i) + 1;
-             Mutex.unlock m;
-             if i = bad then raise Exit;
-             i)
-           (List.init len Fun.id)
-       with
-      | _ -> ()
-      | exception Exit -> ());
-      Array.for_all (fun c -> c = 1) ran)
+      List.for_all
+        (fun map ->
+          let ran = Array.make len 0 in
+          let m = Mutex.create () in
+          (match
+             map
+               (fun i ->
+                 Mutex.lock m;
+                 ran.(i) <- ran.(i) + 1;
+                 Mutex.unlock m;
+                 if i = bad then raise Exit;
+                 i)
+               (List.init len Fun.id)
+           with
+          | _ -> ()
+          | exception Exit -> ());
+          Array.for_all (fun c -> c = 1) ran)
+        [ Pool.map_jobs ~jobs:n; pooled n ])
 
 let suites =
   [
@@ -153,6 +183,8 @@ let suites =
           test_map_raise_propagates_lowest_index;
         Alcotest.test_case "map_jobs 1 = map_jobs 4" `Quick
           test_map_jobs_sequential_matches_pool;
+        Alcotest.test_case "one worker: jobs run on the caller" `Quick
+          test_single_worker_runs_on_caller;
         Alcotest.test_case "chunk heuristic invisible at every boundary" `Quick
           test_chunk_heuristic_boundaries;
         Alcotest.test_case "default_jobs positive" `Quick
