@@ -205,25 +205,6 @@ let run_workload brand inj dev (w : Workload.t) ~arm =
 (* Inference                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Allocation-free substring scan; [needle] is expected lowercase. *)
-let contains_sub ~needle hay =
-  let nlen = String.length needle and hlen = String.length hay in
-  let limit = hlen - nlen in
-  let rec matches i j =
-    j = nlen || (hay.[i + j] = needle.[j] && matches i (j + 1))
-  in
-  let rec at i = i <= limit && (matches i 0 || at (i + 1)) in
-  nlen = 0 || at 0
-
-(* Each message is lowercased once (not once per word per entry, as an
-   earlier version did) and then scanned once per word. *)
-let klog_mentions klog words =
-  List.exists
-    (fun (e : Klog.entry) ->
-      let msg = String.lowercase_ascii e.Klog.message in
-      List.exists (fun word -> contains_sub ~needle:word msg) words)
-    klog
-
 let infer fault (obs : observation) trace target =
   let fired =
     List.length
@@ -249,12 +230,12 @@ let infer fault (obs : observation) trace target =
        are written on every update), so trace presence is not evidence
        of recovery; the file system's own recovery messages are. *)
     let redundancy_access =
-      klog_mentions obs.klog
+      Klog.mentions obs.klog
         [ "replica"; "parity"; "alternate"; "recovered from copy" ]
     in
     (* Checksum machinery reads its tables on every verified access, so
        trace presence alone is not evidence; the mismatch message is. *)
-    let checksum_detected = klog_mentions obs.klog [ "checksum" ] in
+    let checksum_detected = Klog.mentions obs.klog [ "checksum" ] in
     let reacted =
       obs.api <> Ok () || obs.panicked || obs.readonly || obs.mount_failed
       || klog_errors || redundancy_access
@@ -294,8 +275,8 @@ let infer fault (obs : observation) trace target =
     if obs.panicked || obs.readonly || obs.mount_failed then add Taxonomy.RStop;
     (match obs.api with Error _ when not obs.panicked -> add Taxonomy.RPropagate | _ -> ());
     if obs.verify_failed then add Taxonomy.RGuess;
-    if klog_mentions obs.klog [ "repair" ] then add Taxonomy.RRepair;
-    if klog_mentions obs.klog [ "remapped" ] then add Taxonomy.RRemap;
+    if Klog.mentions obs.klog [ "repair" ] then add Taxonomy.RRepair;
+    if Klog.mentions obs.klog [ "remapped" ] then add Taxonomy.RRemap;
     let recovery =
       match !recovery with [] -> [ Taxonomy.RZero ] | rs -> List.rev rs
     in

@@ -49,7 +49,6 @@ let create below =
   }
 
 let set_recording t on = t.recording <- on
-let recording t = t.recording
 
 let clear t =
   t.log <- Array.make 64 dummy;

@@ -43,7 +43,6 @@ val dev : t -> Iron_disk.Dev.t
     any crash state. *)
 
 val set_recording : t -> bool -> unit
-val recording : t -> bool
 
 val clear : t -> unit
 (** Drop the log and reset the epoch counter. *)

@@ -62,24 +62,21 @@ type wres = {
 let no_result = { wr_checked = 0; wr_tc = 0; wr_kinds = []; wr_case = None }
 
 let campaign ?(jobs = 1) ?(seq = 1) ?(states_per_workload = 150) ?(seed = 7)
-    ?(samples = 200) ?(num_blocks = 2048) ?(explain = false) ?obs ?on_workload
-    brand =
+    ?(samples = 200) ?(explain = false) ?obs brand =
   let params =
-    { Memdisk.default_params with Memdisk.num_blocks; seed = seed lxor 0xb3 }
+    {
+      Memdisk.default_params with
+      Memdisk.num_blocks = 2048;
+      seed = seed lxor 0xb3;
+    }
   in
   let fs = Fs.brand_name brand in
-  (* The ext3 family gets the offline cross-check, like [explore]. *)
-  let fsck =
-    match fs with
-    | "ext3" | "ixt3" | "ext3-writeback" | "ext3-data" -> true
-    | _ -> false
-  in
+  let fsck = Explore.offline_fsck brand in
   let in_span name f =
     match obs with
     | None -> f ()
     | Some o -> Obs.span o ~subsystem:"fuzz" name f
   in
-  let tick () = match on_workload with None -> () | Some f -> f () in
   let ws = Array.of_list (Gen.workloads ~seq ~seed ~samples) in
   let indexed = Array.to_list (Array.mapi (fun k w -> (k, w)) ws) in
   let base = Explore.make_base ~params ~setup:Gen.setup brand in
@@ -107,14 +104,9 @@ let campaign ?(jobs = 1) ?(seq = 1) ?(states_per_workload = 150) ?(seed = 7)
           (fun (k, w) ->
             let session, _ = record w in
             let specs = enumerate k session in
-            let ds = List.map (Explore.spec_digest session) specs in
-            let r =
-              ( ds,
-                Explore.session_log_len session,
-                Explore.session_log_bytes session )
-            in
-            tick ();
-            r)
+            ( List.map (Explore.spec_digest session) specs,
+              Explore.session_log_len session,
+              Explore.session_log_bytes session ))
           indexed)
   in
   (* Corpus fold, sequential in workload order: the first workload to
@@ -150,6 +142,24 @@ let campaign ?(jobs = 1) ?(seq = 1) ?(states_per_workload = 150) ?(seed = 7)
       (List.sort String.compare all);
     Sha1.to_hex (Sha1.finalize ctx)
   in
+  (* The oracle check of one state of a recorded workload. Lying-cache
+     states (a persisted write from after the first dropped one — no
+     barrier-honouring disk produces them) get the fixture-only oracle
+     and no offline cross-check: the disk promised nothing, and fsck
+     would flag stale in-place blocks that no recovery mechanism was
+     ever given a chance to see. Tc and fixture-durability checks still
+     run there. *)
+  let checker session tr =
+    let rp = Gen.replay tr in
+    fun spec ->
+      let honest = Explore.spec_honest session spec in
+      let expects ~epoch =
+        if honest then Gen.expects rp ~epoch
+        else Gen.expects ~lying:true rp ~epoch:0
+      in
+      Explore.check_spec ~params ~brand ~fsck:(fsck && honest) ~expects
+        session spec
+  in
   (* Check: re-record the owners and check exactly their novel states. *)
   let check_workload (k, w) =
     match novel.(k) with
@@ -157,22 +167,7 @@ let campaign ?(jobs = 1) ?(seq = 1) ?(states_per_workload = 150) ?(seed = 7)
     | idxs ->
         let session, tr = record w in
         let specs = Array.of_list (enumerate k session) in
-        let rp = Gen.replay tr in
-        (* Lying-cache states (a persisted write from after the first
-           dropped one — no barrier-honouring disk produces them) get
-           the fixture-only oracle and no offline cross-check: the disk
-           promised nothing, and fsck would flag stale in-place blocks
-           that no recovery mechanism was ever given a chance to see.
-           Tc and fixture-durability checks still run there. *)
-        let check spec =
-          let honest = Explore.spec_honest session spec in
-          let expects ~epoch =
-            if honest then Gen.expects rp ~epoch
-            else Gen.expects ~lying:true rp ~epoch:0
-          in
-          Explore.check_spec ~params ~brand ~fsck:(fsck && honest) ~expects
-            session spec
-        in
+        let check = checker session tr in
         let bad = ref [] and tc = ref 0 in
         List.iter
           (fun i ->
@@ -197,23 +192,13 @@ let campaign ?(jobs = 1) ?(seq = 1) ?(states_per_workload = 150) ?(seed = 7)
               w' <> []
               &&
               let s', tr' = record w' in
-              let specs' = enumerate k s' in
-              let rp' = Gen.replay tr' in
+              let check' = checker s' tr' in
               List.exists
                 (fun spec ->
-                  let honest = Explore.spec_honest s' spec in
-                  let expects' ~epoch =
-                    if honest then Gen.expects rp' ~epoch
-                    else Gen.expects ~lying:true rp' ~epoch:0
-                  in
-                  match
-                    (Explore.check_spec ~params ~brand ~fsck:(fsck && honest)
-                       ~expects:expects' s' spec)
-                      .Explore.viol
-                  with
+                  match (check' spec).Explore.viol with
                   | Some (kk, _) -> List.mem kk kinds
                   | None -> false)
-                specs'
+                (enumerate k s')
             in
             let minimized = minimize ~repro w in
             let chains =
@@ -221,9 +206,7 @@ let campaign ?(jobs = 1) ?(seq = 1) ?(states_per_workload = 150) ?(seed = 7)
               else begin
                 let ctx = Explore.session_forensics ~params ~fsck session in
                 List.map
-                  (fun (spec, kind, detail) ->
-                    Explore.explain_spec ~check:(fun s -> check s) ctx session
-                      (spec, kind, detail))
+                  (Explore.explain_spec ~check ctx session)
                   (List.filteri (fun i _ -> i < 3) bad)
               end
             in
@@ -244,16 +227,12 @@ let campaign ?(jobs = 1) ?(seq = 1) ?(states_per_workload = 150) ?(seed = 7)
               }
           end
         in
-        let r =
-          {
-            wr_checked = List.length idxs;
-            wr_tc = !tc;
-            wr_kinds = List.map (fun (_, k, _) -> Explore.kind_to_string k) bad;
-            wr_case = case;
-          }
-        in
-        tick ();
-        r
+        {
+          wr_checked = List.length idxs;
+          wr_tc = !tc;
+          wr_kinds = List.map (fun (_, k, _) -> Explore.kind_to_string k) bad;
+          wr_case = case;
+        }
   in
   let results = in_span "check" (fun () -> Pool.map_jobs ~jobs check_workload indexed) in
   let tc = List.fold_left (fun a r -> a + r.wr_tc) 0 results in

@@ -61,23 +61,18 @@ val campaign :
   ?states_per_workload:int ->
   ?seed:int ->
   ?samples:int ->
-  ?num_blocks:int ->
   ?explain:bool ->
   ?obs:Iron_obs.Obs.t ->
-  ?on_workload:(unit -> unit) ->
   Iron_vfs.Fs.brand ->
   report
-(** Defaults: [jobs = 1], [seq = 1], [states_per_workload = 150],
-    [seed = 7], [samples = 200] (seq-3 only), [num_blocks = 2048],
-    [explain = false]. With [~obs] the phases run under [fuzz.*] spans
-    and bump [fuzz.workloads], [fuzz.log_writes],
+(** Runs on a 2048-block volume. Defaults: [jobs = 1], [seq = 1],
+    [states_per_workload = 150], [seed = 7], [samples = 200] (seq-3
+    only), [explain = false]. With [~obs] the phases run under
+    [fuzz.*] spans and bump [fuzz.workloads], [fuzz.log_writes],
     [fuzz.peak_log_bytes], [fuzz.states_raw], [fuzz.states],
-    [fuzz.violations] and [fuzz.tc_detected].
-    [on_workload] fires after each scanned and each checked workload
-    (in the worker domain — must be domain-safe; meant for the
-    peak-residency bench at [jobs = 1]). Deterministic: the report is
-    a pure function of [(brand, seq, states_per_workload, seed,
-    samples, num_blocks, explain)] — [jobs] cannot change a byte. *)
+    [fuzz.violations] and [fuzz.tc_detected]. Deterministic: the
+    report is a pure function of [(brand, seq, states_per_workload,
+    seed, samples, explain)] — [jobs] cannot change a byte. *)
 
 val minimize : repro:(Gen.workload -> bool) -> Gen.workload -> Gen.workload
 (** Greedy 1-minimal shrink: repeatedly drop the first op whose

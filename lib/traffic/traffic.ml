@@ -524,9 +524,8 @@ let run_blast ?(jobs = 1) cfg brand =
   in
   let session = Explore.record_session ~params ~base ~ops brand in
   let specs =
-    Array.of_list
-      (Explore.enumerate_session ~seed:(cfg.seed + 13) ~max_states:cfg.states
-         session)
+    Explore.enumerate_session ~seed:(cfg.seed + 13) ~max_states:cfg.states
+      session
   in
   let expects =
     let all =
@@ -541,18 +540,10 @@ let run_blast ?(jobs = 1) cfg brand =
     in
     fun ~epoch:_ -> all
   in
-  (* Prime the session's lazy geometry on this domain before the check
-     fans out: the cache is written once, read-only afterwards. *)
-  if Array.length specs > 0 then
-    ignore (Explore.spec_epoch session specs.(0));
-  let indexed = Array.to_list (Array.mapi (fun i s -> (i, s)) specs) in
   let results =
     Pool.map_jobs ~jobs
-      (fun (_, spec) ->
-        let o =
-          Explore.check_spec_all ~params ~brand ~fsck:false ~expects session
-            spec
-        in
+      (fun spec ->
+        let o = Explore.check_spec_all ~params ~brand ~expects session spec in
         let culprit =
           match Explore.spec_first_dropped session spec with
           | Some tag when tag.Prov.op >= 0 && tag.Prov.op < steps ->
@@ -566,7 +557,7 @@ let run_blast ?(jobs = 1) cfg brand =
         in
         let mount_bad = match o.Explore.oa_global with Some _ -> 1 | None -> 0 in
         (o.Explore.oa_tc, viols, mount_bad))
-      indexed
+      specs
   in
   let tc = ref 0 and cross = ref 0 and mount_viol = ref 0 in
   let viol_by = Array.make cfg.tenants 0 in
@@ -586,7 +577,7 @@ let run_blast ?(jobs = 1) cfg brand =
           end)
         viols)
     results;
-  (Array.length specs, !tc, viol_by, cross_by, !cross, !mount_viol)
+  (List.length specs, !tc, viol_by, cross_by, !cross, !mount_viol)
 
 (* ------------------------------------------------------------------ *)
 (* The campaign                                                        *)

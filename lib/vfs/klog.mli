@@ -44,4 +44,11 @@ val entries : t -> entry list
 
 val errors : t -> entry list
 val clear : t -> unit
+
+val mentions : entry list -> string list -> bool
+(** [mentions entries words]: some entry's message, lowercased,
+    contains one of [words] (given in lowercase). The fingerprinter's
+    inference and the crash checker's Tc detection both read the log
+    this way. *)
+
 val pp_entry : Format.formatter -> entry -> unit

@@ -18,6 +18,7 @@ module Fault = Iron_fault.Fault
 module Fs = Iron_vfs.Fs
 module Wlog = Iron_crash.Wlog
 module Explore = Iron_crash.Explore
+module Gen = Iron_fuzz.Gen
 
 let check = Alcotest.check
 
@@ -203,7 +204,74 @@ let test_jobs_deterministic () =
       ("ext3-data", Iron_ext3.Modes.data);
       ("jfs", Iron_jfs.Jfs.brand);
       ("reiserfs", Iron_reiserfs.Reiserfs.brand);
+      ("ntfs", Iron_ntfs.Ntfs.brand);
     ]
+
+let test_check_forms_agree () =
+  (* The one check skeleton from both ends. On every state of one
+     session, [check_spec_all] must see what [check_spec] sees: the
+     same Tc flag; [check_spec]'s data loss as its first failed path,
+     unless a later path panicked the walk; and any other outcome as
+     its global one, with no failed path. Both fixture files must keep
+     their fixture content: some lying-cache states break that on ext3,
+     and ixt3's Tc refuses the same reorderings. *)
+  let params =
+    { Memdisk.default_params with Memdisk.num_blocks = 2048; seed = 99 }
+  in
+  let expects ~epoch:_ =
+    List.map
+      (fun path ->
+        {
+          Explore.ex_path = path;
+          ex_presence = `Present;
+          ex_allowed = Some [ Gen.init_content path ];
+        })
+      [ "/f0"; "/d0/f1" ]
+  in
+  let run brand =
+    let base = Explore.make_base ~params ~setup:Gen.setup brand in
+    let session =
+      Explore.record_session ~params ~base
+        ~ops:(fun (Fs.Boxed ((module F), t)) ~closed_epochs:_ ->
+          (match F.creat t "/d1/f2" with
+          | Ok fd -> ignore (F.close t fd)
+          | Error _ -> Alcotest.fail "creat /d1/f2");
+          match F.sync t with Ok () -> () | Error _ -> Alcotest.fail "sync")
+        brand
+    in
+    let losses = ref 0 and both = ref 0 and tc = ref 0 in
+    List.iter
+      (fun spec ->
+        let label = Explore.spec_label spec in
+        let o =
+          Explore.check_spec ~params ~brand ~fsck:false ~expects session spec
+        in
+        let a = Explore.check_spec_all ~params ~brand ~expects session spec in
+        check Alcotest.bool (label ^ ": same Tc flag") o.Explore.tc
+          a.Explore.oa_tc;
+        if o.Explore.tc then incr tc;
+        if List.length a.Explore.oa_failed = 2 then incr both;
+        match (o.Explore.viol, a.Explore.oa_global) with
+        | Some (Explore.Data_loss, _), Some (Explore.Panic, _) -> incr losses
+        | Some (Explore.Data_loss, d), _ -> (
+            incr losses;
+            match a.Explore.oa_failed with
+            | (_, first) :: _ ->
+                check Alcotest.string (label ^ ": first failed detail") d first
+            | [] -> Alcotest.failf "%s: check_spec_all missed %s" label d)
+        | viol, global ->
+            check Alcotest.bool (label ^ ": same outcome") true (viol = global);
+            check Alcotest.int (label ^ ": no failed path") 0
+              (List.length a.Explore.oa_failed))
+      (Explore.enumerate_session ~seed:5 ~max_states:400 session);
+    (!losses, !both, !tc)
+  in
+  let losses, both, _ = run Iron_ext3.Ext3.std in
+  check Alcotest.bool "ext3: some state loses a fixture file" true (losses > 0);
+  check Alcotest.bool "ext3: some state loses both" true (both > 0);
+  let losses, _, tc = run Iron_ext3.Ext3.ixt3 in
+  check Alcotest.int "ixt3: no state loses a fixture file" 0 losses;
+  check Alcotest.bool "ixt3: Tc fired" true (tc > 0)
 
 (* --- forensics ---------------------------------------------------------- *)
 
@@ -308,6 +376,8 @@ let suites =
           test_jobs_deterministic;
         Alcotest.test_case "checkpoint precedes the log-tail advance" `Quick
           test_checkpoint_tail_advance;
+        Alcotest.test_case "check_spec and check_spec_all agree" `Quick
+          test_check_forms_agree;
       ] );
     ( "crash.forensics",
       [
