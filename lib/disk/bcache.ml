@@ -1,9 +1,15 @@
 module Arena = Iron_util.Arena
+module Sha1 = Iron_util.Sha1
+
+(* A cached block: its buffer and, once someone asks, the buffer's SHA-1.
+   The digest lives in the entry, so replacing or dropping the entry
+   drops the digest with it. *)
+type entry = { data : bytes; mutable sha : Sha1.t option }
 
 type t = {
   device : Dev.t;
   capacity : int;
-  table : (int, bytes) Hashtbl.t;
+  table : (int, entry) Hashtbl.t;
   order : int Queue.t; (* insertion order, for FIFO eviction *)
   mutable hits : int;
   mutable misses : int;
@@ -18,11 +24,12 @@ let dev t = t.device
    again, and nothing hands it back to the arena — eviction, replacement
    and [invalidate] simply drop it. That is what lets [borrow] return the
    buffer itself: a borrower keeps valid, unchanging bytes for as long as
-   it holds them, whatever the cache does meanwhile. Buffers are drawn
-   from the calling domain's block arena, which the journal engine
-   refills as its transaction images die; it is looked up per call
-   rather than stored so a cache created on one domain but used on
-   another (never happens today) stays safe. *)
+   it holds them, whatever the cache does meanwhile. It is also why an
+   entry's digest stays exact for as long as the entry is current.
+   Buffers are drawn from the calling domain's block arena, which the
+   journal engine refills as its transaction images die; it is looked up
+   per call rather than stored so a cache created on one domain but used
+   on another (never happens today) stays safe. *)
 let arena t = Arena.block t.device.Dev.block_size
 
 let evict_if_full t =
@@ -37,7 +44,7 @@ let insert t b data =
     evict_if_full t;
     Queue.push b t.order
   end;
-  Hashtbl.replace t.table b data
+  Hashtbl.replace t.table b { data; sha = None }
 
 (* Miss path: fill a fresh cache-owned buffer via the device's
    zero-copy read and adopt it. *)
@@ -53,12 +60,26 @@ let fill t b =
 
 let borrow t b =
   match Hashtbl.find_opt t.table b with
-  | Some data ->
+  | Some e ->
       t.hits <- t.hits + 1;
-      Ok data
+      Ok e.data
   | None ->
       t.misses <- t.misses + 1;
       fill t b
+
+let peek t b =
+  match Hashtbl.find_opt t.table b with Some e -> Some e.data | None -> None
+
+let digest t b buf =
+  match Hashtbl.find_opt t.table b with
+  | Some ({ data; _ } as e) when data == buf -> (
+      match e.sha with
+      | Some d -> Some d
+      | None ->
+          let d = Sha1.digest data in
+          e.sha <- Some d;
+          Some d)
+  | Some _ | None -> None
 
 let read t b = Result.map Bytes.copy (borrow t b)
 

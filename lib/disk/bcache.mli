@@ -24,6 +24,17 @@ val borrow : t -> int -> (bytes, Dev.error) result
     a replacing {!write}, {!invalidate} and a refill of the same block
     all drop the cache's reference instead of reusing the buffer. *)
 
+val peek : t -> int -> bytes option
+(** Block [b]'s cached buffer if it is resident, with no device request
+    and no hit or miss counted. Read-only, like {!borrow}'s. *)
+
+val digest : t -> int -> bytes -> Iron_util.Sha1.t option
+(** [digest t b buf] is the SHA-1 of [buf] when [buf] is physically
+    block [b]'s current cache buffer: hashed on the first call and kept
+    with the entry, so a later call costs a table lookup. Any other
+    buffer — a copy of it, or a buffer the cache has dropped — gets
+    [None]. Counts no hit or miss. *)
+
 val read : t -> int -> (bytes, Dev.error) result
 (** {!borrow} plus a copy: the caller owns the result, and mutating it
     does not affect the cache. Same hits, misses and device requests. *)

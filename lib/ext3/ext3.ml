@@ -165,6 +165,32 @@ let owned r = Result.map Bytes.copy r
 
 let txn_put t b data = Jrnl.stage t.jrnl b data
 
+(* The SHA-1 of [data], read from block [b]. A block's current image —
+   its journal image, else its cache buffer — hashes its bytes once and
+   keeps the digest until it is replaced or dropped; every other buffer
+   (a replica, a parity reconstruction, the zero block) is hashed
+   afresh. *)
+let image_digest t b data =
+  match Jrnl.digest t.jrnl b data with
+  | Some d -> d
+  | None -> (
+      match Bcache.digest t.cache b data with
+      | Some d -> d
+      | None -> Sha1.digest data)
+
+(* The digest of [data] just written to [b], taken from the image that
+   write produced (the staged copy, or the cache entry an ordered data
+   write inserted), so the block's next verification is a memo hit. An
+   image that does not hold [data]'s bytes (the write was refused, or a
+   stale journal image shadows the block) cannot stand in for it. *)
+let written_digest t b data =
+  let img =
+    match Jrnl.find t.jrnl b with Some _ as i -> i | None -> Bcache.peek t.cache b
+  in
+  match img with
+  | Some i when Bytes.equal i data -> image_digest t b i
+  | Some _ | None -> Sha1.digest data
+
 (* Checksum-table maintenance. Failures here are logged but do not fail
    the triggering operation: losing a checksum degrades protection, not
    correctness. *)
@@ -173,7 +199,7 @@ let set_cksum t b data =
   match owned (block_read_raw t cb) with
   | Error _ -> Klog.warn t.klog "ixt3" "cannot update checksum block %d" cb
   | Ok blk ->
-      let d = Sha1.to_raw (Sha1.digest data) in
+      let d = Sha1.to_raw (written_digest t b data) in
       Bytes.blit_string d 0 blk off 20;
       Hashtbl.replace t.cksums b d;
       txn_put t cb blk
@@ -197,7 +223,7 @@ let stored_cksum t b =
 let cksum_matches t b data =
   match stored_cksum t b with
   | None -> true (* cannot verify *)
-  | Some stored -> String.equal stored (Sha1.to_raw (Sha1.digest data))
+  | Some stored -> String.equal stored (Sha1.to_raw (image_digest t b data))
 
 (* Dynamic-replica map: dynamically allocated metadata (directory and
    indirect blocks) gets a mirror allocated on first write, recorded in
@@ -348,12 +374,15 @@ let write_inode t ino inode =
 (* Allocation                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* A byte of set bits is stepped over whole. *)
 let find_clear_bit buf limit =
   let rec go i =
     if i >= limit then None
     else
       let byte = Char.code (Bytes.get buf (i / 8)) in
-      if byte land (1 lsl (i mod 8)) = 0 then Some i else go (i + 1)
+      if byte = 0xFF && i land 7 = 0 then go (i + 8)
+      else if byte land (1 lsl (i mod 8)) = 0 then Some i
+      else go (i + 1)
   in
   go 0
 
@@ -384,10 +413,11 @@ let alloc_block t ~goal_group =
     else
       let g = (goal_group + k) mod lay.Layout.ngroups in
       let bb = t.gd_bitmap.(g) in
-      let* buf = owned (txn_meta_read t BBitmap bb) in
-      match find_clear_bit buf per with
+      let* bitmap = txn_meta_read t BBitmap bb in
+      match find_clear_bit bitmap per with
       | None -> try_group (k + 1)
       | Some i ->
+          let buf = Bytes.copy bitmap in
           set_bit buf i true;
           let* () = meta_write t BBitmap bb buf in
           t.free_blocks <- t.free_blocks - 1;
@@ -437,10 +467,11 @@ let alloc_inode t ~goal_group =
     else
       let g = (goal_group + k) mod lay.Layout.ngroups in
       let ib = t.gd_ibitmap.(g) in
-      let* buf = owned (txn_meta_read t IBitmap ib) in
-      match find_clear_bit buf lay.Layout.inodes_per_group with
+      let* bitmap = txn_meta_read t IBitmap ib in
+      match find_clear_bit bitmap lay.Layout.inodes_per_group with
       | None -> try_group (k + 1)
       | Some i ->
+          let buf = Bytes.copy bitmap in
           set_bit buf i true;
           let* () = meta_write t IBitmap ib buf in
           t.free_inodes <- t.free_inodes - 1;
@@ -525,12 +556,15 @@ let bmap_alloc t ino inode fblock =
     Ok b
   in
   (* Ensure a pointer slot inside pointer-block [b] is filled; return
-     (target, allocated?). *)
+     (target, allocated?). The block is copied only to be modified, and
+     before [alloc_child], whose journal work may release the borrowed
+     image. *)
   let ensure_slot b i ~alloc_child =
-    let* buf = owned (read_ptr_block t b) in
-    let cur = get_ptr buf i in
+    let* ptrs = read_ptr_block t b in
+    let cur = get_ptr ptrs i in
     if cur <> 0 then Ok (cur, false)
     else
+      let buf = Bytes.copy ptrs in
       let* fresh = alloc_child () in
       put_ptr buf i fresh;
       let* () = meta_write t Indirect b buf in
@@ -624,8 +658,17 @@ let bmap_set t inode fblock newb =
 (* Data I/O with Dc (checksums) and Dp (parity)                        *)
 (* ------------------------------------------------------------------ *)
 
+(* Eight bytes per step, then the tail a byte at a time. *)
 let xor_into dst src =
-  for i = 0 to Bytes.length dst - 1 do
+  let n = Bytes.length dst in
+  let words = n land lnot 7 in
+  let i = ref 0 in
+  while !i < words do
+    Bytes.set_int64_ne dst !i
+      (Int64.logxor (Bytes.get_int64_ne dst !i) (Bytes.get_int64_ne src !i));
+    i := !i + 8
+  done;
+  for i = words to n - 1 do
     Bytes.set dst i
       (Char.chr (Char.code (Bytes.get dst i) lxor Char.code (Bytes.get src i)))
   done

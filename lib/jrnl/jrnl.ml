@@ -109,13 +109,22 @@ type config = {
           by other means (ext3's replica copies stream separately) *)
 }
 
+(* A staged or committed block image. Its bytes never change while it is
+   current, so [sha] memoizes their SHA-1. The digest lives in the
+   record, not with the buffer: replacing, revoking or checkpointing the
+   image drops the record, and the arena may hand the same buffer back
+   for the next image's bytes. *)
+type image = { data : bytes; mutable sha : Sha1.t option }
+
+let image data = { data; sha = None }
+
 type t = {
   cfg : config;
   hooks : hooks;
-  txn : (int, bytes) Hashtbl.t;
+  txn : (int, image) Hashtbl.t;
   mutable txn_order : int list; (* newest first *)
   mutable txn_revoked : int list;
-  pending : (int, bytes) Hashtbl.t;
+  pending : (int, image) Hashtbl.t;
   mutable pending_order : int list; (* newest first *)
   mutable jhead : int;
   mutable jseq : int;
@@ -166,10 +175,25 @@ let release t buf = Arena.put (arena t) buf
 (* Transaction overlay                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let find t b =
+let current t b =
   match Hashtbl.find_opt t.txn b with
-  | Some d -> Some d
+  | Some _ as i -> i
   | None -> Hashtbl.find_opt t.pending b
+
+let find t b = match current t b with Some i -> Some i.data | None -> None
+
+(* The memo answers only for the current image's own buffer: a copy, a
+   replica or a released buffer is somebody else's bytes. *)
+let digest t b buf =
+  match current t b with
+  | Some ({ data; _ } as i) when data == buf -> (
+      match i.sha with
+      | Some d -> Some d
+      | None ->
+          let d = Sha1.digest data in
+          i.sha <- Some d;
+          Some d)
+  | Some _ | None -> None
 
 (* Stage one block into the open transaction; the group-commit window
    bookkeeping wraps this below (the eager flush needs [commit]). An
@@ -184,9 +208,9 @@ let stage_block t b data =
     (match Hashtbl.find_opt t.txn b with
     | Some old ->
         Obs.incr_a "jrnl.group_commit.coalesced";
-        release t old
+        release t old.data
     | None -> t.txn_order <- b :: t.txn_order);
-    Hashtbl.replace t.txn b (Arena.copy (arena t) data);
+    Hashtbl.replace t.txn b (image (Arena.copy (arena t) data));
     (* Replay skips a block revoked at this transaction or later, so a
        revoke queued earlier in this transaction would swallow the new
        image: the block is live again. *)
@@ -203,7 +227,7 @@ let revoke t b =
     match Hashtbl.find_opt table b with
     | None -> order
     | Some old ->
-        release t old;
+        release t old.data;
         Hashtbl.remove table b;
         List.filter (( <> ) b) order
   in
@@ -228,9 +252,9 @@ let write_data_raw t b data =
       match Bcache.write t.cfg.cache b data with Ok () -> true | Error _ -> false)
   | Writeback ->
       (match Hashtbl.find_opt t.pending b with
-      | Some old -> release t old
+      | Some old -> release t old.data
       | None -> t.pending_order <- b :: t.pending_order);
-      Hashtbl.replace t.pending b (Arena.copy (arena t) data);
+      Hashtbl.replace t.pending b (image (Arena.copy (arena t) data));
       true
   | Data_journal ->
       stage_block t b data;
@@ -288,8 +312,8 @@ let checkpoint t =
     (fun b ->
       match Hashtbl.find_opt t.pending b with
       | None -> ()
-      | Some data -> (
-          match Bcache.write t.cfg.cache b data with
+      | Some i -> (
+          match Bcache.write t.cfg.cache b i.data with
           | Ok () -> ()
           | Error _ ->
               if t.cfg.iron.check_write_errors then begin
@@ -297,7 +321,7 @@ let checkpoint t =
                 abort t "checkpoint write failure"
               end))
     blocks;
-  Hashtbl.iter (fun _ old -> release t old) t.pending;
+  Hashtbl.iter (fun _ old -> release t old.data) t.pending;
   Hashtbl.reset t.pending;
   t.pending_order <- [];
   (* The home-location writes must be durable before the log tail
@@ -335,10 +359,10 @@ let commit t =
           List.iter
             (fun b ->
               match Hashtbl.find_opt t.txn b with
-              | Some data -> ignore (Bcache.write t.cfg.cache b data)
+              | Some i -> ignore (Bcache.write t.cfg.cache b i.data)
               | None -> ())
             blocks);
-      Hashtbl.iter (fun _ old -> release t old) t.txn;
+      Hashtbl.iter (fun _ old -> release t old.data) t.txn;
       Hashtbl.reset t.txn;
       t.txn_order <- [];
       t.txn_revoked <- [];
@@ -356,7 +380,7 @@ let commit t =
         (fun b ->
           match Hashtbl.find_opt t.txn b with
           | None -> ()
-          | Some data ->
+          | Some { data; _ } ->
               if !ok then
                 ok := Prov.with_role "payload" (fun () -> journal_write t !pos data);
               if tc then Sha1.feed cksum_ctx data;
@@ -394,23 +418,24 @@ let commit t =
             (List.filter_map
                (fun b ->
                  match Hashtbl.find_opt t.txn b with
-                 | Some data -> Some (b, data)
+                 | Some i -> Some (b, i.data)
                  | None -> None)
                all_blocks));
       if aborted t then Error Errno.EROFS
       else begin
         t.jhead <- !pos;
         t.jseq <- seq + 1;
-        (* Migrate the transaction to the checkpoint list. *)
+        (* Migrate the transaction to the checkpoint list; an image
+           keeps its digest. *)
         List.iter
           (fun b ->
             match Hashtbl.find_opt t.txn b with
             | None -> ()
-            | Some data ->
+            | Some i ->
                 (match Hashtbl.find_opt t.pending b with
-                | Some old -> release t old
+                | Some old -> release t old.data
                 | None -> t.pending_order <- b :: t.pending_order);
-                Hashtbl.replace t.pending b data)
+                Hashtbl.replace t.pending b i)
           all_blocks;
         Hashtbl.reset t.txn;
         t.txn_order <- [];
@@ -646,6 +671,7 @@ module Make (P : POLICY) = struct
 
   let connect = connect
   let find = find
+  let digest = digest
   let stage = stage
   let revoke = revoke
   let write_data = write_data

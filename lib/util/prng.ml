@@ -2,7 +2,7 @@ type t = { mutable state : int64 }
 
 let golden = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -28,10 +28,17 @@ let float t bound =
 let bool t = Int64.logand (int64 t) 1L = 1L
 let byte t = Char.chr (int t 256)
 
+(* [byte] per position, run on a local state the compiler keeps unboxed
+   (no [int64] is allocated per byte) and stored back at the end. A
+   byte is bits 2-9 of the output: [int]'s 62-bit value mod 256. *)
 let fill_bytes t b =
+  let s = ref t.state in
   for i = 0 to Bytes.length b - 1 do
-    Bytes.set b i (byte t)
-  done
+    s := Int64.add !s golden;
+    let v = Int64.to_int (Int64.shift_right_logical (mix !s) 2) in
+    Bytes.unsafe_set b i (Char.unsafe_chr (v land 0xFF))
+  done;
+  t.state <- !s
 
 let pick t xs =
   match xs with

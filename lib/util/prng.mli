@@ -23,7 +23,11 @@ val float : t -> float -> float
 
 val bool : t -> bool
 val byte : t -> char
+
 val fill_bytes : t -> bytes -> unit
+(** [fill_bytes t b] writes exactly the bytes of [Bytes.length b] calls
+    of {!byte}, in order, and leaves [t] in the state those calls leave
+    it in: the draws that follow are the same. *)
 
 val pick : t -> 'a list -> 'a
 (** Uniform choice from a non-empty list. *)

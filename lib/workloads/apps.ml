@@ -16,11 +16,11 @@ let bs = 4096
 let content rng n =
   let b = Bytes.create n in
   Prng.fill_bytes rng b;
-  Bytes.unsafe_to_string b
+  b
 
 let put (Fs.Boxed ((module F), t)) path data =
   let* fd = F.creat t path in
-  let* _ = F.write t fd ~off:0 (Bytes.of_string data) in
+  let* _ = F.write t fd ~off:0 data in
   F.close t fd
 
 let read_all (Fs.Boxed ((module F), t)) path =
@@ -174,9 +174,7 @@ let postmark =
                         let* st = F.stat t (path i) in
                         let* fd = F.open_ t (path i) Fs.Wr in
                         let chunk = content rng (512 + Prng.int rng 4096) in
-                        let* _ =
-                          F.write t fd ~off:st.Fs.st_size (Bytes.of_string chunk)
-                        in
+                        let* _ = F.write t fd ~off:st.Fs.st_size chunk in
                         F.close t fd)
               in
               if n mod 100 = 99 then F.sync t else Ok ())
@@ -199,7 +197,7 @@ let tpcb_with ~commit_every =
     setup =
       (fun (Fs.Boxed ((module F), t) as fs) rng ->
         let* () = put fs "/accounts" (content rng (tpcb_accounts_blocks * bs)) in
-        let* () = put fs "/history" "" in
+        let* () = put fs "/history" Bytes.empty in
         F.sync t);
     run =
       (fun (Fs.Boxed ((module F), t)) rng ->
@@ -217,9 +215,7 @@ let tpcb_with ~commit_every =
               let* _ = F.write t afd ~off record in
               (* append to the history file *)
               let* hst = F.stat t "/history" in
-              let* _ =
-                F.write t hfd ~off:hst.Fs.st_size (Bytes.of_string (content rng 50))
-              in
+              let* _ = F.write t hfd ~off:hst.Fs.st_size (content rng 50) in
               if n mod commit_every = commit_every - 1 then F.fsync t afd else Ok ())
         in
         let* () = F.close t afd in

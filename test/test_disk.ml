@@ -269,6 +269,66 @@ let prop_borrow_same_requests =
       && Bcache.misses a = Bcache.misses b
       && Iron_fault.Fault.trace ia = Iron_fault.Fault.trace ib)
 
+(* The digest memo is exact. Over random fills, borrows, replacing
+   writes, invalidations and evicting refills of a small cache, the
+   block's current buffer gets the SHA-1 of its bytes (asked twice: the
+   second answer comes from the memo), while a copy of that buffer, or a
+   buffer the cache has dropped, gets no answer. *)
+let prop_digest_exact =
+  let op =
+    QCheck.Gen.(
+      triple (int_bound 8) (int_bound 11) (int_bound 25) >|= fun (k, b, c) ->
+      match k with
+      | 0 | 1 | 2 -> `Borrow b
+      | 3 | 4 -> `Write (b, Char.chr (97 + c))
+      | 5 | 6 -> `Digest b
+      | 7 -> `Invalidate b
+      | _ -> `Invalidate_all)
+  in
+  QCheck.Test.make ~name:"digest: current buffer only, never stale" ~count:300
+    QCheck.(make Gen.(list_size (int_range 1 80) op))
+    (fun ops ->
+      let _, dev = make () in
+      for b = 0 to 11 do
+        Dev.write_exn dev b (block dev (Char.chr (65 + b)))
+      done;
+      let c = Bcache.create ~capacity:4 dev in
+      let lent = ref [] in
+      let answer b buf = Option.map Iron_util.Sha1.to_hex (Bcache.digest c b buf) in
+      let exact b =
+        match Bcache.peek c b with
+        | None -> true
+        | Some cur ->
+            let want = Some (Iron_util.Sha1.to_hex (Iron_util.Sha1.digest cur)) in
+            answer b cur = want
+            && answer b cur = want
+            && answer b (Bytes.copy cur) = None
+      in
+      let dropped_get_none () =
+        List.for_all
+          (fun (b, buf) ->
+            match Bcache.peek c b with
+            | Some cur when cur == buf -> true
+            | Some _ | None -> answer b buf = None)
+          !lent
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | `Borrow b -> (
+              match Bcache.borrow c b with
+              | Ok buf -> lent := (b, buf) :: !lent
+              | Error _ -> ())
+          | `Write (b, ch) -> ignore (Bcache.write c b (block dev ch))
+          | `Digest _ -> ()
+          | `Invalidate b -> Bcache.invalidate c b
+          | `Invalidate_all -> Bcache.invalidate_all c);
+          (match op with
+          | `Borrow b | `Write (b, _) | `Digest b -> exact b
+          | `Invalidate _ | `Invalidate_all -> true)
+          && dropped_get_none ())
+        ops)
+
 let suites =
   [
     ( "disk.memdisk",
@@ -296,5 +356,6 @@ let suites =
           test_bcache_borrow_is_stable;
         Alcotest.test_case "read and read_into copy" `Quick test_bcache_read_copies;
         qtest prop_borrow_same_requests;
+        qtest prop_digest_exact;
       ] );
   ]

@@ -721,6 +721,109 @@ let readback brand seed =
 
 let t_readback brand () = List.iter (readback brand) [ 0; 1; 2 ]
 
+(* --- image digests ---------------------------------------------------- *)
+
+(* A bare engine over a 64-block disk: block 0 holds the journal
+   superblock, 1-15 the log, the rest plain data. *)
+let digest_engine () =
+  let dev =
+    Memdisk.dev
+      (Memdisk.create
+         ~params:{ Memdisk.default_params with Memdisk.num_blocks = 64; seed = 1 }
+         ())
+  in
+  Jrnl.create
+    {
+      Jrnl.tag = "test";
+      mode = Jrnl.Ordered;
+      iron = Jrnl.stock_iron;
+      tuning = Jrnl.default_tuning;
+      dev;
+      cache = Bcache.create dev;
+      klog = Klog.create ();
+      kinds =
+        (fun b ->
+          if b = 0 then Iron_jrnl.Kind.Jsb
+          else if b < 16 then Iron_jrnl.Kind.Jdata
+          else Iron_jrnl.Kind.Data);
+      geo = { Jrnl.jsb = 0; jfirst = 1; jend = 16; num_blocks = 64 };
+      journaled = (fun _ -> true);
+    }
+    ~seq:1
+
+let blk = 20
+let bytes_of c = Bytes.make 4096 c
+
+let image j =
+  match Jrnl.find j blk with Some i -> i | None -> Alcotest.fail "no image"
+
+let digest_is what j buf c =
+  check
+    Alcotest.(option string)
+    what
+    (Some (Iron_util.Sha1.to_hex (Iron_util.Sha1.digest (bytes_of c))))
+    (Option.map Iron_util.Sha1.to_hex (Jrnl.digest j blk buf))
+
+let no_digest what j buf =
+  check Alcotest.bool what true (Jrnl.digest j blk buf = None)
+
+let same_buffer what a b = check Alcotest.bool what true (a == b)
+
+(* The arena hands a released image's buffer straight back for the next
+   image's bytes: a digest kept with the buffer would be stale. *)
+let t_digest_restage () =
+  let j = digest_engine () in
+  Jrnl.stage j blk (bytes_of 'a');
+  let first = image j in
+  digest_is "staged image" j first 'a';
+  no_digest "a copy gets no answer" j (Bytes.copy first);
+  Jrnl.stage j blk (bytes_of 'b');
+  let second = image j in
+  same_buffer "re-stage recycled the buffer" first second;
+  digest_is "re-staged image" j second 'b'
+
+let t_digest_revoke () =
+  let j = digest_engine () in
+  Jrnl.stage j blk (bytes_of 'a');
+  let first = image j in
+  digest_is "staged image" j first 'a';
+  Jrnl.revoke j blk;
+  no_digest "a revoked image gets no answer" j first;
+  Jrnl.stage j blk (bytes_of 'b');
+  let second = image j in
+  same_buffer "re-stage recycled the revoked buffer" first second;
+  digest_is "re-staged image" j second 'b'
+
+let t_digest_commit () =
+  let j = digest_engine () in
+  Jrnl.stage j blk (bytes_of 'a');
+  let first = image j in
+  digest_is "staged image" j first 'a';
+  ok (Jrnl.commit j);
+  same_buffer "commit moved the image to the checkpoint list" first (image j);
+  digest_is "committed image" j first 'a';
+  Jrnl.stage j blk (bytes_of 'b');
+  let second = image j in
+  digest_is "staged over a committed image" j second 'b';
+  no_digest "the shadowed committed image gets no answer" j first;
+  ok (Jrnl.commit j);
+  same_buffer "the newer image replaced the older" second (image j);
+  digest_is "committed again" j second 'b'
+
+let t_digest_checkpoint () =
+  let j = digest_engine () in
+  Jrnl.stage j blk (bytes_of 'a');
+  ok (Jrnl.commit j);
+  let first = image j in
+  digest_is "committed image" j first 'a';
+  Jrnl.checkpoint j;
+  check Alcotest.bool "checkpoint dropped the image" true (Jrnl.find j blk = None);
+  no_digest "a checkpointed image gets no answer" j first;
+  Jrnl.stage j blk (bytes_of 'b');
+  let second = image j in
+  same_buffer "re-stage recycled the checkpointed buffer" first second;
+  digest_is "re-staged image" j second 'b'
+
 let suites =
   [
     ( "jrnl.refinement",
@@ -738,6 +841,14 @@ let suites =
           Alcotest.test_case "batching counters tell the truth" `Quick
             t_batch_counters;
         ] );
+    ( "jrnl.digest",
+      [
+        Alcotest.test_case "re-stage recycles the buffer, not the digest" `Quick
+          t_digest_restage;
+        Alcotest.test_case "revoke and re-stage" `Quick t_digest_revoke;
+        Alcotest.test_case "commit carries the digest" `Quick t_digest_commit;
+        Alcotest.test_case "checkpoint and re-stage" `Quick t_digest_checkpoint;
+      ] );
     ( "jrnl.readback",
       List.map
         (fun (name, brand) ->

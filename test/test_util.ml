@@ -175,6 +175,19 @@ let prop_prng_float_bounds =
       let v = Prng.float rng 10.0 in
       v >= 0.0 && v < 10.0)
 
+(* [fill_bytes] is [byte] in a loop, state included: the same bytes,
+   and the next draw equal too. *)
+let prop_prng_fill_bytes_stream =
+  QCheck.Test.make ~name:"prng fill_bytes = byte loop, same state after"
+    ~count:200
+    QCheck.(pair int (int_range 0 9000))
+    (fun (seed, n) ->
+      let a = Prng.create seed and b = Prng.create seed in
+      let filled = Bytes.create n in
+      Prng.fill_bytes a filled;
+      let looped = Bytes.init n (fun _ -> Prng.byte b) in
+      Bytes.equal filled looped && Int64.equal (Prng.int64 a) (Prng.int64 b))
+
 let test_prng_shuffle_permutes () =
   let rng = Prng.create 3 in
   let a = Array.init 50 Fun.id in
@@ -219,5 +232,6 @@ let suites =
         Alcotest.test_case "shuffle permutes" `Quick test_prng_shuffle_permutes;
         qtest prop_prng_int_bounds;
         qtest prop_prng_float_bounds;
+        qtest prop_prng_fill_bytes_stream;
       ] );
   ]

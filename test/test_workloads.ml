@@ -109,6 +109,48 @@ let test_space_rows_in_band () =
       check Alcotest.bool "trend" true (small.Space.parity_pct > large.Space.parity_pct)
   | _ -> Alcotest.fail "row count"
 
+(* Table 6's raw numbers, pinned. Each row is one [Runner.run ~seed:42]:
+   simulated time, device reads, writes and syncs. ext3 is every row's
+   baseline, full ixt3 exercises checksums, replicas and parity, and Dc
+   alone checksums data with no parity to fall back on. A change that
+   must leave the I/O alone (a faster checksum path, say) has to keep
+   every figure exactly. *)
+let table6_pins =
+  [
+    ("ext3", Iron_ext3.Ext3.std,
+     [ ("SSH-Build", 8172.508566423021, 10, 319, 7);
+       ("Web", 21059.280127932532, 1796, 2, 3);
+       ("PostMark", 1714.6397509489668, 1, 781, 17);
+       ("TPC-B", 7266.439087974245, 156, 1222, 411) ]);
+    ("ixt3 full", Iron_ixt3.Ixt3.full,
+     [ ("SSH-Build", 8541.6007512969318, 19, 665, 6);
+       ("Web", 21207.486879241489, 1910, 17, 3);
+       ("PostMark", 2183.0788350690077, 3, 1282, 14);
+       ("TPC-B", 9999.8775288030029, 173, 2938, 219) ]);
+    ("ixt3 Dc", Iron_ixt3.Ixt3.brand ~dc:true (),
+     [ ("SSH-Build", 8231.6940895125445, 12, 323, 7);
+       ("Web", 21063.634246594967, 1797, 2, 3);
+       ("PostMark", 1790.7291079291188, 2, 795, 17);
+       ("TPC-B", 7404.796116694004, 157, 1647, 413) ]);
+  ]
+
+let test_table6_pinned () =
+  List.iter
+    (fun (fs, brand, rows) ->
+      List.iter2
+        (fun (app : Apps.t) (name, elapsed_ms, reads, writes, syncs) ->
+          check Alcotest.string "row order" name app.Apps.name;
+          let what field = Printf.sprintf "%s %s %s" fs name field in
+          match Runner.run ~seed:42 brand app with
+          | Ok r ->
+              check (Alcotest.float 0.) (what "elapsed_ms") elapsed_ms r.Runner.elapsed_ms;
+              check Alcotest.int (what "reads") reads r.Runner.reads;
+              check Alcotest.int (what "writes") writes r.Runner.writes;
+              check Alcotest.int (what "syncs") syncs r.Runner.syncs
+          | Error e -> Alcotest.failf "%s: %s" (what "run") (Iron_vfs.Errno.to_string e))
+        Apps.all rows)
+    table6_pins
+
 let suites =
   [
     ( "workloads",
@@ -124,5 +166,6 @@ let suites =
         Alcotest.test_case "batching shrinks Tc benefit" `Slow
           test_batching_shrinks_tc_benefit;
         Alcotest.test_case "space rows in band" `Slow test_space_rows_in_band;
+        Alcotest.test_case "Table 6 runs pinned at seed 42" `Slow test_table6_pinned;
       ] );
   ]
