@@ -177,6 +177,10 @@ type session
 val session_log_len : session -> int
 val session_epochs : session -> int
 
+val session_entries : session -> Wlog.entry array
+(** The recorded write log, in issue order. A fresh array; the
+    entries' [w_data] buffers are shared and must not be mutated. *)
+
 val session_log_bytes : session -> int
 (** Payload bytes the session's write log retains — the recorder's
     buffers move here wholesale ({!Iron_crash.Wlog.take}), so this is
@@ -214,11 +218,37 @@ type state_spec
 
 val spec_label : state_spec -> string
 
+val spec_choices : state_spec -> (int * int) array
+(** The content each block persists: [(block, i)] pairs, sorted by
+    block, where [i] indexes {!session_entries} and names the write
+    whose data the block ends with. Blocks absent keep the session
+    baseline. A fresh array. *)
+
+val spec_torn : state_spec -> (int * int) option
+(** The torn write, if any: [(i, len)] lands the first [len] bytes of
+    entry [i] on top of its block's otherwise-chosen content. *)
+
 val enumerate_session :
   seed:int -> max_states:int -> session -> state_spec list
-(** Systematic states per reorder window (every epoch plus the whole
-    log), then seeded random per-block prefixes up to [max_states],
-    deduplicated by final content within the session. *)
+(** Systematic states per reorder window (every epoch in order, then
+    the whole log): the global prefix cuts, then each block's dropped
+    write tails, each with a torn variant of its first dropped write.
+    Then seeded random per-block prefixes over the whole log, some
+    with a torn write, up to [16 * max_states] attempts. A candidate
+    that persists the same [(spec_choices, spec_torn)] value as an
+    earlier one is dropped, so no two specs of a session persist the
+    same writes.
+
+    The cap contract: for [k <= k'], [enumerate_session ~max_states:k]
+    is a prefix of [enumerate_session ~max_states:k'] at the same seed,
+    and holds at most [k] specs ([[]] for [k <= 0]).
+
+    Cost: enumeration stops as soon as [max_states] specs are held, and
+    builds an epoch's window only when it gets there. A candidate costs
+    one pass over its window's block-ordered merge of durable prefix
+    and window writes, plus a hash probe; only a kept spec gets a
+    label. Work so follows the candidates tried before the cap, not log
+    length times windows. *)
 
 val spec_epoch : session -> state_spec -> int
 (** The largest [E] such that every recorded write of epochs [< E] is

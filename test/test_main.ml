@@ -8,6 +8,6 @@ let () =
     @ Test_genops.suites
     @ Test_reiserfs.suites @ Test_jfs.suites @ Test_ntfs.suites
     @ Test_ixt3.suites @ Test_fsck.suites @ Test_crash.suites
-    @ Test_explore.suites @ Test_fuzz.suites @ Test_core.suites
+    @ Test_explore.suites @ Test_enumerate.suites @ Test_fuzz.suites @ Test_core.suites
     @ Test_report.suites @ Test_traffic.suites
     @ Test_workloads.suites @ Test_differential.suites @ Test_fidelity.suites)
