@@ -833,16 +833,6 @@ let diff_cmd =
 
 (* --- golden: regenerate or check the committed artifacts --------------- *)
 
-(* Every registered brand is golden-gated unless explicitly opted out:
-   a new brand joins the regression net by existing, not by being
-   remembered here. ntfs is read-only (no write-path fingerprint rows
-   worth pinning); crash exploration additionally skips the brands
-   whose journals recover no structure worth diffing across power cuts
-   (reiserfs's bespoke log and jfs's record log pin their behavior via
-   fingerprints instead). *)
-let golden_fingerprint_opt_out = [ "ntfs" ]
-let golden_crash_opt_out = [ "reiserfs"; "jfs"; "ntfs" ]
-
 (* Forensics goldens pin the §6.1 asymmetry's causal story: ext3's
    violations attribute to commit-without-payload culprits, ixt3's
    chain list is empty (Tc refuses instead). The ext3 mode variants'
@@ -850,28 +840,18 @@ let golden_crash_opt_out = [ "reiserfs"; "jfs"; "ntfs" ]
    signal. *)
 let golden_forensics_fses = [ "ext3"; "ixt3" ]
 
-(* Fuzz goldens pin the seq-1 campaign for the §6.1 pair: the corpus
-   digest freezes every deduped crash state, the cases freeze ext3's
-   violating workloads (minimized) and ixt3's empty case list. *)
-let golden_fuzz_fses = [ "ext3"; "ixt3" ]
+(* Fuzz goldens pin the seq-1 campaign: the corpus digest freezes every
+   deduped crash state and the cases freeze each brand's violating
+   workloads (minimized). Beside the §6.1 pair, reiserfs, jfs and ntfs
+   are pinned because their journals are the ones still hand-rolled or
+   record-level. *)
+let golden_fuzz_fses = [ "ext3"; "ixt3"; "reiserfs"; "jfs"; "ntfs" ]
 
-(* Traffic goldens pin the multi-tenant campaign for the same pair:
+(* Traffic goldens pin the multi-tenant campaign for the §6.1 pair:
    load-phase throughput/latency in simulated time plus the per-tenant
    blast radius — ext3 loses tenants' durable data to other tenants'
    writes, ixt3 loses none. *)
 let golden_traffic_fses = [ "ext3"; "ixt3" ]
-
-let golden_fingerprint_fses =
-  List.filter_map
-    (fun (name, _) ->
-      if List.mem name golden_fingerprint_opt_out then None else Some name)
-    brands
-
-let golden_crash_fses =
-  List.filter_map
-    (fun (name, _) ->
-      if List.mem name golden_crash_opt_out then None else Some name)
-    brands
 
 let golden_cmd =
   let update_arg =
@@ -892,6 +872,9 @@ let golden_cmd =
              ~doc:"Crash-state bound (must match the committed artifacts).")
   in
   let run update dir jobs seed states =
+    (* Every registered brand is fingerprinted and crash-explored: a new
+       brand joins the regression net by existing, not by being
+       remembered here. *)
     let states = validate (Iron_fuzz.Args.positive ~what:"--states" states) in
     let jobs = validate (Iron_fuzz.Args.positive ~what:"--jobs" jobs) in
     let fresh = ref [] in
@@ -900,7 +883,7 @@ let golden_cmd =
         let brand = List.assoc name brands in
         let r = Iron_core.Driver.fingerprint ~jobs ~seed brand in
         fresh := Report.of_fingerprint ~seed r :: !fresh)
-      golden_fingerprint_fses;
+      known_brands;
     List.iter
       (fun name ->
         let brand = List.assoc name brands in
@@ -912,7 +895,7 @@ let golden_cmd =
         fresh := Report.of_crash ~seed ~max_states:states r :: !fresh;
         if forensics then
           fresh := Report.of_forensics ~seed ~max_states:states r :: !fresh)
-      golden_crash_fses;
+      known_brands;
     List.iter
       (fun name ->
         let brand = List.assoc name brands in
@@ -972,9 +955,11 @@ let golden_cmd =
   Cmd.v
     (Cmd.info "golden"
        ~doc:"Regenerate (--update) or check the committed golden artifacts: \
-             fingerprint matrices for ext3/reiserfs/jfs/ixt3 and the \
-             ext3-vs-ixt3 crash-exploration asymmetry. The check is the \
-             same comparison CI's golden gate runs via $(b,iron diff).")
+             fingerprint matrices and crash-exploration summaries for \
+             every brand, forensics for ext3 and ixt3, seq-1 fuzz \
+             campaigns for ext3, ixt3, reiserfs, jfs and ntfs, and \
+             traffic for ext3 and ixt3. The check is the same \
+             comparison CI's golden gate runs via $(b,iron diff).")
     Term.(const run $ update_arg $ dir_arg $ jobs_arg $ seed_arg $ states_arg)
 
 let fsck_cmd =
