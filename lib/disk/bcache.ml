@@ -81,15 +81,6 @@ let digest t b buf =
           Some d)
   | Some _ | None -> None
 
-let read t b = Result.map Bytes.copy (borrow t b)
-
-let read_into t b buf =
-  match borrow t b with
-  | Ok data ->
-      Bytes.blit data 0 buf 0 (min (Bytes.length data) (Bytes.length buf));
-      Ok ()
-  | Error _ as e -> e
-
 let write t b data =
   insert t b (Arena.copy (arena t) data);
   t.device.Dev.write b data

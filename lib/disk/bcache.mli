@@ -1,7 +1,9 @@
 (** A simple write-through block cache (the FS-side page cache).
 
-    Reads are served from memory when possible; writes update the cached
-    copy {e before} being issued to the device, so a failed device write
+    The cache only lends: its one read, {!borrow}, serves the cached
+    buffer itself, from memory when possible, and a caller that modifies
+    what it read takes its own copy. Writes update the cached copy
+    {e before} being issued to the device, so a failed device write
     leaves memory new and disk stale — the page-cache behaviour behind
     several of the paper's findings (e.g. ext3 silently ignoring write
     errors, §5.1).
@@ -34,16 +36,6 @@ val digest : t -> int -> bytes -> Iron_util.Sha1.t option
     with the entry, so a later call costs a table lookup. Any other
     buffer — a copy of it, or a buffer the cache has dropped — gets
     [None]. Counts no hit or miss. *)
-
-val read : t -> int -> (bytes, Dev.error) result
-(** {!borrow} plus a copy: the caller owns the result, and mutating it
-    does not affect the cache. Same hits, misses and device requests. *)
-
-val read_into : t -> int -> bytes -> (unit, Dev.error) result
-(** Zero-copy read: fill the caller's buffer from the cache (no
-    allocation on a hit) or, on a miss, from the device via its own
-    zero-copy path (one cache-buffer allocation). Mutating [buf]
-    afterwards does not affect the cache. *)
 
 val write : t -> int -> bytes -> (unit, Dev.error) result
 val sync : t -> (unit, Dev.error) result

@@ -29,7 +29,12 @@ type t = {
           contents are unspecified. *)
   write : int -> bytes -> (unit, error) result;
       (** [write b data] stores block [b]; [data] must be exactly
-          [block_size] bytes. *)
+          [block_size] bytes. A device copies what it keeps, so [data]
+          is the caller's again once the call returns: it may change
+          the buffer or hand it back to an arena. Every layer keeps
+          this: [Memdisk] copies into its slab, [Wlog] records a
+          private copy, and the fault injector and {!observe} pass the
+          buffer down. *)
   sync : unit -> (unit, error) result;
       (** Barrier: all previous writes are durable when this returns.
           On the simulated disk this charges the rotational wait that a
