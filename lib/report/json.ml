@@ -162,6 +162,8 @@ let of_string s =
                    then begin
                      pos := !pos + 2;
                      let lo = hex4 () in
+                     if lo < 0xDC00 || lo > 0xDFFF then
+                       fail "high surrogate not followed by a low surrogate";
                      0x10000 + (((cp - 0xD800) lsl 10) lor (lo - 0xDC00))
                    end
                    else fail "lone high surrogate"
