@@ -127,9 +127,13 @@ let of_string s =
     if !pos + 4 > n then fail "truncated \\u escape";
     let h = String.sub s !pos 4 in
     pos := !pos + 4;
-    match int_of_string_opt ("0x" ^ h) with
-    | Some v -> v
-    | None -> fail ("bad \\u escape " ^ h)
+    (* [int_of_string] would also take [_] separators. *)
+    let hex = function
+      | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
+      | _ -> false
+    in
+    if String.for_all hex h then int_of_string ("0x" ^ h)
+    else fail ("bad \\u escape " ^ h)
   in
   let parse_string () =
     expect '"';

@@ -73,6 +73,8 @@ let test_json_rejects_garbage () =
       (* a high surrogate must be followed by a low one *)
       "\"\\uDBFF\\u0000\"";
       "\"\\ud83d\\ud83d\"";
+      (* four hex digits, no [_] separator *)
+      "\"\\u1_23\"";
     ]
   in
   List.iter
