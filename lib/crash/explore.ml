@@ -763,22 +763,17 @@ let check_spec_all ~params ~brand ~expects s (spec : state_spec) =
    dropped. *)
 let probe_cap = 512
 
-(* A block-type label per logged block, resolved eagerly against the
-   pre-crash baseline (the scratch device is about to be reused by the
-   probes). Only the ext3 family has a classifier to ask. *)
+(* A block-type label per logged block from the brand's own
+   classifier, resolved eagerly against the pre-crash baseline (the
+   scratch device is about to be reused by the probes). *)
 type forensics_ctx = (int, string) Hashtbl.t
 
-let session_forensics ~params ~fsck s =
+let session_forensics ~params (Fs.Brand (module F)) s =
   let labels = Hashtbl.create 64 in
-  if fsck then begin
-    let disk = scratch ~params in
-    Memdisk.restore disk s.ss_baseline;
-    Array.iter
-      (fun b ->
-        Hashtbl.replace labels b
-          (Iron_ext3.Classifier.classify (Memdisk.peek disk) b))
-      s.ss_whole.blocks
-  end;
+  let disk = scratch ~params in
+  Memdisk.restore disk s.ss_baseline;
+  let classify = F.classifier (Memdisk.peek disk) in
+  Array.iter (fun b -> Hashtbl.replace labels b (classify b)) s.ss_whole.blocks;
   labels
 
 let label_of ctx b = match Hashtbl.find_opt ctx b with Some l -> l | None -> "?"
@@ -1062,7 +1057,7 @@ let explore ?(jobs = 1) ?(seed = 7) ?(max_states = 1000) ?(forensics = false)
     if not forensics then ([], [])
     else
       in_span "forensics" (fun () ->
-          let ctx = session_forensics ~params ~fsck session in
+          let ctx = session_forensics ~params brand session in
           let chains =
             Pool.map_jobs ~jobs (explain_spec ~check ctx session) viols
           in

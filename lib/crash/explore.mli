@@ -331,9 +331,12 @@ type forensics_ctx
 (** Block-type labels of a session's logged blocks. *)
 
 val session_forensics :
-  params:Iron_disk.Memdisk.params -> fsck:bool -> session -> forensics_ctx
-(** Classify every logged block against the session baseline; with
-    [~fsck:false] (no ext3 classifier applies) every label is ["?"]. *)
+  params:Iron_disk.Memdisk.params ->
+  Iron_vfs.Fs.brand ->
+  session ->
+  forensics_ctx
+(** Classify every logged block against the session baseline with the
+    brand's own classifier. *)
 
 val explain_spec :
   check:(state_spec -> outcome) ->

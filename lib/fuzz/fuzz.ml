@@ -204,7 +204,7 @@ let campaign ?(jobs = 1) ?(seq = 1) ?(states_per_workload = 150) ?(seed = 7)
             let chains =
               if not explain then []
               else begin
-                let ctx = Explore.session_forensics ~params ~fsck session in
+                let ctx = Explore.session_forensics ~params brand session in
                 List.map
                   (Explore.explain_spec ~check ctx session)
                   (List.filteri (fun i _ -> i < 3) bad)
