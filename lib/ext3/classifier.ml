@@ -1,5 +1,6 @@
 open Iron_util
 module Jrec = Iron_jrnl.Jrec
+module Jrnl = Iron_jrnl.Jrnl
 
 let block_types =
   [
@@ -82,59 +83,6 @@ let dynamic_labels raw lay =
     labels;
   labels
 
-(* Committed-but-not-yet-checkpointed metadata lives only in the
-   journal; the oracle must see through it or freshly created structures
-   would be invisible (the paper's tool understood the journal the same
-   way). Returns a [home block -> journaled copy] overlay. *)
-let journal_overlay raw lay =
-  let overlay = Hashtbl.create 16 in
-  let jstart = lay.Layout.journal_start in
-  let jlimit = jstart + lay.Layout.journal_len in
-  let read b = try Some (raw b) with _ -> None in
-  (match read jstart with
-  | None -> ()
-  | Some jsb -> (
-      match Jrec.decode_jsuper jsb with
-      | None -> ()
-      | Some js ->
-          let rec scan pos seq =
-            if pos < jlimit then
-              match read pos with
-              | None -> ()
-              | Some buf -> (
-                  match Jrec.decode_desc buf with
-                  | Some d when d.Jrec.seq = seq -> (
-                      let count = List.length d.Jrec.tags in
-                      let copies =
-                        List.filteri (fun i _ -> i < count)
-                          (List.init count (fun i -> read (pos + 1 + i)))
-                      in
-                      if List.exists (fun c -> c = None) copies then ()
-                      else
-                        let after = pos + 1 + count in
-                        let cpos =
-                          match read after with
-                          | Some b when Jrec.decode_revoke b <> None -> after + 1
-                          | Some _ | None -> after
-                        in
-                        match read cpos with
-                        | Some cbuf when
-                            (match Jrec.decode_commit cbuf with
-                            | Some c -> c.Jrec.cseq = seq
-                            | None -> false) ->
-                            List.iter2
-                              (fun home copy ->
-                                match copy with
-                                | Some c -> Hashtbl.replace overlay home c
-                                | None -> ())
-                              d.Jrec.tags copies;
-                            scan (cpos + 1) (seq + 1)
-                        | Some _ | None -> ())
-                  | Some _ | None -> ())
-          in
-          scan js.Jrec.start js.Jrec.sequence));
-  overlay
-
 let classify raw =
   let sb =
     match Sb.decode (try raw 0 with _ -> Bytes.create 8) with
@@ -149,7 +97,13 @@ let classify raw =
       let lay =
         Layout.compute ~block_size:sb.Sb.block_size ~num_blocks:sb.Sb.num_blocks
       in
-      let overlay = journal_overlay raw lay in
+      (* Committed-but-not-yet-checkpointed metadata lives only in the
+         journal; the oracle must see through it or freshly created
+         structures would be invisible (the paper's tool understood the
+         journal the same way). *)
+      let overlay =
+        Jrnl.committed_overlay Jrec.jbd ~geo:(Layout.journal_geo lay) raw
+      in
       let raw' b =
         match Hashtbl.find_opt overlay b with Some c -> c | None -> raw b
       in
@@ -176,9 +130,9 @@ let classify raw =
           | None -> "j-data"
           | Some blk ->
               let m = Codec.read_u32 blk 0 in
-              if m = Jrec.desc_magic then "j-desc"
-              else if m = Jrec.commit_magic then "j-commit"
-              else if m = Jrec.revoke_magic then "j-revoke"
+              if m = Jrec.jbd.desc_magic then "j-desc"
+              else if m = Jrec.jbd.commit_magic then "j-commit"
+              else if Some m = Jrec.jbd.revoke_magic then "j-revoke"
               else "j-data"
         end
         else if b >= lay.Layout.cksum_start

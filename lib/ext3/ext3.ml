@@ -122,25 +122,13 @@ let kind_of_block lay b =
         then Kind.Inode
         else Kind.Data
 
-let geo_of_layout lay =
-  {
-    Jrnl.jsb = lay.Layout.journal_start;
-    jfirst = lay.Layout.journal_start + 1;
-    jend = lay.Layout.journal_start + lay.Layout.journal_len;
-    num_blocks = lay.Layout.num_blocks;
-  }
-
 let policy_of_profile (p : Profile.t) : (module Jrnl.POLICY) =
   (module struct
     let tag = "ext3"
     let mode = p.Profile.mode
 
-    let iron =
-      {
-        Jrnl.abort_on_journal_write_failure =
-          p.Profile.abort_on_journal_write_failure;
-        check_write_errors = p.Profile.check_write_errors;
-      }
+    let iron = if p.Profile.check_write_errors then Jrnl.Abort else Jrnl.Ignore
+    let format = Jrec.jbd
   end)
 
 (* ------------------------------------------------------------------ *)
@@ -1123,7 +1111,9 @@ let mkfs_impl profile dev =
   let* () = wr_meta 1 gd in
   (* Journal superblock (+ its replica when Mr). *)
   let jb = Bytes.make bs '\000' in
-  Jrec.encode_jsuper { Jrec.sequence = 1; start = lay.Layout.journal_start + 1 } jb;
+  Jrec.encode_jsuper Jrec.jbd
+    { Jrec.sequence = 1; start = lay.Layout.journal_start + 1 }
+    jb;
   let* () = wr lay.Layout.journal_start jb in
   let* () =
     if profile.Profile.meta_replica then
@@ -1204,7 +1194,7 @@ let recover_journal profile lay dev klog =
               match dev.Dev.read_into r scratch with
               | Error _ -> None
               | Ok () -> (
-                  match Jrec.decode_jsuper scratch with
+                  match Jrec.decode_jsuper Jrec.jbd scratch with
                   | Some js ->
                       Klog.warn klog "ixt3"
                         "journal superblock %s; recovered from replica" why;
@@ -1221,7 +1211,8 @@ let recover_journal profile lay dev klog =
               match dev.Dev.write r copy with Ok () -> () | Error _ -> ())
           | None -> ())
   in
-  J.recover ~geo:(geo_of_layout lay) ~dev ~klog ?jsb_fallback ?refresh_replica ()
+  J.recover ~geo:(Layout.journal_geo lay) ~dev ~klog ?jsb_fallback
+    ?refresh_replica ()
 
 let mount_impl profile dev =
   let klog = Klog.create ~clock:dev.Dev.now () in
@@ -1308,10 +1299,10 @@ let mount_impl profile dev =
     let (module P : Jrnl.POLICY) = policy_of_profile profile in
     let module J = Jrnl.Make (P) in
     let jrnl =
-      J.create ~tuning:profile.Profile.tuning ~dev ~cache ~klog
-        ~kinds:(kind_of_block lay) ~geo:(geo_of_layout lay)
+      J.create ~dev ~cache ~klog ~kinds:(kind_of_block lay)
+        ~geo:(Layout.journal_geo lay)
         ~journaled:(fun b -> b < lay.Layout.replica_start)
-        ~seq:jseq ()
+        ~seq:jseq
     in
     let t =
       {

@@ -152,3 +152,11 @@ let replica_of l b =
     | _ :: rest -> index (i + 1) rest
   in
   index 0 (replica_targets l)
+
+let journal_geo l =
+  {
+    Iron_jrnl.Jrnl.jsb = l.journal_start;
+    jfirst = l.journal_start + 1;
+    jend = l.journal_start + l.journal_len;
+    num_blocks = l.num_blocks;
+  }

@@ -95,5 +95,8 @@ val rmap_location : t -> int -> int * int
     Dynamically allocated metadata (directory and indirect blocks) gets
     its mirror allocated on first write and recorded here. *)
 
+val journal_geo : t -> Iron_jrnl.Jrnl.geometry
+(** The journal region as the journal engine sees it. *)
+
 val root_ino : int
 val first_free_ino : int

@@ -4,14 +4,9 @@ type t = {
   name : string;
   check_write_errors : bool;
   propagate_delete_errors : bool;
-  abort_on_journal_write_failure : bool;
   sanity_check_linkcount : bool;
   dir_read_retries : int;
   mode : Jrnl.mode;
-  tuning : Jrnl.tuning;
-      (** group-commit window and checkpoint watermark handed to the
-          journal engine at mount; {!Jrnl.default_tuning} reproduces the
-          historical I/O stream byte for byte *)
   meta_checksum : bool;
   data_checksum : bool;
   meta_replica : bool;
@@ -24,11 +19,9 @@ let ext3 =
     name = "ext3";
     check_write_errors = false;
     propagate_delete_errors = false;
-    abort_on_journal_write_failure = false;
     sanity_check_linkcount = false;
     dir_read_retries = 1;
     mode = Jrnl.Ordered;
-    tuning = Jrnl.default_tuning;
     meta_checksum = false;
     data_checksum = false;
     meta_replica = false;
@@ -42,11 +35,9 @@ let ixt3_with ?(mc = false) ?(mr = false) ?(dc = false) ?(dp = false)
     name = "ixt3";
     check_write_errors = true;
     propagate_delete_errors = true;
-    abort_on_journal_write_failure = true;
     sanity_check_linkcount = true;
     dir_read_retries = 1;
     mode = (if tc then Jrnl.Tc_checksummed else Jrnl.Ordered);
-    tuning = Jrnl.default_tuning;
     meta_checksum = mc;
     data_checksum = dc;
     meta_replica = mr;

@@ -13,13 +13,12 @@ type t = {
   (* --- stock-ext3 failure-policy quirks (all are the paper's findings) *)
   check_write_errors : bool;
       (** [false]: write error codes are dropped on the floor (DZero);
-          checkpoint and data writes fail silently. *)
+          checkpoint and data writes fail silently, and a failed
+          journal write does not stop the commit block — the
+          replay-corruption bug. [true]: the journal aborts. *)
   propagate_delete_errors : bool;
       (** [false]: truncate/rmdir/unlink swallow read errors and return
           success ("truncate and rmdir fail silently"). *)
-  abort_on_journal_write_failure : bool;
-      (** [false]: a failed journal-data write does not stop the commit
-          block from being written — the replay-corruption bug. *)
   sanity_check_linkcount : bool;
       (** [false]: unlink trusts links_count; a corrupted count panics
           the kernel. *)
@@ -30,12 +29,6 @@ type t = {
       (** Commit policy: [Writeback], [Ordered] (the ext3 default),
           [Data_journal], or [Tc_checksummed] (ordered + the ixt3
           transactional checksum, §6.1). *)
-  tuning : Iron_jrnl.Jrnl.tuning;
-      (** Group-commit window and checkpoint watermark handed to the
-          journal engine at mount. {!Iron_jrnl.Jrnl.default_tuning}
-          (every stock profile) reproduces the historical I/O stream
-          byte for byte; variants built with [{ p with tuning }] get
-          eager window flushes / batched checkpoint write-back. *)
   (* --- IRON features (§6.1) *)
   meta_checksum : bool;  (** Mc *)
   data_checksum : bool;  (** Dc *)

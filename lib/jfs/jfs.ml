@@ -361,11 +361,15 @@ let alloc_block t =
   let* () = meta_write t bmap_desc_block cnt in
   Ok b
 
+(* A freed block's overlay page goes with it, or its next owner would
+   read the old page and the checkpoint would write it over the new
+   owner's data. *)
 let free_block t b =
   if b < first_data || b >= t.num_blocks then Ok ()
   else begin
     let* buf = read_map t bmap_block "block allocation map" in
     if bit_get buf b then begin
+      Record.forget t.jrnl b;
       let buf = Bytes.copy buf in
       bit_set buf b false;
       let* () = meta_write t bmap_block buf in
@@ -762,7 +766,7 @@ let mkfs_impl dev =
 let recover_journal dev klog =
   Record.recover ~tag:"jfs" ~geo:(jgeo dev.Dev.num_blocks) ~dev ~klog ()
 
-let mount_impl ?(tuning = Jrnl.default_tuning) dev =
+let mount_impl dev =
   let klog = Klog.create ~clock:dev.Dev.now () in
   (* Every mount-time read here is decode-then-discard, so one scratch
      block covers them all. *)
@@ -840,9 +844,9 @@ let mount_impl ?(tuning = Jrnl.default_tuning) dev =
       zeros = Bytes.make dev.Dev.block_size '\000';
       num_blocks;
       jrnl =
-        Record.create ~tuning ~tag:"jfs" ~dev ~cache ~klog
+        Record.create ~tag:"jfs" ~dev ~cache ~klog
           ~kinds:(kind_of_block num_blocks)
-          ~geo:(jgeo dev.Dev.num_blocks) ~txid ();
+          ~geo:(jgeo dev.Dev.num_blocks) ~txid;
       free_blocks;
       free_inodes;
       fds = Fdtable.create ();
@@ -1097,7 +1101,7 @@ let corrupt_field ty =
 
 (* ---- brand ----------------------------------------------------------- *)
 
-let brand_with ~tuning =
+let brand =
   let module M = struct
     let fs_name = "jfs"
     let block_types = block_types
@@ -1107,7 +1111,7 @@ let brand_with ~tuning =
     type t = state
 
     let mkfs = mkfs_impl
-    let mount dev = mount_impl ~tuning dev
+    let mount = mount_impl
 
     let unmount t =
       let* () = commit t in
@@ -1376,5 +1380,3 @@ let brand_with ~tuning =
       Ok ()
   end in
   Fs.Brand (module M)
-
-let brand = brand_with ~tuning:Jrnl.default_tuning

@@ -11,10 +11,5 @@
 
 val brand : Iron_vfs.Fs.brand
 
-val brand_with : tuning:Iron_jrnl.Jrnl.tuning -> Iron_vfs.Fs.brand
-(** [brand] with non-default group-commit/checkpoint tuning handed to
-    the record journal at mount (the refinement tests exercise batched
-    configurations this way). *)
-
 val block_types : string list
 val classify : (int -> bytes) -> int -> string

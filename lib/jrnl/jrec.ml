@@ -1,60 +1,75 @@
 open Iron_util
 
-let jsuper_magic = 0x4A535550 (* "JSUP" *)
-let desc_magic = 0x4A444553 (* "JDES" *)
-let commit_magic = 0x4A434F4D (* "JCOM" *)
-let revoke_magic = 0x4A524556 (* "JREV" *)
+type format = {
+  jsuper_magic : int;
+  desc_magic : int;
+  commit_magic : int;
+  revoke_magic : int option;
+}
+
+let jbd =
+  {
+    jsuper_magic = 0x4A535550 (* "JSUP" *);
+    desc_magic = 0x4A444553 (* "JDES" *);
+    commit_magic = 0x4A434F4D (* "JCOM" *);
+    revoke_magic = Some 0x4A524556 (* "JREV" *);
+  }
 
 type jsuper = { sequence : int; start : int }
 
-let encode_jsuper t buf =
+let encode_jsuper fmt t buf =
   Bytes.fill buf 0 (Bytes.length buf) '\000';
   let w = Codec.writer buf in
-  Codec.put_u32 w jsuper_magic;
+  Codec.put_u32 w fmt.jsuper_magic;
   Codec.put_u32 w t.sequence;
   Codec.put_u32 w t.start
 
-let decode_jsuper buf =
+let decode_jsuper fmt buf =
   try
     let r = Codec.reader buf in
-    if Codec.get_u32 r <> jsuper_magic then None
+    if Codec.get_u32 r <> fmt.jsuper_magic then None
     else
       let sequence = Codec.get_u32 r in
       let start = Codec.get_u32 r in
       Some { sequence; start }
   with Codec.Decode_error _ -> None
 
-type desc = { seq : int; tags : int list }
-
-let encode_desc t buf =
+(* Descriptors and revoke blocks share one shape: magic, sequence, a
+   counted list of block numbers. *)
+let encode_list magic seq blocks buf =
   Bytes.fill buf 0 (Bytes.length buf) '\000';
   let w = Codec.writer buf in
-  Codec.put_u32 w desc_magic;
-  Codec.put_u32 w t.seq;
-  Codec.put_u32 w (List.length t.tags);
-  List.iter (Codec.put_u32 w) t.tags
+  Codec.put_u32 w magic;
+  Codec.put_u32 w seq;
+  Codec.put_u32 w (List.length blocks);
+  List.iter (Codec.put_u32 w) blocks
 
-let decode_desc buf =
+let decode_list magic buf =
   try
     let r = Codec.reader buf in
-    if Codec.get_u32 r <> desc_magic then None
+    if Codec.get_u32 r <> magic then None
     else
       let seq = Codec.get_u32 r in
       let count = Codec.get_u32 r in
       if count > (Bytes.length buf - 12) / 4 then None
-      else
-        let tags = List.init count (fun _ -> Codec.get_u32 r) in
-        Some { seq; tags }
+      else Some (seq, List.init count (fun _ -> Codec.get_u32 r))
   with Codec.Decode_error _ -> None
+
+type desc = { seq : int; tags : int list }
+
+let encode_desc fmt t buf = encode_list fmt.desc_magic t.seq t.tags buf
+
+let decode_desc fmt buf =
+  Option.map (fun (seq, tags) -> { seq; tags }) (decode_list fmt.desc_magic buf)
 
 let max_tags block_size = (block_size - 12) / 4
 
 type commit = { cseq : int; checksum : string option }
 
-let encode_commit t buf =
+let encode_commit fmt t buf =
   Bytes.fill buf 0 (Bytes.length buf) '\000';
   let w = Codec.writer buf in
-  Codec.put_u32 w commit_magic;
+  Codec.put_u32 w fmt.commit_magic;
   Codec.put_u32 w t.cseq;
   match t.checksum with
   | None -> Codec.put_u8 w 0
@@ -62,10 +77,10 @@ let encode_commit t buf =
       Codec.put_u8 w 1;
       Codec.put_string w d
 
-let decode_commit buf =
+let decode_commit fmt buf =
   try
     let r = Codec.reader buf in
-    if Codec.get_u32 r <> commit_magic then None
+    if Codec.get_u32 r <> fmt.commit_magic then None
     else
       let cseq = Codec.get_u32 r in
       let has = Codec.get_u8 r in
@@ -75,23 +90,15 @@ let decode_commit buf =
 
 type revoke = { rseq : int; revoked : int list }
 
-let encode_revoke t buf =
-  Bytes.fill buf 0 (Bytes.length buf) '\000';
-  let w = Codec.writer buf in
-  Codec.put_u32 w revoke_magic;
-  Codec.put_u32 w t.rseq;
-  Codec.put_u32 w (List.length t.revoked);
-  List.iter (Codec.put_u32 w) t.revoked
+let encode_revoke fmt t buf =
+  match fmt.revoke_magic with
+  | Some magic -> encode_list magic t.rseq t.revoked buf
+  | None -> invalid_arg "Jrec.encode_revoke: the format has no revoke blocks"
 
-let decode_revoke buf =
-  try
-    let r = Codec.reader buf in
-    if Codec.get_u32 r <> revoke_magic then None
-    else
-      let rseq = Codec.get_u32 r in
-      let count = Codec.get_u32 r in
-      if count > (Bytes.length buf - 12) / 4 then None
-      else
-        let revoked = List.init count (fun _ -> Codec.get_u32 r) in
-        Some { rseq; revoked }
-  with Codec.Decode_error _ -> None
+let decode_revoke fmt buf =
+  match fmt.revoke_magic with
+  | None -> None
+  | Some magic ->
+      Option.map
+        (fun (rseq, revoked) -> { rseq; revoked })
+        (decode_list magic buf)

@@ -20,46 +20,16 @@ let mode_label = function
   | Data_journal -> "data-journal"
   | Tc_checksummed -> "ordered+tc"
 
-(* IRON detection/reaction levels that change how the journal itself
-   responds to device errors. Stock ext3 has both off: it drops the
-   error code (DZero) and presses on. *)
-type iron = {
-  abort_on_journal_write_failure : bool;
-      (** a failed journal-data write stops the commit block (ixt3);
-          [false] reproduces the paper's replay-corruption bug *)
-  check_write_errors : bool;
-      (** checkpoint / journal-superblock write errors abort the
-          journal instead of vanishing *)
-}
-
-let stock_iron = { abort_on_journal_write_failure = false; check_write_errors = false }
-
-(* Raw-speed tunables (ROADMAP item 5): how eagerly transactions close
-   and how lazily committed blocks are written home. The defaults
-   reproduce the historical I/O stream byte for byte — group commit
-   merely names what the barrier already did (coalesce every stage
-   since the last fsync into one burst), and a zero watermark keeps
-   checkpoints at their barrier/log-full sites. Turning [group_commit]
-   off makes the engine close a window eagerly every [window_blocks]
-   staged blocks (more, smaller bursts — the paper's Table 6
-   commit-frequency axis), and a positive [checkpoint_watermark] writes
-   the pending batch home as soon as it reaches that many blocks
-   instead of holding it for the next barrier. *)
-type tuning = {
-  group_commit : bool;
-      (** coalesce all transactions staged between durability barriers
-          into one journal write burst (one desc/commit pair) *)
-  window_blocks : int;
-      (** with [group_commit = false]: close and flush the open window
-          once this many blocks are staged ([<= 0] never closes early) *)
-  checkpoint_watermark : int;
-      (** [> 0]: checkpoint as soon as this many committed blocks are
-          pending, without waiting for sync/unmount/log-full; [0] defers
-          write-back to the barriers (the historical stream) *)
-}
-
-let default_tuning =
-  { group_commit = true; window_blocks = 32; checkpoint_watermark = 0 }
+(* How the journal meets a failed journal, journal-superblock,
+   checkpoint or direct-flush write: the IRON reaction that tells the
+   brands' journals apart (§5). *)
+type iron =
+  | Ignore
+      (** stock ext3: drop the error code (DZero) and press on; a failed
+          journal write does not stop the commit block, the paper's
+          replay-corruption bug *)
+  | Abort  (** ixt3: log the error and abort the journal *)
+  | Panic  (** reiserfs: panic the machine ("first, do no harm", §5.2) *)
 
 module type POLICY = sig
   val tag : string
@@ -68,6 +38,9 @@ module type POLICY = sig
 
   val mode : mode
   val iron : iron
+
+  val format : Jrec.format
+  (** the log's magic numbers, and whether it has revoke blocks *)
 end
 
 type geometry = {
@@ -98,7 +71,7 @@ type config = {
   tag : string;
   mode : mode;
   iron : iron;
-  tuning : tuning;
+  format : Jrec.format;
   dev : Dev.t;
   cache : Bcache.t;
   klog : Klog.t;
@@ -195,11 +168,11 @@ let digest t b buf =
           Some d)
   | Some _ | None -> None
 
-(* Stage one block into the open transaction; the group-commit window
-   bookkeeping wraps this below (the eager flush needs [commit]). An
-   overwrite of an already-staged block is a coalesced journal write —
-   the group-commit win the counter makes visible. *)
-let stage_block t b data =
+(* Stage one block into the open transaction. An overwrite of an
+   already-staged block is a coalesced journal write — the group-commit
+   win the counter makes visible: every stage since the last barrier
+   rides one descriptor/commit pair. *)
+let stage t b data =
   (* The one invariant the typed layout enforces unconditionally: the
      journal never journals its own region. *)
   if Kind.is_journal_region (t.cfg.kinds b) then
@@ -219,10 +192,11 @@ let stage_block t b data =
   end
 
 (* A freed block's journaled images die with it: dropped from the open
-   transaction and the checkpoint list (or a read would be served, and
+   transaction and the checkpoint list, or a read would be served, and
    the checkpoint would write, the old owner's bytes over the new
-   owner's), and revoked so replay skips the copies already in the log. *)
-let revoke t b =
+   owner's. A log without revoke blocks stops here, so replay after a
+   crash may still write the copies already logged home. *)
+let forget t b =
   let drop table order =
     match Hashtbl.find_opt table b with
     | None -> order
@@ -232,7 +206,11 @@ let revoke t b =
         List.filter (( <> ) b) order
   in
   t.txn_order <- drop t.txn t.txn_order;
-  t.pending_order <- drop t.pending t.pending_order;
+  t.pending_order <- drop t.pending t.pending_order
+
+(* [forget], and a revoke record so replay skips the logged copies. *)
+let revoke t b =
+  forget t b;
   if not (List.mem b t.txn_revoked) then t.txn_revoked <- b :: t.txn_revoked
 
 (* Data writes route by commit policy. Ordered (and its Tc variant)
@@ -244,7 +222,7 @@ let revoke t b =
    the block into the transaction like metadata, so the data write can
    no longer fail here at all. Returns [false] only on a device write
    failure in the ordered modes. *)
-let write_data_raw t b data =
+let write_data t b data =
   match t.cfg.mode with
   | Ordered | Tc_checksummed -> (
       Prov.with_txn ~txn:t.jseq ~policy:(mode_label t.cfg.mode) @@ fun () ->
@@ -257,46 +235,46 @@ let write_data_raw t b data =
       Hashtbl.replace t.pending b (image (Arena.copy (arena t) data));
       true
   | Data_journal ->
-      stage_block t b data;
+      stage t b data;
       true
 
 (* ------------------------------------------------------------------ *)
 (* Commit, checkpoint                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* The policy's reaction to a failed write of [what] to block [b].
+   Returns false once the journal has stopped. *)
+let failed_write t what b =
+  match t.cfg.iron with
+  | Ignore -> true
+  | Abort ->
+      Klog.error t.cfg.klog t.cfg.tag "%s write to block %d failed" what b;
+      abort t (what ^ " write failure");
+      false
+  | Panic ->
+      Klog.panic t.cfg.klog t.cfg.tag "%s write to block %d failed; panicking"
+        what b
+
 (* Write one block into the journal region. Stock ext3 drops the error
-   and keeps committing — the bug the paper documents (§5.1); ixt3
-   aborts the journal. Returns false only when aborted. *)
+   and keeps committing — the bug the paper documents (§5.1). Returns
+   false only when the journal stopped. *)
 let journal_write t jb data =
   match t.cfg.dev.Dev.write jb data with
   | Ok () -> true
-  | Error _ ->
-      (* Stock ext3 does not even record the error code (DZero) and
-         presses on with the commit block — the replay-corruption bug.
-         ixt3 logs and aborts. *)
-      if t.cfg.iron.abort_on_journal_write_failure then begin
-        Klog.error t.cfg.klog t.cfg.tag "journal write to block %d failed" jb;
-        abort t "journal write failure";
-        false
-      end
-      else true
+  | Error _ -> failed_write t "journal" jb
 
 let write_jsuper t =
   Prov.with_role "jsb" @@ fun () ->
   let buf = zero_block t in
-  Jrec.encode_jsuper { Jrec.sequence = t.jseq; start = t.jhead } buf;
+  Jrec.encode_jsuper t.cfg.format
+    { Jrec.sequence = t.jseq; start = t.jhead }
+    buf;
   (match t.hooks.jsb_shadow with Some f -> f buf | None -> ());
   let r = t.cfg.dev.Dev.write t.cfg.geo.jsb buf in
   release t buf;
   match r with
   | Ok () -> true
-  | Error _ ->
-      if t.cfg.iron.check_write_errors then begin
-        Klog.error t.cfg.klog t.cfg.tag "journal superblock write failed";
-        abort t "journal superblock write failure";
-        false
-      end
-      else true
+  | Error _ -> failed_write t "journal superblock" t.cfg.geo.jsb
 
 (* Checkpoint: push committed blocks to their home locations and reset
    the log. Stock ext3 ignores checkpoint write failures entirely —
@@ -315,11 +293,7 @@ let checkpoint t =
       | Some i -> (
           match Bcache.write t.cfg.cache b i.data with
           | Ok () -> ()
-          | Error _ ->
-              if t.cfg.iron.check_write_errors then begin
-                Klog.error t.cfg.klog t.cfg.tag "checkpoint write to block %d failed" b;
-                abort t "checkpoint write failure"
-              end))
+          | Error _ -> ignore (failed_write t "checkpoint" b)))
     blocks;
   Hashtbl.iter (fun _ old -> release t old.data) t.pending;
   Hashtbl.reset t.pending;
@@ -341,6 +315,7 @@ let commit t =
     Prov.with_txn ~txn:t.jseq ~policy:(mode_label t.cfg.mode) @@ fun () ->
     begin
     let tc = t.cfg.mode = Tc_checksummed in
+    let fmt = t.cfg.format in
     (* Blocks the policy excludes from the log (ext3's replica copies
        stream to the separate replica log via [post_commit], §6.1) still
        reach their fixed homes at checkpoint. *)
@@ -359,19 +334,22 @@ let commit t =
           List.iter
             (fun b ->
               match Hashtbl.find_opt t.txn b with
-              | Some i -> ignore (Bcache.write t.cfg.cache b i.data)
+              | Some i -> (
+                  match Bcache.write t.cfg.cache b i.data with
+                  | Ok () -> ()
+                  | Error _ -> ignore (failed_write t "direct flush" b))
               | None -> ())
             blocks);
       Hashtbl.iter (fun _ old -> release t old.data) t.txn;
       Hashtbl.reset t.txn;
       t.txn_order <- [];
       t.txn_revoked <- [];
-      Ok ()
+      if aborted t then Error Errno.EROFS else Ok ()
     end
     else begin
       let seq = t.jseq in
       let buf = zero_block t in
-      Jrec.encode_desc { Jrec.seq; tags = blocks } buf;
+      Jrec.encode_desc fmt { Jrec.seq; tags = blocks } buf;
       let ok = ref (Prov.with_role "desc" (fun () -> journal_write t t.jhead buf)) in
       release t buf;
       let pos = ref (t.jhead + 1) in
@@ -388,7 +366,9 @@ let commit t =
         blocks;
       if t.txn_revoked <> [] then begin
         let rbuf = zero_block t in
-        Jrec.encode_revoke { Jrec.rseq = seq; revoked = t.txn_revoked } rbuf;
+        Jrec.encode_revoke fmt
+          { Jrec.rseq = seq; revoked = t.txn_revoked }
+          rbuf;
         if !ok then
           ok := Prov.with_role "revoke" (fun () -> journal_write t !pos rbuf);
         release t rbuf;
@@ -403,7 +383,7 @@ let commit t =
       let checksum =
         if tc then Some (Sha1.to_raw (Sha1.finalize cksum_ctx)) else None
       in
-      Jrec.encode_commit { Jrec.cseq = seq; checksum } cbuf;
+      Jrec.encode_commit fmt { Jrec.cseq = seq; checksum } cbuf;
       if !ok then
         ok := Prov.with_role "commit" (fun () -> journal_write t !pos cbuf);
       release t cbuf;
@@ -441,52 +421,152 @@ let commit t =
         t.txn_order <- [];
         t.txn_revoked <- [];
         (* Batched checkpointing: committed blocks stay pending until a
-           barrier (sync/unmount/log-full) — or, past the watermark,
-           until right now. *)
-        let np = Hashtbl.length t.pending in
-        if np > 0 then begin
-          let wm = t.cfg.tuning.checkpoint_watermark in
-          if wm > 0 && np >= wm then begin
-            Obs.incr_a "jrnl.checkpoint.batched";
-            checkpoint t
-          end
-          else Obs.incr_a "jrnl.checkpoint.batched.deferred"
-        end;
-        if aborted t then Error Errno.EROFS else Ok ()
+           barrier (sync, unmount or a full log). *)
+        if Hashtbl.length t.pending > 0 then
+          Obs.incr_a "jrnl.checkpoint.batched.deferred";
+        Ok ()
       end
     end
   end
 
-(* Group-commit window bookkeeping around the staging entry points.
-   With [group_commit] on (the default), staged blocks simply
-   accumulate until the next durability barrier — the barrier commit IS
-   the coalesced burst. With it off, the window soft-closes as soon as
-   [window_blocks] blocks are staged and the engine flushes eagerly. *)
-let maybe_flush_window t =
-  if
-    (not t.cfg.tuning.group_commit)
-    && t.cfg.tuning.window_blocks > 0
-    && Hashtbl.length t.txn >= t.cfg.tuning.window_blocks
-    && not (aborted t)
-  then begin
-    Obs.incr_a "jrnl.group_commit.window_flush";
-    ignore (commit t)
-  end
+(* ------------------------------------------------------------------ *)
+(* The committed-log scan                                              *)
+(* ------------------------------------------------------------------ *)
 
-let stage t b data =
-  stage_block t b data;
-  maybe_flush_window t
+(* A transaction the log holds whole: its descriptor, every copy, the
+   revoke record when the format has one, and a commit naming the same
+   sequence whose transactional checksum, if it carries one, matches
+   the copies. [blocks] pairs each home with its copy, in descriptor
+   order. *)
+type committed = { seq : int; blocks : (int * bytes) list; revoked : int list }
 
-let write_data t b data =
-  let ok = write_data_raw t b data in
-  maybe_flush_window t;
-  ok
+(* Where a scan stopped: at the end of the committed chain, or at a
+   failure worth a kernel-log line. *)
+type scan_end =
+  | Log_end
+  | Desc_unreadable of int  (** the descriptor read at this block failed *)
+  | Copy_unreadable
+  | Commit_unreadable
+  | Checksum_mismatch of int  (** at this sequence number *)
+
+(* Walk the chain of committed transactions from block [start], below
+   [jend]. Each begins with a descriptor whose sequence follows the last
+   one's; [seq] names the first, and [None] takes the first descriptor's
+   word for it. [read] serves the descriptor, revoke and commit blocks,
+   which are decoded and dropped, so one scratch block can serve them
+   all; [copy] serves the journaled copies, which the result keeps, and
+   [drop] takes back those of a transaction that does not commit. Both
+   return [None] when the read fails. With revoke blocks in the format,
+   the block after the copies is first probed as a revoke record, then,
+   unless it is this transaction's, read again as the commit. The caller
+   words any kernel-log line. *)
+let scan_committed fmt ~jend ~read ~copy ~drop ~start ~seq =
+  let rec go pos expect acc =
+    let stop why = (List.rev acc, why) in
+    if pos >= jend then stop Log_end
+    else
+      match read pos with
+      | None -> stop (Desc_unreadable pos)
+      | Some buf -> (
+          match Jrec.decode_desc fmt buf with
+          | Some d
+            when Option.fold ~none:true ~some:(( = ) d.Jrec.seq) expect -> (
+              let seq = d.Jrec.seq in
+              let copies =
+                List.mapi (fun i _ -> copy (pos + 1 + i)) d.Jrec.tags
+              in
+              let give_back () = List.iter (Option.iter drop) copies in
+              if List.exists Option.is_none copies then begin
+                give_back ();
+                stop Copy_unreadable
+              end
+              else
+                let copies = List.map Option.get copies in
+                let after = pos + 1 + List.length copies in
+                let revoked, cpos =
+                  if fmt.Jrec.revoke_magic = None then ([], after)
+                  else
+                    match Option.bind (read after) (Jrec.decode_revoke fmt) with
+                    | Some r when r.Jrec.rseq = seq ->
+                        (r.Jrec.revoked, after + 1)
+                    | Some _ | None -> ([], after)
+                in
+                match Option.map (Jrec.decode_commit fmt) (read cpos) with
+                | None ->
+                    give_back ();
+                    stop Commit_unreadable
+                | Some (Some c) when c.Jrec.cseq = seq ->
+                    let checksum_ok =
+                      match c.Jrec.checksum with
+                      | None -> true
+                      | Some stored ->
+                          let ctx = Sha1.init () in
+                          List.iter (Sha1.feed ctx) copies;
+                          String.equal stored (Sha1.to_raw (Sha1.finalize ctx))
+                    in
+                    if checksum_ok then
+                      let blocks = List.combine d.Jrec.tags copies in
+                      go (cpos + 1)
+                        (Some (seq + 1))
+                        ({ seq; blocks; revoked } :: acc)
+                    else begin
+                      give_back ();
+                      stop (Checksum_mismatch seq)
+                    end
+                | Some (Some _ | None) ->
+                    (* crashed before commit *)
+                    give_back ();
+                    stop Log_end)
+          | Some _ | None -> stop Log_end)
+  in
+  go start seq []
+
+(* [scan_committed] over a device: the control blocks are read into
+   [scratch], and the copies into [arena] buffers, which the caller
+   returns to the arena once it has replayed them. *)
+let scan_device fmt ~dev ~scratch ~arena ~jend ~start ~seq =
+  let read b =
+    match dev.Dev.read_into b scratch with
+    | Ok () -> Some scratch
+    | Error _ -> None
+  in
+  let copy b =
+    let c = Arena.get arena in
+    match dev.Dev.read_into b c with
+    | Ok () -> Some c
+    | Error _ ->
+        Arena.put arena c;
+        None
+  in
+  scan_committed fmt ~jend ~read ~copy ~drop:(Arena.put arena) ~start ~seq
+
+(* The gray-box classifiers' view of a log whose superblock sits at
+   [geo.jsb]: [home -> copy] for every transaction recovery would
+   replay, revoked or not, read through [raw], which may raise. *)
+let committed_overlay fmt ~geo raw =
+  let overlay = Hashtbl.create 16 in
+  let read b = try Some (raw b) with _ -> None in
+  (match Option.bind (read geo.jsb) (Jrec.decode_jsuper fmt) with
+  | None -> ()
+  | Some js ->
+      let txns, _ =
+        scan_committed fmt ~jend:geo.jend ~read ~copy:read ~drop:ignore
+          ~start:js.Jrec.start ~seq:(Some js.Jrec.sequence)
+      in
+      List.iter
+        (fun c ->
+          List.iter
+            (fun (home, copy) -> Hashtbl.replace overlay home copy)
+            c.blocks)
+        txns);
+  overlay
 
 (* ------------------------------------------------------------------ *)
 (* Recovery                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let recover ~tag ~iron ~geo ~dev ~klog ?jsb_fallback ?refresh_replica () =
+let recover ~tag ~format ~iron ~geo ~dev ~klog ?jsb_fallback ?refresh_replica
+    () =
   Obs.span_a ~subsystem:"jrnl" "recover" @@ fun () ->
   let bs = dev.Dev.block_size in
   (* Scratch block for every decode-then-discard read in the scan
@@ -498,7 +578,6 @@ let recover ~tag ~iron ~geo ~dev ~klog ?jsb_fallback ?refresh_replica () =
      copies the buffer a write hands it. *)
   let scratch = Bytes.create bs in
   let arena = Arena.block bs in
-  let release = List.iter (Arena.put arena) in
   let from_replica why e =
     match jsb_fallback with
     | None -> Error e
@@ -513,7 +592,7 @@ let recover ~tag ~iron ~geo ~dev ~klog ?jsb_fallback ?refresh_replica () =
             Klog.error klog tag "journal superblock unreadable";
             Error e)
     | Ok () -> (
-        match Jrec.decode_jsuper scratch with
+        match Jrec.decode_jsuper format scratch with
         | Some js -> Ok js
         | None -> (
             match from_replica "corrupt" Errno.EUCLEAN with
@@ -522,97 +601,42 @@ let recover ~tag ~iron ~geo ~dev ~klog ?jsb_fallback ?refresh_replica () =
                 Klog.error klog tag "journal superblock has bad magic";
                 Error e))
   in
-  (* Scan committed transactions. *)
-  let txns = ref [] in
-  let revokes = Hashtbl.create 8 in
-  let rec scan pos seq =
-    if pos >= geo.jend then ()
-    else
-      match dev.Dev.read_into pos scratch with
-      | Error _ ->
-          Klog.error klog tag "journal read failed at block %d during recovery" pos
-      | Ok () -> (
-          match Jrec.decode_desc scratch with
-          | None -> () (* end of log *)
-          | Some d when d.Jrec.seq <> seq -> ()
-          | Some d -> (
-              let count = List.length d.Jrec.tags in
-              let copies = ref [] in
-              let ok = ref true in
-              for i = 1 to count do
-                let c = Arena.get arena in
-                match dev.Dev.read_into (pos + i) c with
-                | Ok () -> copies := c :: !copies
-                | Error _ ->
-                    Arena.put arena c;
-                    ok := false;
-                    Klog.error klog tag "journal data read failed during recovery"
-              done;
-              let copies = List.rev !copies in
-              if not !ok then release copies
-              else
-                let after = pos + 1 + count in
-                (* Optional revoke block, then the commit. *)
-                let rev, cpos =
-                  match dev.Dev.read_into after scratch with
-                  | Ok () -> (
-                      match Jrec.decode_revoke scratch with
-                      | Some r when r.Jrec.rseq = seq -> (Some r, after + 1)
-                      | Some _ | None -> (None, after))
-                  | Error _ -> (None, after)
-                in
-                match dev.Dev.read_into cpos scratch with
-                | Error _ ->
-                    release copies;
-                    Klog.error klog tag "journal commit read failed during recovery"
-                | Ok () -> (
-                    match Jrec.decode_commit scratch with
-                    | Some c when c.Jrec.cseq = seq ->
-                        let checksum_ok =
-                          match c.Jrec.checksum with
-                          | None -> true
-                          | Some stored ->
-                              let ctx = Sha1.init () in
-                              List.iter (fun d -> Sha1.feed ctx d) copies;
-                              String.equal stored (Sha1.to_raw (Sha1.finalize ctx))
-                        in
-                        if checksum_ok then begin
-                          (match rev with
-                          | Some r ->
-                              List.iter
-                                (fun b -> Hashtbl.replace revokes b seq)
-                                r.Jrec.revoked
-                          | None -> ());
-                          txns := (seq, List.combine d.Jrec.tags copies) :: !txns;
-                          scan (cpos + 1) (seq + 1)
-                        end
-                        else begin
-                          release copies;
-                          Klog.error klog "ixt3"
-                            "transactional checksum mismatch at seq %d; not replaying"
-                            seq
-                        end
-                    | Some _ | None -> release copies (* crashed before commit *))))
+  let txns, stopped =
+    scan_device format ~dev ~scratch ~arena ~jend:geo.jend ~start:jsb.Jrec.start
+      ~seq:(Some jsb.Jrec.sequence)
   in
-  scan jsb.Jrec.start jsb.Jrec.sequence;
-  let txns = List.rev !txns in
+  (match stopped with
+  | Log_end -> ()
+  | Desc_unreadable pos ->
+      Klog.error klog tag "journal read failed at block %d during recovery" pos
+  | Copy_unreadable ->
+      Klog.error klog tag "journal data read failed during recovery"
+  | Commit_unreadable ->
+      Klog.error klog tag "journal commit read failed during recovery"
+  | Checksum_mismatch seq ->
+      Klog.error klog "ixt3"
+        "transactional checksum mismatch at seq %d; not replaying" seq);
+  let revokes = Hashtbl.create 8 in
+  List.iter
+    (fun c -> List.iter (fun b -> Hashtbl.replace revokes b c.seq) c.revoked)
+    txns;
   let replay_errors = ref 0 in
   List.iter
-    (fun (seq, blocks) ->
-      Prov.with_txn ~txn:seq ~policy:"" @@ fun () ->
+    (fun c ->
+      Prov.with_txn ~txn:c.seq ~policy:"" @@ fun () ->
       Prov.with_role "replay" @@ fun () ->
       List.iter
         (fun (home, copy) ->
           let revoked =
             match Hashtbl.find_opt revokes home with
-            | Some rseq -> rseq >= seq
+            | Some rseq -> rseq >= c.seq
             | None -> false
           in
           if (not revoked) && home < geo.num_blocks then
             match dev.Dev.write home copy with
             | Ok () -> ()
             | Error _ -> incr replay_errors)
-        blocks)
+        c.blocks)
     txns;
   (* The replica log is not replayed; refresh the fixed-location
      replicas of whatever the journal just rewrote so the copies do not
@@ -621,27 +645,30 @@ let recover ~tag ~iron ~geo ~dev ~klog ?jsb_fallback ?refresh_replica () =
   | None -> ()
   | Some refresh ->
       List.iter
-        (fun (_, blocks) ->
-          List.iter (fun (home, copy) -> refresh home copy) blocks)
+        (fun c -> List.iter (fun (home, copy) -> refresh home copy) c.blocks)
         txns);
   List.iter
-    (fun (_, blocks) -> List.iter (fun (_, c) -> Arena.put arena c) blocks)
+    (fun c -> List.iter (fun (_, copy) -> Arena.put arena copy) c.blocks)
     txns;
   if !replay_errors > 0 then
     Klog.error klog tag "%d write failures during journal replay" !replay_errors;
-  if !replay_errors > 0 && iron.check_write_errors then Error Errno.EIO
+  (* Replay runs before the file system is up, so only [Abort] fails
+     the mount; the other policies log the failures and mount. *)
+  if !replay_errors > 0 && iron = Abort then Error Errno.EIO
   else begin
     if txns <> [] then
       Klog.info klog tag "journal: replayed %d transactions" (List.length txns);
     (* Reset the log. *)
     let last_seq =
-      match List.rev txns with (s, _) :: _ -> s + 1 | [] -> jsb.Jrec.sequence
+      match List.rev txns with c :: _ -> c.seq + 1 | [] -> jsb.Jrec.sequence
     in
     (* Replayed home writes must be durable before the log declares
        itself clean — the same ordering rule as [checkpoint]. *)
     ignore (dev.Dev.sync ());
     let buf = Bytes.make bs '\000' in
-    Jrec.encode_jsuper { Jrec.sequence = last_seq; start = geo.jfirst } buf;
+    Jrec.encode_jsuper format
+      { Jrec.sequence = last_seq; start = geo.jfirst }
+      buf;
     (match Prov.with_role "jsb" (fun () -> dev.Dev.write geo.jsb buf) with
     | Ok () -> ()
     | Error _ -> Klog.error klog tag "journal superblock update failed");
@@ -657,18 +684,18 @@ let recover ~tag ~iron ~geo ~dev ~klog ?jsb_fallback ?refresh_replica () =
    [type nonrec t = t] keeps the engine storable inside the file
    system's own state record (a generative [t] per application could
    not escape the mount function), while the policy module pins the
-   tag, commit mode and IRON reactions at brand-construction time. *)
+   tag, commit mode, IRON reaction and log format at brand-construction
+   time. *)
 module Make (P : POLICY) = struct
   type nonrec t = t
 
-  let create ?(tuning = default_tuning) ~dev ~cache ~klog ~kinds ~geo ~journaled
-      ~seq () =
+  let create ~dev ~cache ~klog ~kinds ~geo ~journaled ~seq =
     create
       {
         tag = P.tag;
         mode = P.mode;
         iron = P.iron;
-        tuning;
+        format = P.format;
         dev;
         cache;
         klog;
@@ -679,12 +706,14 @@ module Make (P : POLICY) = struct
       ~seq
 
   let recover ~geo ~dev ~klog ?jsb_fallback ?refresh_replica () =
-    recover ~tag:P.tag ~iron:P.iron ~geo ~dev ~klog ?jsb_fallback ?refresh_replica ()
+    recover ~tag:P.tag ~format:P.format ~iron:P.iron ~geo ~dev ~klog
+      ?jsb_fallback ?refresh_replica ()
 
   let connect = connect
   let find = find
   let digest = digest
   let stage = stage
+  let forget = forget
   let revoke = revoke
   let write_data = write_data
   let commit = commit
@@ -861,20 +890,15 @@ module Record = struct
     klog : Klog.t;
     kinds : int -> Kind.t;
     geo : geometry;
-    tuning : tuning;
-        (* same knobs as the block engine; [window_blocks] counts
-           emitted records here, the engine's unit of journal payload *)
     (* overlay: current in-memory page state; records: since last commit *)
     overlay : (int, bytes) Hashtbl.t;
     mutable overlay_order : int list;
     mutable records : record list; (* newest first *)
-    mutable nrecords : int;
     mutable txid : int;
     mutable jpos : int; (* next free j-data block *)
   }
 
-  let create ?(tuning = default_tuning) ~tag ~dev ~cache ~klog ~kinds ~geo ~txid
-      () =
+  let create ~tag ~dev ~cache ~klog ~kinds ~geo ~txid =
     {
       tag;
       dev;
@@ -883,18 +907,16 @@ module Record = struct
       klog;
       kinds;
       geo;
-      tuning;
       overlay = Hashtbl.create 32;
       overlay_order = [];
       records = [];
-      nrecords = 0;
       txid;
       jpos = geo.jfirst;
     }
 
   let find t b = Hashtbl.find_opt t.overlay b
 
-  let write_raw t b data =
+  let write t b data =
     if Kind.is_journal_region (t.kinds b) then
       Klog.error t.klog t.tag "refusing to journal journal block %d" b
     else begin
@@ -927,13 +949,22 @@ module Record = struct
                 r_data = Bytes.sub_string data off l;
               }
               :: t.records;
-            t.nrecords <- t.nrecords + 1;
             if len > l then chunk (off + l) (len - l)
           in
           if len > 0 then chunk off len)
         ranges;
       if not seen then t.overlay_order <- b :: t.overlay_order;
       Hashtbl.replace t.overlay b (Bytes.copy data)
+    end
+
+  (* A freed page leaves the overlay, so neither a read nor the
+     checkpoint serves it to the block's next owner. Its records stay in
+     the open transaction: the log has no revoke records, so replay
+     after a crash may still write them home. *)
+  let forget t b =
+    if Hashtbl.mem t.overlay b then begin
+      Hashtbl.remove t.overlay b;
+      t.overlay_order <- List.filter (( <> ) b) t.overlay_order
     end
 
   let write_jsuper t =
@@ -983,8 +1014,7 @@ module Record = struct
       if t.jpos + List.length blocks > t.geo.jend then checkpoint t;
       if t.jpos + List.length blocks > t.geo.jend then begin
         (* Oversized transaction: it has already been checkpointed home. *)
-        t.records <- [];
-        t.nrecords <- 0
+        t.records <- []
       end
       else begin
         Prov.with_role "payload" (fun () ->
@@ -997,36 +1027,12 @@ module Record = struct
               blocks);
         ignore (t.dev.Dev.sync ());
         t.records <- [];
-        t.nrecords <- 0;
         t.txid <- t.txid + 1;
         (* Batched checkpointing, as in the block engine: overlaid pages
-           wait for a barrier or the watermark. *)
-        let np = Hashtbl.length t.overlay in
-        if np > 0 then begin
-          let wm = t.tuning.checkpoint_watermark in
-          if wm > 0 && np >= wm then begin
-            Obs.incr_a "jrnl.checkpoint.batched";
-            checkpoint t
-          end
-          else Obs.incr_a "jrnl.checkpoint.batched.deferred"
-        end
+           wait for a barrier. *)
+        if Hashtbl.length t.overlay > 0 then
+          Obs.incr_a "jrnl.checkpoint.batched.deferred"
       end
-
-  (* Record-engine group-commit window: soft-close once [window_blocks]
-     records are emitted (the record is this engine's payload unit). *)
-  let maybe_flush_window t =
-    if
-      (not t.tuning.group_commit)
-      && t.tuning.window_blocks > 0
-      && t.nrecords >= t.tuning.window_blocks
-    then begin
-      Obs.incr_a "jrnl.group_commit.window_flush";
-      commit t
-    end
-
-  let write t b data =
-    write_raw t b data;
-    maybe_flush_window t
 
   let recover ~tag ~geo ~dev ~klog () =
     Obs.span_a ~subsystem:"jrnl" "recover" @@ fun () ->

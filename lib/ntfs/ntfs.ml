@@ -6,6 +6,8 @@ module Klog = Iron_vfs.Klog
 module Fs = Iron_vfs.Fs
 module Fdtable = Iron_vfs.Fdtable
 module Resolver = Iron_vfs.Resolver
+module Jrnl = Iron_jrnl.Jrnl
+module Jrec = Iron_jrnl.Jrec
 
 let ( let* ) = Result.bind
 
@@ -23,8 +25,6 @@ let first_data = mft_start + mft_blocks
 let boot_magic = 0x4E544653 (* "NTFS" *)
 let file_magic = 0x46494C45 (* "FILE" *)
 let indx_magic = 0x494E4458 (* "INDX" *)
-let log_desc_magic = 0x4C4F4744
-let log_commit_magic = 0x4C4F4743
 
 let root_ino = 2
 let record_size = 1024
@@ -241,39 +241,22 @@ let meta_write t b data =
   end
 
 (* The logfile: a compact block journal, flushed on sync/fsync. All its
-   blocks present as the single "logfile" type. *)
-let encode_log_desc t seq tags =
-  let buf = Bytes.make t.bs '\000' in
-  let w = Codec.writer buf in
-  Codec.put_u32 w log_desc_magic;
-  Codec.put_u32 w seq;
-  Codec.put_u32 w (List.length tags);
-  List.iter (Codec.put_u32 w) tags;
+   blocks present as the single "logfile" type. Its descriptor and
+   commit records are the journal engine's, in ntfs's magic numbers; it
+   has no revoke blocks and no superblock, since the restart area is a
+   zeroed block at the head of the log. *)
+let log_format =
+  {
+    Jrec.jsuper_magic = 0;
+    desc_magic = 0x4C4F4744;
+    commit_magic = 0x4C4F4743;
+    revoke_magic = None;
+  }
+
+let log_block t encode =
+  let buf = Bytes.create t.bs in
+  encode log_format buf;
   buf
-
-let encode_log_commit t seq =
-  let buf = Bytes.make t.bs '\000' in
-  let w = Codec.writer buf in
-  Codec.put_u32 w log_commit_magic;
-  Codec.put_u32 w seq;
-  buf
-
-let decode_log_desc buf =
-  try
-    let r = Codec.reader buf in
-    if Codec.get_u32 r <> log_desc_magic then None
-    else
-      let seq = Codec.get_u32 r in
-      let count = Codec.get_u32 r in
-      if count > (Bytes.length buf - 12) / 4 then None
-      else Some (seq, List.init count (fun _ -> Codec.get_u32 r))
-  with Codec.Decode_error _ -> None
-
-let decode_log_commit buf =
-  try
-    let r = Codec.reader buf in
-    if Codec.get_u32 r <> log_commit_magic then None else Some (Codec.get_u32 r)
-  with Codec.Decode_error _ -> None
 
 let checkpoint t =
   List.iter
@@ -314,7 +297,9 @@ let commit t =
     else begin
       let seq = t.lseq in
       ignore
-        (retried_write t t.lpos (encode_log_desc t seq blocks)
+        (retried_write t t.lpos
+           (log_block t (fun fmt ->
+                Jrec.encode_desc fmt { Jrec.seq; tags = blocks }))
            ~attempts:mft_write_attempts ~what:"logfile");
       let pos = ref (t.lpos + 1) in
       List.iter
@@ -329,7 +314,9 @@ let commit t =
         blocks;
       ignore (t.dev.Dev.sync ());
       ignore
-        (retried_write t !pos (encode_log_commit t seq)
+        (retried_write t !pos
+           (log_block t (fun fmt ->
+                Jrec.encode_commit fmt { Jrec.cseq = seq; checksum = None }))
            ~attempts:mft_write_attempts ~what:"logfile");
       ignore (t.dev.Dev.sync ());
       t.lpos <- !pos + 1;
@@ -370,6 +357,13 @@ let free_block t b =
   else
     let* buf = retried_read t volume_bitmap_block in
     if bit_get buf b then begin
+      (* The freed block's staged image goes with it, or its next owner
+         would read the old owner's bytes and the checkpoint would write
+         them over the new owner's. *)
+      if Hashtbl.mem t.txn b then begin
+        Hashtbl.remove t.txn b;
+        t.txn_order <- List.filter (( <> ) b) t.txn_order
+      end;
       let buf = Bytes.copy buf in
       bit_set buf b false;
       let* () = meta_write t volume_bitmap_block buf in
@@ -604,54 +598,35 @@ let mkfs_impl dev =
 
 (* $LogFile redo pass. NTFS replays committed log records at mount, so a
    crash that persisted a transaction's commit record while its home
-   writes were still in flight loses nothing. The scan mirrors what
-   [commit] lays down — desc, copies, commit — chained by sequence
-   number from the start of the logfile (checkpoints rewind the write
-   position there, so the latest transaction always leads). *)
+   writes were still in flight loses nothing. The scan is the journal
+   engine's, from the start of the logfile and with no required first
+   sequence (checkpoints rewind the write position there, so the latest
+   transaction always leads). One scratch block serves the descriptor
+   and commit reads, which are decoded and dropped. The log copies are
+   read into arena buffers, which go back to the arena once replay has
+   written them home: every device layer copies the buffer a write
+   hands it. *)
 let recover_log dev klog =
-  let lend = logfile_start + logfile_len in
-  (* One scratch block serves the descriptor and commit reads, which are
-     decoded and dropped. The log copies are read into arena buffers,
-     which go back to the arena once replay has written them home:
-     every device layer copies the buffer a write hands it. *)
   let arena = Arena.block dev.Dev.block_size in
   let scratch = Arena.get arena in
-  let release copies = List.iter (fun (_, c) -> Arena.put arena c) copies in
-  let txns = ref [] in
-  let rec scan pos seq =
-    if pos < lend then
-      match dev.Dev.read_into pos scratch with
-      | Error _ -> ()
-      | Ok () -> (
-          match decode_log_desc scratch with
-          | Some (s, tags) when seq < 0 || s = seq -> (
-              let count = List.length tags in
-              let copies = List.map (fun home -> (home, Arena.get arena)) tags in
-              let read i (_, c) = dev.Dev.read_into (pos + 1 + i) c in
-              if List.exists Result.is_error (List.mapi read copies) then
-                release copies
-              else
-                match dev.Dev.read_into (pos + 1 + count) scratch with
-                | Ok () when decode_log_commit scratch = Some s ->
-                    txns := copies :: !txns;
-                    scan (pos + 2 + count) (s + 1)
-                | Ok () | Error _ -> release copies)
-          | Some _ | None -> ())
+  let txns, _ =
+    Jrnl.scan_device log_format ~dev ~scratch ~arena
+      ~jend:(logfile_start + logfile_len) ~start:logfile_start ~seq:None
   in
-  scan logfile_start (-1);
   Arena.put arena scratch;
-  let txns = List.rev !txns in
   List.iter
-    (fun blocks ->
+    (fun c ->
       List.iter
         (fun (home, copy) ->
           if home < dev.Dev.num_blocks then
             match dev.Dev.write home copy with
             | Ok () -> ()
             | Error _ -> Klog.error klog "ntfs" "log replay write failed")
-        blocks)
+        c.Jrnl.blocks)
     txns;
-  List.iter release txns;
+  List.iter
+    (fun c -> List.iter (fun (_, copy) -> Arena.put arena copy) c.Jrnl.blocks)
+    txns;
   if txns <> [] then begin
     Klog.info klog "ntfs" "logfile: replayed %d transactions" (List.length txns);
     ignore (dev.Dev.sync ())

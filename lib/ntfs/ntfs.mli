@@ -9,5 +9,9 @@
 
 val brand : Iron_vfs.Fs.brand
 
+val log_format : Iron_jrnl.Jrec.format
+(** The logfile's descriptor and commit magic numbers; the log has no
+    revoke blocks and no superblock. *)
+
 val block_types : string list
 val classify : (int -> bytes) -> int -> string

@@ -4,9 +4,11 @@ module Bcache = Iron_disk.Bcache
 module Errno = Iron_vfs.Errno
 module Klog = Iron_vfs.Klog
 module Fs = Iron_vfs.Fs
-module Obs = Iron_obs.Obs
 module Fdtable = Iron_vfs.Fdtable
 module Resolver = Iron_vfs.Resolver
+module Jrnl = Iron_jrnl.Jrnl
+module Jrec = Iron_jrnl.Jrec
+module Kind = Iron_jrnl.Kind
 
 let ( let* ) = Result.bind
 
@@ -15,10 +17,8 @@ let ( let* ) = Result.bind
 let super_block = 1
 let journal_start = 2
 let journal_len = 64
+let jend = journal_start + journal_len
 let super_magic = 0x52654673 (* "ReFs" *)
-let jheader_magic = 0x524A4148 (* "RJAH" *)
-let jdesc_magic = 0x524A4445
-let jcommit_magic = 0x524A434F
 let root_objid = 2
 let first_objid = 3
 
@@ -63,6 +63,31 @@ let decode_super buf =
             bitmap_blocks; first_data }
   with Codec.Decode_error _ -> None
 
+(* ---- journal ---------------------------------------------------------- *)
+
+(* The journal is the shared engine's, in ordered mode: the journal
+   header at [journal_start] and the log after it, in reiserfs's own
+   magic numbers, with no revoke blocks. Any failed journal, header,
+   checkpoint or direct-flush write panics the machine: first, do no
+   harm. *)
+let journal_format =
+  {
+    Jrec.jsuper_magic = 0x524A4148 (* "RJAH" *);
+    desc_magic = 0x524A4445;
+    commit_magic = 0x524A434F;
+    revoke_magic = None;
+  }
+
+module J = Jrnl.Make (struct
+  let tag = "reiserfs"
+  let mode = Jrnl.Ordered
+  let iron = Jrnl.Panic
+  let format = journal_format
+end)
+
+let geo num_blocks =
+  { Jrnl.jsb = journal_start; jfirst = journal_start + 1; jend; num_blocks }
+
 (* ---- state ---------------------------------------------------------- *)
 
 type fdesc = { fd_obj : int; fd_mode : Fs.open_mode }
@@ -74,39 +99,25 @@ type state = {
   cache : Bcache.t;
   zeros : bytes; (* read-only, like every borrowed buffer: holes read as it *)
   super : super;
-  (* journaling, ext3-style write-ahead block log *)
-  txn : (int, bytes) Hashtbl.t;
-  mutable txn_order : int list;
-  pending : (int, bytes) Hashtbl.t;
-  mutable pending_order : int list;
-  mutable jhead : int;
-  mutable jseq : int;
+  jrnl : J.t;
   fds : fdesc Fdtable.t;
   mutable cwd : int;
   mutable root : int;
-  mutable readonly : bool;
 }
 
 let zero_block t = Bytes.make t.bs '\000'
 let now_seconds t = int_of_float (t.dev.Dev.now () /. 1000.)
-let jend = journal_start + journal_len
 
 (* ---- block access with journal overlay ------------------------------ *)
 
-let overlay_find t b =
-  match Hashtbl.find_opt t.txn b with
-  | Some d -> Some d
-  | None -> Hashtbl.find_opt t.pending b
-
-(* Reads borrow: they return the overlay's image or the cache's buffer
-   itself, read-only. An overlay image stays valid for as long as its
-   reader holds it, just as a cache buffer does: [txn_put] stages a
-   fresh copy, which a later stage replaces and a checkpoint drops, and
-   nothing writes an overlay image in place or hands it to the arena.
-   Every site that modifies what it read takes a private copy through
-   [owned]. *)
+(* Reads borrow: they return the journal's staged or committed image or
+   the cache's buffer itself, read-only. An image is the engine's
+   arena buffer, so the loan ends at the next stage, commit, checkpoint
+   or forget, which may hand the buffer to another block: every reader
+   decodes or copies what it needs first, and every site that modifies
+   what it read takes a private copy through [owned]. *)
 let block_read_raw t b =
-  match overlay_find t b with
+  match J.find t.jrnl b with
   | Some d -> Ok d
   | None -> (
       match Bcache.borrow t.cache b with
@@ -115,149 +126,9 @@ let block_read_raw t b =
 
 let owned r = Result.map Bytes.copy r
 
-let txn_put t b data =
-  if t.readonly then Klog.panic t.klog "reiserfs" "write to read-only filesystem";
-  if not (Hashtbl.mem t.txn b) then t.txn_order <- b :: t.txn_order;
-  Hashtbl.replace t.txn b (Bytes.copy data)
-
 let meta_write t b data =
-  txn_put t b data;
+  J.stage t.jrnl b data;
   Ok ()
-
-(* ---- journal -------------------------------------------------------- *)
-
-let encode_jheader t seq start =
-  let buf = zero_block t in
-  let w = Codec.writer buf in
-  Codec.put_u32 w jheader_magic;
-  Codec.put_u32 w seq;
-  Codec.put_u32 w start;
-  buf
-
-let decode_jheader buf =
-  try
-    let r = Codec.reader buf in
-    if Codec.get_u32 r <> jheader_magic then None
-    else
-      let seq = Codec.get_u32 r in
-      let start = Codec.get_u32 r in
-      Some (seq, start)
-  with Codec.Decode_error _ -> None
-
-let encode_jdesc t seq tags =
-  let buf = zero_block t in
-  let w = Codec.writer buf in
-  Codec.put_u32 w jdesc_magic;
-  Codec.put_u32 w seq;
-  Codec.put_u32 w (List.length tags);
-  List.iter (Codec.put_u32 w) tags;
-  buf
-
-let decode_jdesc buf =
-  try
-    let r = Codec.reader buf in
-    if Codec.get_u32 r <> jdesc_magic then None
-    else
-      let seq = Codec.get_u32 r in
-      let count = Codec.get_u32 r in
-      if count > (Bytes.length buf - 12) / 4 then None
-      else Some (seq, List.init count (fun _ -> Codec.get_u32 r))
-  with Codec.Decode_error _ -> None
-
-let encode_jcommit t seq =
-  let buf = zero_block t in
-  let w = Codec.writer buf in
-  Codec.put_u32 w jcommit_magic;
-  Codec.put_u32 w seq;
-  buf
-
-let decode_jcommit buf =
-  try
-    let r = Codec.reader buf in
-    if Codec.get_u32 r <> jcommit_magic then None else Some (Codec.get_u32 r)
-  with Codec.Decode_error _ -> None
-
-(* Any failed metadata write panics the machine: first, do no harm. *)
-let must_write t b data what =
-  match t.dev.Dev.write b data with
-  | Ok () -> ()
-  | Error _ -> Klog.panic t.klog "reiserfs" "%s write to block %d failed; panicking" what b
-
-let checkpoint t =
-  Obs.span_a ~subsystem:"jrnl" "checkpoint" @@ fun () ->
-  List.iter
-    (fun b ->
-      match Hashtbl.find_opt t.pending b with
-      | None -> ()
-      | Some data -> (
-          match Bcache.write t.cache b data with
-          | Ok () -> ()
-          | Error _ -> Klog.panic t.klog "reiserfs" "checkpoint write to block %d failed" b))
-    (List.sort compare (List.rev t.pending_order));
-  Hashtbl.reset t.pending;
-  t.pending_order <- [];
-  (* The home-location writes must be durable before the journal header
-     truncates the log: a crash that persisted the advanced header while
-     a checkpoint write was still in flight would have no replay path. *)
-  ignore (t.dev.Dev.sync ());
-  t.jhead <- journal_start + 1;
-  must_write t journal_start (encode_jheader t t.jseq t.jhead) "journal header";
-  ignore (t.dev.Dev.sync ())
-
-let commit t =
-  if Hashtbl.length t.txn = 0 then Ok ()
-  else
-    Obs.span_a ~subsystem:"jrnl" "commit" @@ fun () ->
-    begin
-    let blocks = List.rev t.txn_order in
-    let needed = 2 + List.length blocks in
-    if t.jhead + needed > jend then checkpoint t;
-    if t.jhead + needed > jend then begin
-      (* Oversized transaction: flush directly (see ext3 note). *)
-      List.iter
-        (fun b ->
-          match Hashtbl.find_opt t.txn b with
-          | Some data -> (
-              match Bcache.write t.cache b data with
-              | Ok () -> ()
-              | Error _ -> Klog.panic t.klog "reiserfs" "direct flush write failed")
-          | None -> ())
-        blocks;
-      Hashtbl.reset t.txn;
-      t.txn_order <- [];
-      Ok ()
-    end
-    else begin
-      let seq = t.jseq in
-      must_write t t.jhead (encode_jdesc t seq blocks) "journal descriptor";
-      let pos = ref (t.jhead + 1) in
-      List.iter
-        (fun b ->
-          (match Hashtbl.find_opt t.txn b with
-          | Some data -> must_write t !pos data "journal data"
-          | None -> ());
-          incr pos)
-        blocks;
-      ignore (t.dev.Dev.sync ());
-      must_write t !pos (encode_jcommit t seq) "journal commit";
-      incr pos;
-      ignore (t.dev.Dev.sync ());
-      t.jhead <- !pos;
-      t.jseq <- seq + 1;
-      List.iter
-        (fun b ->
-          match Hashtbl.find_opt t.txn b with
-          | None -> ()
-          | Some data ->
-              if not (Hashtbl.mem t.pending b) then
-                t.pending_order <- b :: t.pending_order;
-              Hashtbl.replace t.pending b data)
-        blocks;
-      Hashtbl.reset t.txn;
-      t.txn_order <- [];
-      Ok ()
-    end
-  end
 
 (* ---- allocation ----------------------------------------------------- *)
 
@@ -300,6 +171,10 @@ let free_block t b =
     let bb = t.super.bitmap_start + (b / per) in
     let* buf = block_read_raw t bb in
     if bit_get buf (b mod per) then begin
+      (* The freed block's images go with it, or its next owner would
+         read the old owner's bytes and the checkpoint would write them
+         over the new owner's. *)
+      J.forget t.jrnl b;
       let buf = Bytes.copy buf in
       bit_set buf (b mod per) false;
       let* () = meta_write t bb buf in
@@ -595,7 +470,7 @@ let data_write_block t objid fblock data =
   (* Ordered data write: the paper's ReiserFS bug — a failed ordered
      data-block write is not handled at all; the transaction commits
      over it (RZero). *)
-  (match Bcache.write t.cache ptr data with Ok () -> () | Error _ -> ());
+  ignore (J.write_data t.jrnl ptr data);
   Ok ()
 
 (* Free data blocks and indirect items from file block [from] upward.
@@ -719,11 +594,10 @@ let mkfs_impl dev =
   in
   let* () = other_maps 1 in
   (* Journal header. *)
-  let jh = Bytes.make bs '\000' in
-  let w = Codec.writer jh in
-  Codec.put_u32 w jheader_magic;
-  Codec.put_u32 w 1;
-  Codec.put_u32 w (journal_start + 1);
+  let jh = Bytes.create bs in
+  Jrec.encode_jsuper journal_format
+    { Jrec.sequence = 1; start = journal_start + 1 }
+    jh;
   let* () = wr journal_start jh in
   (* Superblock. *)
   let s =
@@ -742,83 +616,18 @@ let mkfs_impl dev =
   let* () = wr super_block sb in
   match dev.Dev.sync () with Ok () -> Ok () | Error _ -> Error Errno.EIO
 
-(* One scratch block serves the header, descriptor and commit reads,
-   which are decoded and dropped. The journal copies are read into
-   arena buffers, which go back to the arena once replay has written
-   them home: every device layer copies the buffer a write hands it. *)
-let recover_journal dev klog =
-  Obs.span_a ~subsystem:"jrnl" "recover" @@ fun () ->
-  let arena = Arena.block dev.Dev.block_size in
-  let scratch = Arena.get arena in
-  let release copies = List.iter (fun (_, c) -> Arena.put arena c) copies in
-  let* seq0, start =
-    match dev.Dev.read_into journal_start scratch with
-    | Error _ ->
-        Klog.error klog "reiserfs" "journal header unreadable";
-        Error Errno.EIO
-    | Ok () -> (
-        match decode_jheader scratch with
-        | Some (s, st) -> Ok (s, st)
-        | None ->
-            Klog.error klog "reiserfs" "journal header bad magic";
-            Error Errno.EUCLEAN)
-  in
-  let txns = ref [] in
-  let rec scan pos seq =
-    if pos < jend then
-      match dev.Dev.read_into pos scratch with
-      | Error _ -> Klog.error klog "reiserfs" "journal read failed in recovery"
-      | Ok () -> (
-          match decode_jdesc scratch with
-          | Some (s, tags) when s = seq -> (
-              let count = List.length tags in
-              let copies = List.map (fun home -> (home, Arena.get arena)) tags in
-              let read i (_, c) = dev.Dev.read_into (pos + 1 + i) c in
-              if List.exists Result.is_error (List.mapi read copies) then begin
-                release copies;
-                Klog.error klog "reiserfs" "journal data read failed in recovery"
-              end
-              else
-                match dev.Dev.read_into (pos + 1 + count) scratch with
-                | Ok () when decode_jcommit scratch = Some seq ->
-                    (* NOTE: no content checking of the journaled data —
-                       the paper's replay-corruption exposure (§5.2). *)
-                    txns := copies :: !txns;
-                    scan (pos + 2 + count) (seq + 1)
-                | Ok () | Error _ -> release copies)
-          | Some _ | None -> ())
-  in
-  scan start seq0;
-  let txns = List.rev !txns in
-  List.iter
-    (fun blocks ->
-      List.iter
-        (fun (home, copy) ->
-          if home < dev.Dev.num_blocks then
-            match dev.Dev.write home copy with
-            | Ok () -> ()
-            | Error _ -> Klog.error klog "reiserfs" "replay write failed")
-        blocks)
-    txns;
-  List.iter release txns;
-  if txns <> [] then
-    Klog.info klog "reiserfs" "journal: replayed %d transactions" (List.length txns);
-  let last_seq = seq0 + List.length txns in
-  Bytes.fill scratch 0 dev.Dev.block_size '\000';
-  let w = Codec.writer scratch in
-  Codec.put_u32 w jheader_magic;
-  Codec.put_u32 w last_seq;
-  Codec.put_u32 w (journal_start + 1);
-  (match dev.Dev.write journal_start scratch with
-  | Ok () -> ()
-  | Error _ -> Klog.error klog "reiserfs" "journal header update failed");
-  Arena.put arena scratch;
-  ignore (dev.Dev.sync ());
-  Ok last_seq
+let kind_of_block s b =
+  if b = super_block then Kind.Superblock
+  else if b = journal_start then Kind.Jsb
+  else if b > journal_start && b < jend then Kind.Jdata
+  else if b >= s.bitmap_start && b < s.bitmap_start + s.bitmap_blocks then
+    Kind.Bitmap
+  else Kind.Data
 
 let mount_impl dev =
   let klog = Klog.create ~clock:dev.Dev.now () in
-  let* jseq = recover_journal dev klog in
+  let geo = geo dev.Dev.num_blocks in
+  let* jseq = J.recover ~geo ~dev ~klog () in
   let* super =
     match dev.Dev.read super_block with
     | Error _ ->
@@ -831,24 +640,21 @@ let mount_impl dev =
             Klog.error klog "reiserfs" "superblock failed sanity check";
             Error Errno.EUCLEAN)
   in
+  let cache = Bcache.create ~capacity:512 dev in
   Ok
     {
       dev;
       bs = dev.Dev.block_size;
       klog;
-      cache = Bcache.create ~capacity:512 dev;
+      cache;
       zeros = Bytes.make dev.Dev.block_size '\000';
       super;
-      txn = Hashtbl.create 32;
-      txn_order = [];
-      pending = Hashtbl.create 32;
-      pending_order = [];
-      jhead = journal_start + 1;
-      jseq;
+      jrnl =
+        J.create ~dev ~cache ~klog ~kinds:(kind_of_block super) ~geo
+          ~journaled:(fun _ -> true) ~seq:jseq;
       fds = Fdtable.create ();
       cwd = root_objid;
       root = root_objid;
-      readonly = false;
     }
 
 (* ---- operations ----------------------------------------------------- *)
@@ -1059,8 +865,8 @@ let op_write t fd ~off data =
   end
 
 let op_unmount t =
-  let* () = commit t in
-  checkpoint t;
+  let* () = J.commit t.jrnl in
+  J.checkpoint t.jrnl;
   ignore (t.dev.Dev.sync ());
   Ok ()
 
@@ -1072,47 +878,14 @@ let block_types =
     "j-header"; "j-desc"; "j-commit"; "j-data"; "root"; "internal";
   ]
 
-let journal_overlay raw bs =
-  let overlay = Hashtbl.create 16 in
-  let read b = try Some (raw b) with _ -> None in
-  ignore bs;
-  (match read journal_start with
-  | None -> ()
-  | Some jh -> (
-      match decode_jheader jh with
-      | None -> ()
-      | Some (seq0, start) ->
-          let rec scan pos seq =
-            if pos < jend then
-              match read pos with
-              | None -> ()
-              | Some buf -> (
-                  match decode_jdesc buf with
-                  | Some (s, tags) when s = seq -> (
-                      let count = List.length tags in
-                      let copies = List.init count (fun i -> read (pos + 1 + i)) in
-                      match read (pos + 1 + count) with
-                      | Some cbuf when decode_jcommit cbuf = Some seq ->
-                          List.iter2
-                            (fun home copy ->
-                              match copy with
-                              | Some c -> Hashtbl.replace overlay home c
-                              | None -> ())
-                            tags copies;
-                          scan (pos + 2 + count) (seq + 1)
-                      | Some _ | None -> ())
-                  | Some _ | None -> ())
-          in
-          scan start seq0));
-  overlay
-
 let classify raw =
-  let bs = try Bytes.length (raw super_block) with _ -> 4096 in
   let sup = (try decode_super (raw super_block) with _ -> None) in
   match sup with
   | None -> fun b -> if b = super_block then "super" else "?"
   | Some s ->
-      let overlay = journal_overlay raw bs in
+      let overlay =
+        Jrnl.committed_overlay journal_format ~geo:(geo s.num_blocks) raw
+      in
       let raw' b =
         match Hashtbl.find_opt overlay b with Some c -> c | None -> (raw b)
       in
@@ -1174,8 +947,8 @@ let classify raw =
           | None -> "j-data"
           | Some blk ->
               let m = Codec.read_u32 blk 0 in
-              if m = jdesc_magic then "j-desc"
-              else if m = jcommit_magic then "j-commit"
+              if m = journal_format.Jrec.desc_magic then "j-desc"
+              else if m = journal_format.Jrec.commit_magic then "j-commit"
               else "j-data"
         end
         else if b >= s.bitmap_start && b < s.bitmap_start + s.bitmap_blocks then
@@ -1232,7 +1005,7 @@ let brand =
     let mount = mount_impl
     let unmount = op_unmount
     let klog t = t.klog
-    let is_readonly t = t.readonly
+    let is_readonly _ = false
 
     let access t path =
       let* _ = resolve t path in
@@ -1421,11 +1194,11 @@ let brand =
 
     let fsync t fd =
       let* _ = Fdtable.find t.fds fd in
-      commit t
+      J.commit t.jrnl
 
     let sync t =
-      let* () = commit t in
-      checkpoint t;
+      let* () = J.commit t.jrnl in
+      J.checkpoint t.jrnl;
       Ok ()
   end in
   Fs.Brand (module M)

@@ -211,47 +211,102 @@ let test_dirent_overflow_reports () =
 
 (* --- journal records ----------------------------------------------------- *)
 
+let jbd = Jrec.jbd
+
 let test_jsuper_roundtrip () =
   let buf = Bytes.make 4096 '\000' in
-  Jrec.encode_jsuper { Jrec.sequence = 42; start = 17 } buf;
+  Jrec.encode_jsuper jbd { Jrec.sequence = 42; start = 17 } buf;
   check Alcotest.bool "roundtrip" true
-    (Jrec.decode_jsuper buf = Some { Jrec.sequence = 42; start = 17 })
+    (Jrec.decode_jsuper jbd buf = Some { Jrec.sequence = 42; start = 17 })
 
 let prop_desc_roundtrip =
   QCheck.Test.make ~name:"journal descriptor roundtrip" ~count:200
     QCheck.(pair (int_range 1 10000) (small_list (int_bound 2047)))
     (fun (seq, tags) ->
       let buf = Bytes.make 4096 '\000' in
-      Jrec.encode_desc { Jrec.seq; tags } buf;
-      Jrec.decode_desc buf = Some { Jrec.seq; tags })
+      Jrec.encode_desc jbd { Jrec.seq; tags } buf;
+      Jrec.decode_desc jbd buf = Some { Jrec.seq; tags })
 
 let test_commit_roundtrip_with_checksum () =
   let d = Iron_util.Sha1.to_raw (Iron_util.Sha1.digest_string "payload") in
   let buf = Bytes.make 4096 '\000' in
-  Jrec.encode_commit { Jrec.cseq = 9; checksum = Some d } buf;
-  (match Jrec.decode_commit buf with
+  Jrec.encode_commit jbd { Jrec.cseq = 9; checksum = Some d } buf;
+  (match Jrec.decode_commit jbd buf with
   | Some { Jrec.cseq = 9; checksum = Some d' } ->
       check Alcotest.string "digest preserved" d d'
   | _ -> Alcotest.fail "roundtrip failed");
-  Jrec.encode_commit { Jrec.cseq = 10; checksum = None } buf;
+  Jrec.encode_commit jbd { Jrec.cseq = 10; checksum = None } buf;
   check Alcotest.bool "no-checksum form" true
-    (Jrec.decode_commit buf = Some { Jrec.cseq = 10; checksum = None })
+    (Jrec.decode_commit jbd buf = Some { Jrec.cseq = 10; checksum = None })
 
 let prop_revoke_roundtrip =
   QCheck.Test.make ~name:"revoke block roundtrip" ~count:200
     QCheck.(pair (int_range 1 10000) (small_list (int_bound 2047)))
     (fun (rseq, revoked) ->
       let buf = Bytes.make 4096 '\000' in
-      Jrec.encode_revoke { Jrec.rseq; revoked } buf;
-      Jrec.decode_revoke buf = Some { Jrec.rseq; revoked })
+      Jrec.encode_revoke jbd { Jrec.rseq; revoked } buf;
+      Jrec.decode_revoke jbd buf = Some { Jrec.rseq; revoked })
 
 let test_magic_confusion_rejected () =
   (* A descriptor must never decode as a commit, etc. *)
   let buf = Bytes.make 4096 '\000' in
-  Jrec.encode_desc { Jrec.seq = 1; tags = [ 5 ] } buf;
-  check Alcotest.bool "desc is not commit" true (Jrec.decode_commit buf = None);
-  check Alcotest.bool "desc is not revoke" true (Jrec.decode_revoke buf = None);
-  check Alcotest.bool "desc is not jsuper" true (Jrec.decode_jsuper buf = None)
+  Jrec.encode_desc jbd { Jrec.seq = 1; tags = [ 5 ] } buf;
+  check Alcotest.bool "desc is not commit" true
+    (Jrec.decode_commit jbd buf = None);
+  check Alcotest.bool "desc is not revoke" true
+    (Jrec.decode_revoke jbd buf = None);
+  check Alcotest.bool "desc is not jsuper" true
+    (Jrec.decode_jsuper jbd buf = None)
+
+(* Every block log's format: ext3's, reiserfs's journal and ntfs's
+   logfile. Each record round-trips under its own format, and a block
+   of one format decodes under no other. ntfs's log has no superblock,
+   so its format's superblock record is left out. *)
+let brand_formats =
+  [
+    ("ext3", jbd, true);
+    ("reiserfs", Iron_reiserfs.Reiserfs.journal_format, true);
+    ("ntfs", Iron_ntfs.Ntfs.log_format, false);
+  ]
+
+let test_brand_formats () =
+  let buf = Bytes.make 4096 '\000' in
+  let js = { Jrec.sequence = 7; start = 3 } in
+  let d = { Jrec.seq = 7; tags = [ 100; 101; 2047 ] } in
+  let c = { Jrec.cseq = 7; checksum = None } in
+  let r = { Jrec.rseq = 7; revoked = [ 100 ] } in
+  List.iter
+    (fun (name, fmt, has_jsuper) ->
+      let under what decode =
+        List.iter
+          (fun (other, ofmt, _) ->
+            let got = decode ofmt buf in
+            if other = name then
+              check Alcotest.bool
+                (Printf.sprintf "%s %s round-trips" name what)
+                true got
+            else
+              check Alcotest.bool
+                (Printf.sprintf "%s %s is not %s's" name what other)
+                false got)
+          brand_formats
+      in
+      if has_jsuper then begin
+        Jrec.encode_jsuper fmt js buf;
+        under "superblock" (fun f b -> Jrec.decode_jsuper f b = Some js)
+      end;
+      Jrec.encode_desc fmt d buf;
+      under "descriptor" (fun f b -> Jrec.decode_desc f b = Some d);
+      Jrec.encode_commit fmt c buf;
+      under "commit" (fun f b -> Jrec.decode_commit f b = Some c);
+      match fmt.Jrec.revoke_magic with
+      | Some _ ->
+          Jrec.encode_revoke fmt r buf;
+          under "revoke" (fun f b -> Jrec.decode_revoke f b = Some r)
+      | None ->
+          check Alcotest.bool (name ^ " has no revoke record") true
+            (Jrec.decode_revoke fmt buf = None))
+    brand_formats
 
 let suites =
   [
@@ -286,5 +341,6 @@ let suites =
         qtest prop_revoke_roundtrip;
         Alcotest.test_case "magic confusion rejected" `Quick
           test_magic_confusion_rejected;
+        Alcotest.test_case "brand formats apart" `Quick test_brand_formats;
       ] );
   ]

@@ -1,12 +1,14 @@
-(* Refinement harness for the typed journal core (lib/jrnl) and the two
-   journals still kept beside it (reiserfs's and ntfs's).
+(* Refinement harness for the typed journal core (lib/jrnl) and the one
+   journal still kept beside it (ntfs's logfile, which shares the core's
+   record codecs and committed-log scan but keeps its own commit and
+   checkpoint).
 
-   Every journaling brand (the five built on the journal functor, plus
-   reiserfs and ntfs) is driven with random op sequences while an
-   abstract spec-state — a path -> contents map plus a directory set —
-   is advanced alongside it, errno-aware: the spec moves only when the
-   file system reports success. Agreement is then
-   checked three ways:
+   Every journaling brand (ext3, ixt3, ext3-writeback, ext3-data and
+   reiserfs on the block engine, jfs on the record engine, and ntfs) is
+   driven with random op sequences while an abstract spec-state — a
+   path -> contents map plus a directory set — is advanced alongside
+   it, errno-aware: the spec moves only when the file system reports
+   success. Agreement is then checked three ways:
 
    - fault-free: live state, and again across a clean unmount/remount
      (a clean unmount checkpoints, so even writeback mode must agree on
@@ -26,12 +28,17 @@
      be silently stale), and a documented panic (JFS halts on a journal
      superblock write failure) ends the case.
 
-   The crash-state exploration leg runs lib/crash's explorer over every
-   functor-built brand; its durable-file check is the same spec-state
+   The crash-state exploration leg runs lib/crash's explorer over the
+   ext3 family and jfs; its durable-file check is the same spec-state
    agreement, applied to every reordered power-cut state. reiserfs and
    ntfs stay out of that leg: both have known exploration findings
    (reiserfs panics and unmountable states under a lying cache, ntfs
-   losing an fsync'd file). *)
+   losing an fsync'd file).
+
+   Every brand also runs a PostMark-style read-back churn, in which a
+   block freed while its image still sits in the journal must not be
+   served to its next owner, and the engine's image digests, spans and
+   batching counter are pinned directly. *)
 
 open Iron_disk
 module Fault = Iron_fault.Fault
@@ -48,9 +55,9 @@ let ok = function
   | Ok v -> v
   | Error e -> Alcotest.failf "unexpected error: %s" (Errno.to_string e)
 
-(* Every brand whose journal is an instance of the functor core, with
-   the commit policy its profile hands to the engine. *)
-let functor_brands =
+(* The brands held to the crash-state exploration leg, with the commit
+   policy their journal runs. *)
+let explored_brands =
   [
     ("ext3", Iron_ext3.Ext3.std, Iron_ext3.Profile.(ext3.mode));
     ("ixt3", Iron_ext3.Ext3.ixt3, Iron_ext3.Profile.(ixt3.mode));
@@ -63,42 +70,13 @@ let functor_brands =
     ("jfs", Iron_jfs.Jfs.brand, Jrnl.Ordered);
   ]
 
-(* reiserfs and ntfs journal through their own logs, not the functor
-   core, but both log whole metadata blocks and send data straight home:
-   ordered semantics from the harness's point of view. *)
-let bespoke_brands =
+(* reiserfs (on the engine, ordered) and ntfs (its own logfile) both
+   log whole metadata blocks and send data straight home: ordered
+   semantics from the harness's point of view. *)
+let unexplored_brands =
   [
     ("reiserfs", Iron_reiserfs.Reiserfs.brand, Jrnl.Ordered);
     ("ntfs", Iron_ntfs.Ntfs.brand, Jrnl.Ordered);
-  ]
-
-(* Batched configurations. Group commit and batched checkpointing are
-   I/O-scheduling knobs: an eager window flush or a checkpoint
-   watermark reorders *when* blocks travel, never *what* a read
-   returns. So the same brands with batching dialled away from the
-   defaults owe exactly the same refinement — every leg below runs
-   over these too, unchanged. *)
-let eager_window =
-  { Jrnl.group_commit = false; window_blocks = 4; checkpoint_watermark = 0 }
-
-let watermark =
-  { Jrnl.group_commit = true; window_blocks = 32; checkpoint_watermark = 3 }
-
-let batched_brands =
-  [
-    ( "ext3/eager-window",
-      Iron_ext3.Ext3.brand Iron_ext3.Profile.{ ext3 with tuning = eager_window },
-      Iron_ext3.Profile.(ext3.mode) );
-    ( "ixt3/watermark",
-      Iron_ext3.Ext3.brand Iron_ext3.Profile.{ ixt3 with tuning = watermark },
-      Iron_ext3.Profile.(ixt3.mode) );
-    ( "ext3-data/watermark",
-      Iron_ext3.Ext3.brand
-        Iron_ext3.Profile.{ Iron_ext3.Modes.data_profile with tuning = watermark },
-      Iron_ext3.Profile.(Iron_ext3.Modes.data_profile.mode) );
-    ( "jfs/eager-window",
-      Iron_jfs.Jfs.brand_with ~tuning:eager_window,
-      Jrnl.Ordered );
   ]
 
 (* --- op sequences and the spec-state ----------------------------------- *)
@@ -502,7 +480,7 @@ let t_crash_exploration () =
         check Alcotest.bool
           "writeback loses un-checkpointed data under reordered crashes" true
           (Explore.count r Explore.Data_loss >= 1))
-    (functor_brands @ batched_brands)
+    explored_brands
 
 (* --- the borrowing contract ---------------------------------------------- *)
 
@@ -579,10 +557,9 @@ let t_writeback_window () =
 (* --- directed: the batching counters tell the truth -------------------- *)
 
 let t_batch_counters () =
-  (* Drive the same little workload under each tuning and read the
-     engine's own account of what it did: default tuning coalesces and
-     defers, an eager window flushes early, a watermark checkpoints
-     between barriers. *)
+  (* Drive a little workload and read the engine's own account of what
+     it did: stages between barriers coalesce, and committed blocks
+     wait for the next barrier. *)
   let counters brand =
     let obs = Obs.create () in
     let d =
@@ -608,23 +585,11 @@ let t_batch_counters () =
       | Some (Obs.Counter n) -> n
       | _ -> 0
     in
-    ( n "jrnl.group_commit.coalesced",
-      n "jrnl.group_commit.window_flush",
-      n "jrnl.checkpoint.batched" )
+    (n "jrnl.group_commit.coalesced", n "jrnl.checkpoint.batched.deferred")
   in
-  let coalesced, flushes, _ = counters Iron_ext3.Ext3.std in
-  check Alcotest.bool "default tuning coalesces" true (coalesced > 0);
-  check Alcotest.int "default tuning never flushes a window early" 0 flushes;
-  let _, flushes, _ =
-    counters
-      (Iron_ext3.Ext3.brand Iron_ext3.Profile.{ ext3 with tuning = eager_window })
-  in
-  check Alcotest.bool "eager window flushes early" true (flushes > 0);
-  let _, _, batched =
-    counters
-      (Iron_ext3.Ext3.brand Iron_ext3.Profile.{ ext3 with tuning = watermark })
-  in
-  check Alcotest.bool "watermark checkpoints between barriers" true (batched > 0)
+  let coalesced, deferred = counters Iron_ext3.Ext3.std in
+  check Alcotest.bool "stages coalesce" true (coalesced > 0);
+  check Alcotest.bool "checkpoints wait for a barrier" true (deferred > 0)
 
 (* --- satellite: unified jrnl spans with device-clock timestamps -------- *)
 
@@ -675,7 +640,8 @@ let t_spans name brand () =
    all under the journal; every read is checked against the spec, and
    so is every surviving file across a clean remount. A block freed
    while its image still sits in the journal (an indirect, directory or
-   parity block) must neither be served to its next owner nor
+   parity block, a reiserfs tree node, an ntfs index block or a jfs
+   directory page) must neither be served to its next owner nor
    checkpointed over it. *)
 let readback_brands =
   [
@@ -683,6 +649,9 @@ let readback_brands =
     ("ext3-writeback", Iron_ext3.Modes.writeback);
     ("ext3-data", Iron_ext3.Modes.data);
     ("ixt3", Iron_ext3.Ext3.ixt3);
+    ("reiserfs", Iron_reiserfs.Reiserfs.brand);
+    ("ntfs", Iron_ntfs.Ntfs.brand);
+    ("jfs", Iron_jfs.Jfs.brand);
   ]
   @ List.filter_map
       (fun (p, brand) ->
@@ -791,8 +760,8 @@ let digest_engine () =
     {
       Jrnl.tag = "test";
       mode = Jrnl.Ordered;
-      iron = Jrnl.stock_iron;
-      tuning = Jrnl.default_tuning;
+      iron = Jrnl.Ignore;
+      format = Iron_jrnl.Jrec.jbd;
       dev;
       cache = Bcache.create dev;
       klog = Klog.create ();
@@ -889,7 +858,7 @@ let suites =
             qtest 2027 (prop_crash name brand mode);
             qtest 3041 (prop_faults name brand);
           ])
-        (functor_brands @ batched_brands @ bespoke_brands)
+        (explored_brands @ unexplored_brands)
       @ [
           Alcotest.test_case "writeback window vs data-journal" `Quick
             t_writeback_window;
@@ -901,7 +870,7 @@ let suites =
         (fun (name, brand, _) ->
           Alcotest.test_case (name ^ " never writes a borrowed buffer") `Quick
             (t_borrowing name brand))
-        (functor_brands @ bespoke_brands) );
+        (explored_brands @ unexplored_brands) );
     ( "jrnl.digest",
       [
         Alcotest.test_case "re-stage recycles the buffer, not the digest" `Quick
