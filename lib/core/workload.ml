@@ -15,7 +15,20 @@ type t = {
 
 (* ---- helpers over boxed instances --------------------------------- *)
 
-let pattern tag n = String.init n (fun i -> Char.chr ((i + Char.code tag) mod 251))
+(* [pattern tag n] is [String.init n (fun i -> Char.chr ((i + Char.code
+   tag) mod 251))], blitted from one 251-byte period. *)
+let period = String.init 251 Char.chr
+
+let pattern tag n =
+  let buf = Bytes.create n in
+  let pos = ref 0 and k = ref (Char.code tag mod 251) in
+  while !pos < n do
+    let len = min (n - !pos) (251 - !k) in
+    Bytes.blit_string period !k buf !pos len;
+    pos := !pos + len;
+    k := 0
+  done;
+  Bytes.unsafe_to_string buf
 
 let put (Fs.Boxed ((module F), t)) path content =
   let* fd = F.creat t path in

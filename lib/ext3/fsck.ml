@@ -96,11 +96,22 @@ let run ?(repair = false) dev =
   let reachable = Hashtbl.create 256 in
   let dir_refs = Hashtbl.create 64 in (* ino -> #entries pointing at it *)
   let live = Hashtbl.create 64 in (* ino -> inode *)
-  (* Dense mirrors of the domains of [reachable] and [live]: pass 3
-     probes every data block and every inode once, and a bit test beats
-     a hash probe there. *)
-  let reach_bits = Bytes.make ((lay.Layout.num_blocks / 8) + 1) '\000' in
-  let live_bits = Bytes.make ((Layout.total_inodes lay / 8) + 1) '\000' in
+  (* Dense mirrors of the domains of [reachable] (data blocks only) and
+     [live], laid out like the on-disk bitmaps: group [g] fills whole
+     64-bit words from word [g * dwords] (blocks) or [g * iwords]
+     (inodes) on, in the bitmap's own bit order, so pass 3 compares a
+     bitmap with its mirror one word at a time. *)
+  let ipg = lay.Layout.inodes_per_group in
+  let dbits = Layout.data_blocks_per_group lay in
+  let dwords = (dbits + 63) / 64 and iwords = (ipg + 63) / 64 in
+  let reach_bits = Bytes.make (lay.Layout.ngroups * dwords * 8) '\000' in
+  let live_bits = Bytes.make (lay.Layout.ngroups * iwords * 8) '\000' in
+  let live_bit ino =
+    let g = (ino - 1) / ipg in
+    (g * 64 * iwords) + (ino - 1 - (g * ipg))
+  in
+  (* Inode 1 is never a file but always counts as in use. *)
+  bit_set live_bits (live_bit 1) true;
   let ref_ino ino =
     Hashtbl.replace dir_refs ino
       (1 + Option.value ~default:0 (Hashtbl.find_opt dir_refs ino))
@@ -113,7 +124,11 @@ let run ?(repair = false) dev =
             (owner_name prior) (owner_name owner)
       | None -> ());
       Hashtbl.replace reachable b owner;
-      bit_set reach_bits b true
+      match Layout.group_of_block lay b with
+      | Some g ->
+          let i = b - Layout.data_start lay g in
+          if i >= 0 then bit_set reach_bits ((g * 64 * dwords) + i) true
+      | None -> ()
     end
     else if b <> 0 then
       note `Error false "%s points at impossible block %d" (owner_name owner) b
@@ -129,7 +144,7 @@ let run ?(repair = false) dev =
   let max_blocks = Inode.max_file_blocks lay in
   let check_inode ino (i : Inode.t) =
     Hashtbl.replace live ino i;
-    bit_set live_bits ino true;
+    bit_set live_bits (live_bit ino) true;
     match i.Inode.kind with
     | Inode.Free | Inode.Symlink -> ()
     | Inode.Regular | Inode.Directory ->
@@ -167,27 +182,35 @@ let run ?(repair = false) dev =
           note `Error false "inode table block %d unreadable" blk;
           incr ino
       | Some buf ->
+          let off = ref ((!ino - !first) * lay.Layout.inode_size) in
           for n = !ino to last do
-            let off = (n - 1) mod ipb * lay.Layout.inode_size in
-            match Inode.kind_at buf off with
+            (match Inode.kind_at buf !off with
             | Inode.Free -> ()
             | Inode.Regular | Inode.Directory | Inode.Symlink ->
-                check_inode n (Inode.decode lay buf off)
+                check_inode n (Inode.decode lay buf !off));
+            off := !off + lay.Layout.inode_size
           done;
           ino := last + 1
     done;
     first := last + 1
   done;
   (* Pass 1b: dynamic replica shadows (ixt3 Mr) are referenced only
-     from the replica map; they are reachable too. *)
+     from the replica map; they are reachable too. Most slots are
+     empty, so two zero slots are passed over with one 64-bit test. *)
+  let slots = lay.Layout.block_size / 4 in
   for m = 0 to lay.Layout.rmap_blocks - 1 do
     match read (lay.Layout.rmap_start + m) with
     | None -> ()
     | Some buf ->
-        for i = 0 to (lay.Layout.block_size / 4) - 1 do
-          let shadow = Codec.read_u32 buf (i * 4) in
-          if shadow > 0 && shadow < lay.Layout.num_blocks then
-            claim shadow replica_map
+        let i = ref 0 in
+        while !i < slots do
+          if !i + 1 < slots && Bytes.get_int64_le buf (!i * 4) = 0L then i := !i + 2
+          else begin
+            let shadow = Codec.read_u32 buf (!i * 4) in
+            if shadow > 0 && shadow < lay.Layout.num_blocks then
+              claim shadow replica_map;
+            incr i
+          end
         done
   done;
   (* Pass 2: read directories, counting references. The root counts as
@@ -215,59 +238,61 @@ let run ?(repair = false) dev =
         done
       end)
     live;
-  (* Pass 3: bitmaps vs reality. *)
+  (* Pass 3: bitmaps vs reality. Bits [0, bits) of each bitmap block
+     are compared with its mirror, from word [word] on, one 64-bit word
+     at a time; bits past [bits] are padding and are masked off. Each
+     bit that differs goes to [finding i marked], in bit order, which
+     notes it and says whether a repair flips it. *)
+  let check_bitmap blk what mirror ~word ~bits finding =
+    match read blk with
+    | None -> note `Error false "%s block %d unreadable" what blk
+    | Some buf ->
+        let dirty = ref false in
+        let words = (bits + 63) / 64 in
+        let tail =
+          if bits land 63 = 0 then -1L else Int64.pred (Int64.shift_left 1L (bits land 63))
+        in
+        for w = 0 to words - 1 do
+          let d =
+            Int64.logand
+              (Int64.logxor (Bytes.get_int64_le buf (w * 8))
+                 (Bytes.get_int64_le mirror ((word + w) * 8)))
+              (if w = words - 1 then tail else -1L)
+          in
+          if d <> 0L then
+            for j = 0 to 63 do
+              if Int64.logand (Int64.shift_right_logical d j) 1L <> 0L then begin
+                let i = (w * 64) + j in
+                let marked = bit_get buf i in
+                if finding i marked && repair then begin
+                  bit_set buf i (not marked);
+                  dirty := true
+                end
+              end
+            done
+        done;
+        if !dirty then ignore (dev.Dev.write blk buf)
+  in
   for g = 0 to lay.Layout.ngroups - 1 do
-    let bb = Layout.bitmap_block lay g in
-    (match read bb with
-    | None -> note `Error false "bitmap block %d unreadable" bb
-    | Some buf ->
-        let dirty = ref false in
-        let ds = Layout.data_start lay g in
-        for i = 0 to Layout.data_blocks_per_group lay - 1 do
-          let b = ds + i in
-          let marked = bit_get buf i in
-          let used = bit_get reach_bits b in
-          if marked && not used then begin
-            note `Warning repair "block %d marked allocated but unreachable (leak)" b;
-            if repair then begin
-              bit_set buf i false;
-              dirty := true
-            end
-          end
-          else if used && not marked then begin
-            note `Error repair "block %d in use but free in the bitmap" b;
-            if repair then begin
-              bit_set buf i true;
-              dirty := true
-            end
-          end
-        done;
-        if !dirty then ignore (dev.Dev.write bb buf));
-    let ib = Layout.ibitmap_block lay g in
-    match read ib with
-    | None -> note `Error false "inode bitmap block %d unreadable" ib
-    | Some buf ->
-        let dirty = ref false in
-        for i = 0 to lay.Layout.inodes_per_group - 1 do
-          let ino = (g * lay.Layout.inodes_per_group) + i + 1 in
-          let marked = bit_get buf i in
-          let used = ino = 1 || bit_get live_bits ino in
-          if marked && not used then begin
-            note `Warning repair "inode %d marked allocated but free" ino;
-            if repair then begin
-              bit_set buf i false;
-              dirty := true
-            end
-          end
-          else if used && ino > 1 && not marked then begin
-            note `Error repair "inode %d live but free in the inode bitmap" ino;
-            if repair then begin
-              bit_set buf i true;
-              dirty := true
-            end
-          end
-        done;
-        if !dirty then ignore (dev.Dev.write ib buf)
+    let ds = Layout.data_start lay g in
+    check_bitmap (Layout.bitmap_block lay g) "bitmap" reach_bits ~word:(g * dwords)
+      ~bits:dbits (fun i marked ->
+        if marked then
+          note `Warning repair "block %d marked allocated but unreachable (leak)" (ds + i)
+        else note `Error repair "block %d in use but free in the bitmap" (ds + i);
+        true);
+    check_bitmap (Layout.ibitmap_block lay g) "inode bitmap" live_bits ~word:(g * iwords)
+      ~bits:ipg (fun i marked ->
+        let ino = (g * ipg) + i + 1 in
+        if marked then begin
+          note `Warning repair "inode %d marked allocated but free" ino;
+          true
+        end
+        else if ino > 1 then begin
+          note `Error repair "inode %d live but free in the inode bitmap" ino;
+          true
+        end
+        else false)
   done;
   (* Pass 4: link counts. *)
   Hashtbl.iter

@@ -145,13 +145,21 @@ let rmap_location l b =
   let per = l.block_size / 4 in
   (l.rmap_start + (b / per), b mod per * 4)
 
+(* [replica_targets]'s index, by arithmetic: slots 0 and 1, then
+   [2 + itable_blocks] slots per group, one for each block from the
+   group's bitmap to its last inode-table block. *)
 let replica_of l b =
-  let rec index i = function
-    | [] -> None
-    | x :: _ when x = b -> Some (l.replica_start + i)
-    | _ :: rest -> index (i + 1) rest
-  in
-  index 0 (replica_targets l)
+  if b = 1 then Some l.replica_start
+  else if b = l.journal_start then Some (l.replica_start + 1)
+  else
+    match group_of_block l b with
+    | None -> None
+    | Some g ->
+        let per_group = 2 + l.itable_blocks in
+        let off = b - bitmap_block l g in
+        if off >= 0 && off < per_group then
+          Some (l.replica_start + 2 + (g * per_group) + off)
+        else None
 
 let journal_geo l =
   {

@@ -88,7 +88,9 @@ val replica_targets : t -> int list
     bitmap, inode bitmap and inode-table blocks. *)
 
 val replica_of : t -> int -> int option
-(** Replica-region block holding the mirror of a given metadata block. *)
+(** Replica-region block holding the mirror of a given metadata block:
+    [replica_start] plus the block's index in {!replica_targets},
+    computed without building the list. *)
 
 val rmap_location : t -> int -> int * int
 (** Block and byte offset of the dynamic-replica-map slot for a block.

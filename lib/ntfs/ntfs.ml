@@ -264,11 +264,9 @@ let checkpoint t =
       match Hashtbl.find_opt t.txn b with
       | None -> ()
       | Some data -> (
-          let attempts =
-            if b >= mft_start && b < mft_start + mft_blocks then mft_write_attempts
-            else mft_write_attempts
-          in
-          match retried_write t b data ~attempts ~what:"metadata" with
+          match
+            retried_write t b data ~attempts:mft_write_attempts ~what:"metadata"
+          with
           | Ok () -> ()
           | Error _ -> t.readonly <- true))
     (List.sort compare (List.rev t.txn_order));

@@ -44,6 +44,40 @@ let test_layout_replica_targets_have_slots () =
       | None -> Alcotest.failf "target %d has no slot" target)
     (Layout.replica_targets lay)
 
+(* [replica_of] computes the slot; [replica_targets] stays its spec.
+   Every block from -1 to [num_blocks] must map to its index in that
+   list, or to nothing. *)
+let test_layout_replica_of_matches_targets () =
+  let geometries =
+    [
+      ("2048 x 4 KiB", 4096, 2048, false);
+      ("traffic's 65536 x 4 KiB", 4096, 65536, true);
+      ("4096 x 1 KiB", 1024, 4096, false);
+      ("odd: 3001 x 4 KiB", 4096, 3001, false);
+      ("odd, widened: 16385 x 1 KiB", 1024, 16385, true);
+      ("widened eightfold: 262144 x 4 KiB", 4096, 262144, true);
+    ]
+  in
+  List.iter
+    (fun (what, block_size, num_blocks, widened) ->
+      let lay = Layout.compute ~block_size ~num_blocks in
+      check Alcotest.bool (what ^ ": groups widened") widened
+        (lay.Layout.blocks_per_group > 256);
+      let index = Hashtbl.create 1024 in
+      List.iteri
+        (fun i b -> if not (Hashtbl.mem index b) then Hashtbl.add index b i)
+        (Layout.replica_targets lay);
+      for b = -1 to num_blocks do
+        let want =
+          Option.map (fun i -> lay.Layout.replica_start + i) (Hashtbl.find_opt index b)
+        in
+        if Layout.replica_of lay b <> want then
+          Alcotest.failf "%s: block %d maps to %s, want %s" what b
+            (match Layout.replica_of lay b with Some r -> string_of_int r | None -> "none")
+            (match want with Some r -> string_of_int r | None -> "none")
+      done)
+    geometries
+
 let prop_inode_location_bijective =
   QCheck.Test.make ~name:"inode locations never collide" ~count:300
     QCheck.(pair (int_range 1 896) (int_range 1 896))
@@ -315,6 +349,8 @@ let suites =
         Alcotest.test_case "regions disjoint" `Quick test_layout_regions_disjoint;
         Alcotest.test_case "replica slots ordered" `Quick
           test_layout_replica_targets_have_slots;
+        Alcotest.test_case "replica_of matches replica_targets" `Quick
+          test_layout_replica_of_matches_targets;
         qtest prop_inode_location_bijective;
         qtest prop_inode_location_in_itable;
         qtest prop_cksum_locations_cover;

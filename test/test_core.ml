@@ -26,6 +26,19 @@ let test_workload_columns_complete () =
     (List.init 20 (fun i -> Char.chr (Char.code 'a' + i)))
     (List.sort compare cols)
 
+(* [Workload.pattern] blits a shared period; this is the per-byte
+   definition it replaced. *)
+let test_pattern_matches_definition () =
+  let spec tag n = String.init n (fun i -> Char.chr ((i + Char.code tag) mod 251)) in
+  List.iter
+    (fun tag ->
+      List.iter
+        (fun n ->
+          if not (String.equal (Workload.pattern tag n) (spec tag n)) then
+            Alcotest.failf "pattern %C %d differs from its definition" tag n)
+        [ 0; 1; 250; 251; 252; 4096; 40 * 4096 ])
+    [ '\000'; 'a'; 'l'; 'x'; '\250'; '\251'; '\255' ]
+
 let test_fixture_applies_to_every_brand () =
   List.iter
     (fun brand ->
@@ -261,6 +274,8 @@ let suites =
       ] );
     ( "core.workloads",
       [
+        Alcotest.test_case "pattern matches its definition" `Quick
+          test_pattern_matches_definition;
         Alcotest.test_case "fixture + singlets on every FS" `Slow
           test_fixture_applies_to_every_brand;
       ] );

@@ -193,8 +193,8 @@ let test_hostile_geometry_ixt3_uses_copy () =
    a hard link, a truncate and an rmdir, so the image holds single and
    double indirect trees, nested directories, a symlink and freed
    blocks (and, on ixt3, a populated replica map). *)
-let workload_image brand =
-  let d = Memdisk.create () in
+let workload_image ?params brand =
+  let d = Memdisk.create ?params () in
   Memdisk.set_time_model d false;
   let dev = Memdisk.dev d in
   ok (Fs.mkfs brand dev);
@@ -376,9 +376,9 @@ let corrupt_field rng lay cls buf =
       (* rmap: one block's shadow slot *)
       Codec.write_u32 buf (4 * Prng.int rng (Bytes.length buf / 4)) (any_value rng lay)
 
-let devices () =
+let devices ?params () =
   let mk () =
-    let d = Memdisk.create () in
+    let d = Memdisk.create ?params () in
     Memdisk.set_time_model d false;
     d
   in
@@ -450,6 +450,120 @@ let test_differential_read_faults () =
         cases)
     differential_brands
 
+(* --- directed: the edges of the word-at-a-time comparisons -------------- *)
+
+(* Pass 3 compares each bitmap with its mirror 64 bits at a time and
+   masks the bits past the group's limit; pass 1b passes over two empty
+   replica-map slots with one 64-bit test. Seeded corruption rarely
+   lands on their edges, so these cases aim at them: the first and last
+   bits of a word, the last bit of a group, the padding past it, inode
+   1, and replica-map shadows in a word's high half and in the last
+   slot. Each runs against the reference, with and without repair. *)
+
+let flip_bit d b i =
+  let buf = Memdisk.peek d b in
+  Bytes.set buf (i / 8) (Char.chr (Char.code (Bytes.get buf (i / 8)) lxor (1 lsl (i mod 8))));
+  Memdisk.poke d b buf
+
+let set_bits_from d b first =
+  let buf = Memdisk.peek d b in
+  for i = first to (Bytes.length buf * 8) - 1 do
+    Bytes.set buf (i / 8) (Char.chr (Char.code (Bytes.get buf (i / 8)) lor (1 lsl (i mod 8))))
+  done;
+  Memdisk.poke d b buf
+
+let directed_volumes =
+  [
+    ("ext3", Iron_ext3.Ext3.std, None);
+    ("ixt3", Iron_ixt3.Ixt3.full, None);
+    (* 1 KiB blocks: 32 inodes per group, so an inode bitmap ends inside
+       its first word. *)
+    ( "ext3, 1 KiB blocks",
+      Iron_ext3.Ext3.std,
+      Some { Memdisk.default_params with Memdisk.block_size = 1024; num_blocks = 4096 } );
+  ]
+
+let test_directed_word_edges () =
+  List.iter
+    (fun (name, brand, params) ->
+      let pair = devices ?params () in
+      let d, image = workload_image ?params brand in
+      let lay = Iron_ext3.Ext3.layout_of_dev (Memdisk.dev d) in
+      let dbits = Layout.data_blocks_per_group lay in
+      let ipg = lay.Layout.inodes_per_group in
+      let edited what edit =
+        Memdisk.restore d image;
+        edit ();
+        let corrupted = Memdisk.snapshot d in
+        same_as_reference pair corrupted ~what:(name ^ ", " ^ what);
+        corrupted
+      in
+      let case what edit = ignore (edited what edit) in
+      for g = 0 to lay.Layout.ngroups - 1 do
+        List.iter
+          (fun i ->
+            case (Printf.sprintf "group %d block-bitmap bit %d" g i) (fun () ->
+                flip_bit d (Layout.bitmap_block lay g) i))
+          [ 0; 63; 64; dbits - 1 ];
+        case (Printf.sprintf "group %d inode-bitmap bit %d" g (ipg - 1)) (fun () ->
+            flip_bit d (Layout.ibitmap_block lay g) (ipg - 1))
+      done;
+      case "inode 1's bit" (fun () -> flip_bit d (Layout.ibitmap_block lay 0) 0);
+      (* Padding past both limits in every group adds no finding. *)
+      let padded =
+        edited "padding bits set" (fun () ->
+            for g = 0 to lay.Layout.ngroups - 1 do
+              set_bits_from d (Layout.bitmap_block lay g) dbits;
+              set_bits_from d (Layout.ibitmap_block lay g) ipg
+            done)
+      in
+      let findings image =
+        render_result (run_checker (fst pair) image ~rules:[] ~repair:false new_checker).result
+      in
+      check Alcotest.string (name ^ ": padding adds no finding") (findings image)
+        (findings padded);
+      (* A replica-map shadow naming a block that is free in the bitmap
+         must be claimed: fsck then reports it in use but free. *)
+      let g = lay.Layout.ngroups - 1 in
+      let shadow = Layout.data_start lay g + dbits - 1 in
+      Memdisk.restore d image;
+      check Alcotest.int (name ^ ": shadow block free") 0
+        (Char.code (Bytes.get (Memdisk.peek d (Layout.bitmap_block lay g)) ((dbits - 1) / 8))
+        land (1 lsl ((dbits - 1) mod 8)));
+      let slots = lay.Layout.block_size / 4 in
+      let last = (lay.Layout.rmap_blocks * slots) - 1 in
+      let slot_value k =
+        Codec.read_u32 (Memdisk.peek d (lay.Layout.rmap_start + (k / slots))) (k mod slots * 4)
+      in
+      (* The last odd slot whose word is empty in the image. *)
+      let odd =
+        let rec find k =
+          if k < 1 then Alcotest.failf "%s: no empty replica-map word" name
+          else if slot_value k = 0 && slot_value (k - 1) = 0 then k
+          else find (k - 2)
+        in
+        find (if last mod 2 = 1 then last - 2 else last - 1)
+      in
+      List.iter
+        (fun (what, k) ->
+          let shadowed =
+            edited (Printf.sprintf "replica-map shadow in %s %d" what k) (fun () ->
+                let b = lay.Layout.rmap_start + (k / slots) in
+                let buf = Memdisk.peek d b in
+                Codec.write_u32 buf (k mod slots * 4) shadow;
+                Memdisk.poke d b buf)
+          in
+          let a = run_checker (fst pair) shadowed ~rules:[] ~repair:false new_checker in
+          let want = Printf.sprintf "block %d in use but free in the bitmap" shadow in
+          check Alcotest.bool
+            (Printf.sprintf "%s: shadow in %s %d is claimed" name what k)
+            true
+            (match a.result with
+            | Ok (findings, _) -> List.exists (fun (_, m, _) -> m = want) findings
+            | Error _ -> false))
+        [ ("odd high-half slot", odd); ("last slot", last) ])
+    directed_volumes
+
 let suites =
   [
     ( "ext3.fsck",
@@ -467,5 +581,6 @@ let suites =
           test_differential_corruptions;
         Alcotest.test_case "reference: read faults" `Quick
           test_differential_read_faults;
+        Alcotest.test_case "reference: word edges" `Quick test_directed_word_edges;
       ] );
   ]
