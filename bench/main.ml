@@ -22,13 +22,16 @@
    Options:
      -j N          worker domains for campaign/variant fan-out
      --repeat K    run each experiment K times (default 3) and keep the
-                   median-wall-clock run's record. The per-experiment
-                   memo caches are dropped before every run, so each
-                   repeat times the full computation; the median throws
-                   away the cold-start outlier that a single timed run
-                   is hostage to. Every record also stashes its own
-                   wall clock as a [bench.<experiment>.wall_ms] counter
-                   so --check thresholds can gate throughput.
+                   median-wall-clock run's record. bench drops its own
+                   report table before every run, but Driver's memo
+                   keeps each campaign's preparation (images and dry
+                   traces) across runs: the first repeat of a
+                   fingerprint experiment prepares, and repeats 2 to K
+                   time its jobs with preparation already done, so the
+                   median of three is a warm run. Every record also
+                   stashes its own wall clock as a
+                   [bench.<experiment>.wall_ms] counter so --check
+                   thresholds can gate throughput.
      --json FILE   write the run as a versioned golden-schema bench
                    artifact (Iron_report.Report, kind "bench"): one
                    record per experiment with {experiment, wall_ms,
@@ -719,8 +722,9 @@ let () =
     List.map
       (fun (name, f) ->
         let one () =
-          (* Drop the cross-experiment fingerprint memo so every repeat
-             times the full computation, not a cache hit. *)
+          (* Drop bench's own report table so every repeat reruns its
+             campaigns; Driver's preparation memo survives, so only the
+             first repeat prepares. *)
           Hashtbl.reset reports;
           jobs_executed := 0;
           collected_metrics := [];

@@ -313,10 +313,12 @@ type prepared = {
   dry : (char, dry) Hashtbl.t;
 }
 
-let fresh_disk ~num_blocks ~seed =
+(* Untimed, so the model never draws its rotational PRNG: the disk's
+   seed cannot reach a byte, and every campaign uses the default one. *)
+let fresh_disk ~num_blocks =
   let disk =
     Memdisk.create
-      ~params:{ Memdisk.default_params with Memdisk.num_blocks = num_blocks; seed }
+      ~params:{ Memdisk.default_params with Memdisk.num_blocks = num_blocks }
       ()
   in
   Memdisk.set_time_model disk false;
@@ -360,7 +362,7 @@ let prepare_uncached ?obs (c : Experiment.t) =
   let (Fs.Brand (module F)) = c.Experiment.brand in
   let brand = c.Experiment.brand in
   let num_blocks = c.Experiment.num_blocks in
-  let disk = fresh_disk ~num_blocks ~seed:c.Experiment.seed in
+  let disk = fresh_disk ~num_blocks in
   let inj = Fault.create ?obs (Memdisk.dev disk) in
   let dev = Fault.dev inj in
   let dev =
@@ -442,16 +444,14 @@ let prepare_uncached ?obs (c : Experiment.t) =
 
 (* Campaigns on the same brand and geometry share one [prepared]: the
    images and dry traces are a pure function of (brand, num_blocks,
-   seed, columns) — workload definitions are static — and [prepared]
-   is immutable once built, so sharing it is exactly as safe as
-   sharing it across worker domains already was. The key holds the
-   brand VALUE (physical identity), never its name: differently tuned
-   variants can share a name but never a brand value. Observed
-   campaigns bypass the cache so their prepare-phase spans and device
-   metrics stay exact. *)
-let prep_cache : ((Fs.brand * int * int * char list) * prepared) list ref =
-  ref []
-
+   columns) — workload definitions are static, and the seed only picks
+   each job's fault draws — and [prepared] is immutable once built, so
+   sharing it is exactly as safe as sharing it across worker domains
+   already was. The key holds the brand VALUE (physical identity),
+   never its name: differently tuned variants can share a name but
+   never a brand value. Observed campaigns bypass the cache so their
+   prepare-phase spans and device metrics stay exact. *)
+let prep_cache : ((Fs.brand * int * char list) * prepared) list ref = ref []
 let prep_mutex = Mutex.create ()
 let prep_cache_cap = 32
 
@@ -461,13 +461,11 @@ let prepare ?obs (c : Experiment.t) =
   | None -> (
       let brand = c.Experiment.brand in
       let nb = c.Experiment.num_blocks in
-      let seed = c.Experiment.seed in
       let cols = c.Experiment.cols in
       let hit =
         Mutex.protect prep_mutex (fun () ->
             List.find_opt
-              (fun ((b, n, s, cl), _) ->
-                b == brand && n = nb && s = seed && cl = cols)
+              (fun ((b, n, cl), _) -> b == brand && n = nb && cl = cols)
               !prep_cache)
       in
       match hit with
@@ -477,7 +475,7 @@ let prepare ?obs (c : Experiment.t) =
           Mutex.protect prep_mutex (fun () ->
               if List.length !prep_cache >= prep_cache_cap then
                 prep_cache := [];
-              prep_cache := ((brand, nb, seed, cols), p) :: !prep_cache);
+              prep_cache := ((brand, nb, cols), p) :: !prep_cache);
           p)
 
 (* Each worker domain keeps one scratch device and one injector,
@@ -491,12 +489,12 @@ type scratch = { s_disk : Memdisk.t; s_inj : Fault.t; s_dev : Iron_disk.Dev.t }
 let scratch_slot : (int * scratch) option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-let scratch ~num_blocks ~seed =
+let scratch ~num_blocks =
   let slot = Domain.DLS.get scratch_slot in
   match !slot with
   | Some (nb, s) when nb = num_blocks -> s
   | Some _ | None ->
-      let disk = fresh_disk ~num_blocks ~seed in
+      let disk = fresh_disk ~num_blocks in
       let inj = Fault.create (Memdisk.dev disk) in
       let s = { s_disk = disk; s_inj = inj; s_dev = Fault.dev inj } in
       slot := Some (num_blocks, s);
@@ -510,7 +508,7 @@ let run_armed ?obs prepared (c : Experiment.t) (job : Experiment.job) ~target =
   let (Fs.Brand (module F)) = c.Experiment.brand in
   let w = Workload.find job.Experiment.workload in
   let labels = (Hashtbl.find prepared.dry job.Experiment.workload).labels in
-  let s = scratch ~num_blocks:c.Experiment.num_blocks ~seed:job.Experiment.seed in
+  let s = scratch ~num_blocks:c.Experiment.num_blocks in
   let disk = s.s_disk in
   (* Unobserved jobs reuse the scratch injector; an observed job needs
      a private one with its context baked in (exactly what the

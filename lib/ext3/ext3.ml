@@ -979,8 +979,9 @@ let free_file_from t inode ~from =
   in
   (* Free the leaves at or past [from] under pointer block [b], whose
      file range starts at [base]; free [b] itself if its whole range is
-     going away. A read error means the children leak — exactly stock
-     ext3's behaviour on the delete path. *)
+     going away, or else clear its slots for the subtrees it freed, so
+     that no freed block stays claimed. A read error means the children
+     leak — exactly stock ext3's behaviour on the delete path. *)
   let rec free_tree level b base =
     if b <> 0 then begin
       let span =
@@ -989,13 +990,23 @@ let free_file_from t inode ~from =
       (match owned (read_ptr_block t b) with
       | Error _ -> incr errors
       | Ok buf ->
+          let cleared = ref false in
           for i = 0 to p - 1 do
             let child = get_ptr buf i in
             let cbase = base + (i * span) in
-            if child <> 0 && cbase + span > from then
+            if child <> 0 && cbase + span > from then begin
               if level = 1 then (if cbase >= from then free_data child)
-              else free_tree (level - 1) child cbase
-          done);
+              else free_tree (level - 1) child cbase;
+              if cbase >= from then begin
+                put_ptr buf i 0;
+                cleared := true
+              end
+            end
+          done;
+          if !cleared && base < from then
+            match meta_write t Indirect b buf with
+            | Ok () -> ()
+            | Error _ -> incr errors);
       if base >= from then free_meta b
     end
   in

@@ -264,6 +264,40 @@ let test_seed_threading () =
     (Iron_core.Experiment.total plan)
     (List.length plan.Iron_core.Experiment.jobs)
 
+(* A preparation does not depend on the seed, so one serves every
+   seed. Per brand, the seed-7 campaign prepares the images and dry
+   traces of a column set no other test plans, and the seed-8 campaign
+   reuses them; each must match an observed campaign at its own seed,
+   which always prepares afresh. *)
+let test_one_preparation_serves_every_seed () =
+  let campaign ~observe ~seed brand =
+    let r =
+      Driver.fingerprint ~observe ~seed
+        ~workloads:(List.map Workload.find [ 'a'; 'g'; 'r'; 's' ])
+        brand
+    in
+    (Format.asprintf "%a" Render.pp_report r, Driver.counters r)
+  in
+  List.iter
+    (fun brand ->
+      let memo =
+        List.map (fun seed -> campaign ~observe:false ~seed brand) [ 7; 8 ]
+      in
+      List.iter2
+        (fun seed (report, counters) ->
+          let what = Printf.sprintf "%s seed %d" (Fs.brand_name brand) seed in
+          let report', counters' = campaign ~observe:true ~seed brand in
+          check Alcotest.string (what ^ ": report") report' report;
+          check
+            Alcotest.(list (pair string int))
+            (what ^ ": counters") counters' counters)
+        [ 7; 8 ] memo)
+    [
+      Iron_ext3.Ext3.std; Iron_ext3.Modes.writeback; Iron_ext3.Modes.data;
+      Iron_reiserfs.Reiserfs.brand; Iron_jfs.Jfs.brand; Iron_ntfs.Ntfs.brand;
+      Iron_ext3.Ext3.ixt3;
+    ]
+
 let suites =
   [
     ( "core.taxonomy",
@@ -299,6 +333,8 @@ let suites =
           test_parallel_byte_identical;
         Alcotest.test_case "seed threads through the spec" `Quick
           test_seed_threading;
+        Alcotest.test_case "one preparation serves every seed" `Quick
+          test_one_preparation_serves_every_seed;
       ] );
     ( "core.render",
       [

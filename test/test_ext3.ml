@@ -181,7 +181,45 @@ let test_truncate_shrinks_and_frees () =
   ok (F.truncate t "/big" 100);
   check Alcotest.int "size" 100 (ok (F.stat t "/big")).Fs.st_size;
   check Alcotest.string "prefix preserved" (String.sub big 0 100) (readfile fs "/big");
-  check Alcotest.bool "blocks freed" true ((ok (F.statfs t)).Fs.f_bfree > free0)
+  check Alcotest.bool "blocks freed" true ((ok (F.statfs t)).Fs.f_bfree > free0);
+  (* A cut inside a kept pointer block (12 -> 6 blocks, in the single
+     indirect block; 40 -> 21, in a double indirect one) must clear the
+     slots it frees, or the next file's blocks stay claimed by both. *)
+  let bs = 4096 in
+  List.iter
+    (fun (brand, blocks, keep) ->
+      let what =
+        Printf.sprintf "%s, %d -> %d blocks" (Fs.brand_name brand) blocks keep
+      in
+      let d, _, (Fs.Boxed ((module F), t) as fs) = fresh ~brand () in
+      let f = String.init (blocks * bs) (fun i -> Char.chr (i mod 251)) in
+      let g = String.init (8 * bs) (fun i -> Char.chr ((i * 7) mod 253)) in
+      mkfile fs "/f" f;
+      ok (F.truncate t "/f" (keep * bs));
+      mkfile fs "/g" g;
+      ok (F.unmount t);
+      let dev = Memdisk.dev d in
+      let r = ok (Iron_ext3.Fsck.run dev) in
+      check
+        Alcotest.(list string)
+        (what ^ ": fsck findings") []
+        (List.map
+           (fun f -> f.Iron_ext3.Fsck.message)
+           r.Iron_ext3.Fsck.findings);
+      let (Fs.Boxed ((module F), t) as fs) = ok (Fs.mount brand dev) in
+      let fd = ok (F.open_ t "/f" Fs.Rdwr) in
+      let tail = String.sub f (keep * bs) ((blocks - keep) * bs) in
+      ignore (ok (F.write t fd ~off:(keep * bs) (Bytes.of_string tail)));
+      ok (F.close t fd);
+      check Alcotest.string (what ^ ": /f regrown") f (readfile fs "/f");
+      check Alcotest.string (what ^ ": /g") g (readfile fs "/g");
+      ok (F.unmount t))
+    [
+      (Ext3.std, 12, 6);
+      (Ext3.std, 40, 21);
+      (Ext3.ixt3, 12, 6);
+      (Ext3.ixt3, 40, 21);
+    ]
 
 let test_large_file_indirect_paths () =
   (* 4 direct + 16 ind + 256 dind blocks = exercises double indirection
