@@ -597,8 +597,7 @@ let traffic_cmd =
     in
     let cfg =
       {
-        Iron_traffic.Traffic.default with
-        clients;
+        Iron_traffic.Traffic.clients;
         tenants;
         duration_ms = duration;
         zipf;

@@ -1,7 +1,6 @@
 type error = Eio | Enxio
 
 let error_to_string = function Eio -> "EIO" | Enxio -> "ENXIO"
-let pp_error fmt e = Format.pp_print_string fmt (error_to_string e)
 
 type t = {
   block_size : int;
@@ -12,17 +11,6 @@ type t = {
   sync : unit -> (unit, error) result;
   now : unit -> float;
 }
-
-(* Default shim for wrappers without a native zero-copy path: one
-   [read] (which allocates) plus one blit. Semantically equivalent to a
-   native [read_into]; only the allocation profile differs. *)
-let read_into_via_read read b buf =
-  match read b with
-  | Ok data ->
-      let n = min (Bytes.length data) (Bytes.length buf) in
-      Bytes.blit data 0 buf 0 n;
-      Ok ()
-  | Error _ as e -> e
 
 let in_range t b = b >= 0 && b < t.num_blocks
 

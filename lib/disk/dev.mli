@@ -12,7 +12,6 @@ type error =
   | Eio  (** the request failed (latent sector error, transport fault…) *)
   | Enxio  (** block number out of range *)
 
-val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
 type t = {
@@ -42,12 +41,6 @@ type t = {
           (§6.1) exist to avoid. *)
   now : unit -> float;  (** simulated time, milliseconds *)
 }
-
-val read_into_via_read :
-  (int -> (bytes, error) result) -> int -> bytes -> (unit, error) result
-(** Default shim for wrappers without a native zero-copy path: one
-    [read] plus one blit into the caller's buffer. Use as
-    [{ ... read_into = read_into_via_read my_read; ... }]. *)
 
 val in_range : t -> int -> bool
 

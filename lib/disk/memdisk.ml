@@ -10,10 +10,6 @@
 type params = Model.params = {
   block_size : int;
   num_blocks : int;
-  seek_min_ms : float;
-  seek_span_ms : float;
-  rotation_ms : float;
-  bandwidth_mb_s : float;
   seed : int;
 }
 

@@ -24,10 +24,6 @@
 type params = Model.params = {
   block_size : int;  (** bytes per block (default 4096) *)
   num_blocks : int;  (** default 2048 (an 8 MiB volume) *)
-  seek_min_ms : float;  (** track-to-track seek (default 0.8) *)
-  seek_span_ms : float;  (** extra for a full-stroke seek (default 7.2) *)
-  rotation_ms : float;  (** full revolution, 7200 RPM ~ 8.33 *)
-  bandwidth_mb_s : float;  (** media transfer rate (default 40.0) *)
   seed : int;  (** PRNG seed for rotational positions *)
 }
 

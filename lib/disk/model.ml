@@ -5,23 +5,16 @@
 type params = {
   block_size : int;
   num_blocks : int;
-  seek_min_ms : float;
-  seek_span_ms : float;
-  rotation_ms : float;
-  bandwidth_mb_s : float;
   seed : int;
 }
 
-let default_params =
-  {
-    block_size = 4096;
-    num_blocks = 2048;
-    seek_min_ms = 0.8;
-    seek_span_ms = 7.2;
-    rotation_ms = 8.33;
-    bandwidth_mb_s = 40.0;
-    seed = 0xD15C;
-  }
+let default_params = { block_size = 4096; num_blocks = 2048; seed = 0xD15C }
+
+(* The modelled drive: a 7200 RPM disk. *)
+let seek_min_ms = 0.8
+let seek_span_ms = 7.2
+let rotation_ms = 8.33
+let bandwidth_mb_s = 40.0
 
 type stats = {
   reads : int;
@@ -59,7 +52,7 @@ let create params =
   }
 
 let transfer_ms t =
-  float_of_int t.params.block_size /. (t.params.bandwidth_mb_s *. 1048.576)
+  float_of_int t.params.block_size /. (bandwidth_mb_s *. 1048.576)
 
 (* Advance the simulated clock for a request on block [b]. Sequential
    accesses stream from the media with transfer time only; a short
@@ -78,8 +71,8 @@ let charge t b =
       t.seeks <- t.seeks + 1;
       let dist = abs gap in
       let frac = float_of_int dist /. float_of_int p.num_blocks in
-      let seek = p.seek_min_ms +. (p.seek_span_ms *. sqrt frac) in
-      let rot = Iron_util.Prng.float t.rng p.rotation_ms in
+      let seek = seek_min_ms +. (seek_span_ms *. sqrt frac) in
+      let rot = Iron_util.Prng.float t.rng rotation_ms in
       t.clock <- t.clock +. seek +. rot +. transfer_ms t
     end
   end;
@@ -97,7 +90,7 @@ let charge_write t b =
 let charge_sync t =
   t.syncs <- t.syncs + 1;
   if t.dirty then begin
-    if t.timed then t.clock <- t.clock +. (t.params.rotation_ms /. 2.0);
+    if t.timed then t.clock <- t.clock +. (rotation_ms /. 2.0);
     t.dirty <- false
   end
 

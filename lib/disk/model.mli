@@ -2,14 +2,16 @@
     head position, rotational PRNG, dirty flag and every counter live
     here, apart from the block store.
 
-    The three service-time components (paper Table 6 context):
+    The three service-time components (paper Table 6 context) model
+    one 7200 RPM drive, with constants that no caller varies:
 
     - {b seek}: moving the arm between distant blocks costs
-      [seek_min + seek_span * sqrt(distance / num_blocks)] ms;
+      [0.8 + 7.2 * sqrt(distance / num_blocks)] ms;
     - {b rotation}: after any seek, a uniformly random rotational wait
-      in [0, full_rotation) drawn from the model's deterministic PRNG;
-      strictly sequential accesses stream with no rotational wait;
-    - {b transfer}: [block_size / bandwidth].
+      in [0, 8.33) ms (one revolution) drawn from the model's
+      deterministic PRNG; strictly sequential accesses stream with no
+      rotational wait;
+    - {b transfer}: [block_size] bytes at 40 MB/s.
 
     A sync with dirty data pending charges half a rotation — the
     ordering stall transactional checksums (§6.1) exist to avoid. *)
@@ -17,10 +19,6 @@
 type params = {
   block_size : int;  (** bytes per block (default 4096) *)
   num_blocks : int;  (** default 2048 (an 8 MiB volume) *)
-  seek_min_ms : float;  (** track-to-track seek (default 0.8) *)
-  seek_span_ms : float;  (** extra for a full-stroke seek (default 7.2) *)
-  rotation_ms : float;  (** full revolution, 7200 RPM ~ 8.33 *)
-  bandwidth_mb_s : float;  (** media transfer rate (default 40.0) *)
   seed : int;  (** PRNG seed for rotational positions *)
 }
 

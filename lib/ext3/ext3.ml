@@ -127,7 +127,7 @@ let policy_of_profile (p : Profile.t) : (module Jrnl.POLICY) =
     let tag = "ext3"
     let mode = p.Profile.mode
 
-    let iron = if p.Profile.check_write_errors then Jrnl.Abort else Jrnl.Ignore
+    let iron = if p.Profile.bugs_fixed then Jrnl.Abort else Jrnl.Ignore
     let format = Jrec.jbd
   end)
 
@@ -746,7 +746,7 @@ let data_write_block t ino inode fblock data =
             match reconstruct_from_parity t inode ~missing_fblock:fblock with
             | Ok d -> Ok d
             | Error _ ->
-                if t.profile.Profile.check_write_errors then begin
+                if t.profile.Profile.bugs_fixed then begin
                   Klog.error t.klog "ixt3"
                     "cannot read or reconstruct block %d for parity update" b;
                   Error Errno.EIO
@@ -799,7 +799,7 @@ let data_write_block t ino inode fblock data =
             Ok (b, inode))
     | Error _ ->
         (* Stock ext3 never looks at data write errors (DZero). *)
-        if t.profile.Profile.check_write_errors then begin
+        if t.profile.Profile.bugs_fixed then begin
           Klog.error t.klog "ext3" "data write to block %d failed" b;
           abort_journal t "data write failure"
         end;
@@ -812,14 +812,17 @@ let data_write_block t ino inode fblock data =
 (* Directories                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Read a directory block with the retry stock ext3 applies on its
-   (prefetching) directory read path. *)
+(* Read a directory block with the one retry stock ext3 applies on its
+   (prefetching) directory read path, as the paper observed; ixt3 keeps
+   it. *)
+let dir_read_retries = 1
+
 let dir_read_block t b =
   let rec attempt n =
     match meta_read t Dir b with
     | Ok d -> Ok d
     | Error e ->
-        if n < t.profile.Profile.dir_read_retries then begin
+        if n < dir_read_retries then begin
           Klog.warn t.klog "ext3" "retrying directory block %d" b;
           attempt (n + 1)
         end
@@ -1382,7 +1385,7 @@ let mount_impl profile dev =
     (match dev.Dev.write 0 sbuf with
     | Ok () -> ()
     | Error _ ->
-        if profile.Profile.check_write_errors then begin
+        if profile.Profile.bugs_fixed then begin
           Klog.error klog "ext3" "superblock write failed at mount";
           t.readonly <- true
         end);
@@ -1697,7 +1700,7 @@ let op_truncate t path size =
         if errors > 0 then begin
           Klog.error t.klog "ext3" "%d read failures while truncating" errors;
           (* Stock ext3 swallows the error: truncate "fails silently". *)
-          if t.profile.Profile.propagate_delete_errors then Error Errno.EIO
+          if t.profile.Profile.bugs_fixed then Error Errno.EIO
           else Ok ()
         end
         else Ok ()
@@ -1728,7 +1731,7 @@ let remove_common t path ~dir =
           (* The linkcount bug: stock ext3 decrements without checking,
              and a corrupted zero count takes the kernel down (§5.1). *)
           if i.Inode.links = 0 then begin
-            if t.profile.Profile.sanity_check_linkcount then begin
+            if t.profile.Profile.bugs_fixed then begin
               Klog.error t.klog "ext3" "inode %d has zero link count" ino;
               Error Errno.EUCLEAN
             end
@@ -1754,7 +1757,7 @@ let remove_common t path ~dir =
                   let* d = read_inode t dino in
                   write_inode t dino { d with Inode.mtime = time; ctime = time }
               in
-              if errors > 0 && t.profile.Profile.propagate_delete_errors then begin
+              if errors > 0 && t.profile.Profile.bugs_fixed then begin
                 Klog.error t.klog "ext3" "read failures while freeing inode %d" ino;
                 Error Errno.EIO
               end
@@ -1880,7 +1883,7 @@ let op_unmount t =
     (match t.dev.Dev.write 0 sbuf with
     | Ok () -> ()
     | Error _ ->
-        if t.profile.Profile.check_write_errors then begin
+        if t.profile.Profile.bugs_fixed then begin
           Klog.error t.klog "ext3" "superblock write failed at unmount";
           abort_journal t "superblock write"
         end);

@@ -24,7 +24,6 @@ type t = {
 }
 
 let root_ino = 2
-let first_free_ino = 3
 let digest_size = 20
 
 let make ~block_size ~num_blocks =

@@ -101,4 +101,3 @@ val journal_geo : t -> Iron_jrnl.Jrnl.geometry
 (** The journal region as the journal engine sees it. *)
 
 val root_ino : int
-val first_free_ino : int

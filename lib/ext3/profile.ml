@@ -2,10 +2,7 @@ module Jrnl = Iron_jrnl.Jrnl
 
 type t = {
   name : string;
-  check_write_errors : bool;
-  propagate_delete_errors : bool;
-  sanity_check_linkcount : bool;
-  dir_read_retries : int;
+  bugs_fixed : bool;
   mode : Jrnl.mode;
   meta_checksum : bool;
   data_checksum : bool;
@@ -17,10 +14,7 @@ type t = {
 let ext3 =
   {
     name = "ext3";
-    check_write_errors = false;
-    propagate_delete_errors = false;
-    sanity_check_linkcount = false;
-    dir_read_retries = 1;
+    bugs_fixed = false;
     mode = Jrnl.Ordered;
     meta_checksum = false;
     data_checksum = false;
@@ -33,10 +27,7 @@ let ixt3_with ?(mc = false) ?(mr = false) ?(dc = false) ?(dp = false)
     ?(tc = false) ?(rm = false) () =
   {
     name = "ixt3";
-    check_write_errors = true;
-    propagate_delete_errors = true;
-    sanity_check_linkcount = true;
-    dir_read_retries = 1;
+    bugs_fixed = true;
     mode = (if tc then Jrnl.Tc_checksummed else Jrnl.Ordered);
     meta_checksum = mc;
     data_checksum = dc;

@@ -10,21 +10,16 @@
 
 type t = {
   name : string;
-  (* --- stock-ext3 failure-policy quirks (all are the paper's findings) *)
-  check_write_errors : bool;
-      (** [false]: write error codes are dropped on the floor (DZero);
-          checkpoint and data writes fail silently, and a failed
-          journal write does not stop the commit block — the
-          replay-corruption bug. [true]: the journal aborts. *)
-  propagate_delete_errors : bool;
-      (** [false]: truncate/rmdir/unlink swallow read errors and return
-          success ("truncate and rmdir fail silently"). *)
-  sanity_check_linkcount : bool;
-      (** [false]: unlink trusts links_count; a corrupted count panics
-          the kernel. *)
-  dir_read_retries : int;
-      (** Retries after a failed directory-block read (the prefetch-path
-          retry the paper observed). Stock ext3: 1. *)
+  bugs_fixed : bool;
+      (** The paper's stock-or-fixed choice. [false] keeps stock ext3's
+          failure-handling bugs (§5.1): write error codes are dropped
+          on the floor (DZero), so checkpoint and data writes fail
+          silently and a failed journal write does not stop the commit
+          block (the replay-corruption bug); truncate, rmdir and unlink
+          swallow read errors and return success; unlink trusts
+          links_count, so a corrupted count panics the kernel. [true]
+          fixes all three, as ixt3 does (§6.2): the journal aborts,
+          the errors propagate, and a zero count is [EUCLEAN]. *)
   mode : Iron_jrnl.Jrnl.mode;
       (** Commit policy: [Writeback], [Ordered] (the ext3 default),
           [Data_journal], or [Tc_checksummed] (ordered + the ixt3

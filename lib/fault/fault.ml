@@ -36,8 +36,6 @@ let target_slug = function
   | Blocks (b :: _ as bs) -> Printf.sprintf "blks%dx%d" b (List.length bs)
   | Whole_disk -> "disk"
 
-let rule_name r = r.name
-
 let rule ?name ?(persistence = Sticky) target kind =
   let name =
     match name with

@@ -75,8 +75,6 @@ val rule : ?name:string -> ?persistence:persistence -> target -> kind -> rule
     runs that arm the same rules — in any order — report the same
     identities. *)
 
-val rule_name : rule -> string
-
 (** {2 The injector} *)
 
 type t

@@ -158,7 +158,9 @@ let run_pass profile dev =
       unrecoverable = !dead;
     }
 
-let run ?(passes = 3) profile dev =
+let passes = 3
+
+let run profile dev =
   Iron_obs.Obs.span_a ~subsystem:"ixt3.scrub" "run" @@ fun () ->
   let ( let* ) = Result.bind in
   let rec go n acc =

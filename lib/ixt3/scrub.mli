@@ -23,17 +23,14 @@ type report = {
 val pp_report : Format.formatter -> report -> unit
 
 val run :
-  ?passes:int ->
-  Iron_ext3.Profile.t ->
-  Iron_disk.Dev.t ->
-  (report, Iron_vfs.Errno.t) result
+  Iron_ext3.Profile.t -> Iron_disk.Dev.t -> (report, Iron_vfs.Errno.t) result
 (** Scrub the volume below [dev]. The profile says which redundancy the
     volume carries. The volume must not be mounted.
 
-    Runs up to [passes] (default 3) sweeps, stopping early once a sweep
-    repairs nothing: repairing one structure (say an inode-table block)
-    can unlock the redundancy needed to repair another (a data block
-    whose parity group that table describes). [latent_errors] and
+    Runs up to 3 sweeps, stopping early once a sweep repairs nothing:
+    repairing one structure (say an inode-table block) can unlock the
+    redundancy needed to repair another (a data block whose parity
+    group that table describes). [latent_errors] and
     [corrupt] report the first sweep's discoveries; [repaired] is
     cumulative; [unrecoverable] is what the final sweep still could not
     fix. *)

@@ -569,14 +569,18 @@ let data_write_block t b data =
   (match Bcache.write t.cache b data with Ok () -> () | Error _ -> ());
   Ok ()
 
-(* Free file blocks from [from]; the delete-path bug: a failed xtree
-   read is ignored completely — no retry result check, no error, the
-   pointed-to blocks simply leak and the maps go stale (§5.3). *)
+(* Free file blocks from [from]. A kept xtree node is rewritten without
+   the pointers past the cut, and a level-2 root drops every child that
+   lies wholly past it. The delete-path bug: a failed xtree read is
+   ignored completely — no retry result check, no error, the pointed-to
+   blocks simply leak and the maps go stale (§5.3). *)
 let free_file_from t inode ~from =
-  let freed = ref 0 in
-  let free_data b =
-    if b <> 0 then
-      match free_block t b with Ok () -> incr freed | Error _ -> ()
+  let free_data b = if b <> 0 then ignore (free_block t b) in
+  (* [x] is the cut as an index into the xtree's leaf entries. *)
+  let x = from - direct_ptrs in
+  let keep b level ptrs n =
+    if n > 0 && n < Array.length ptrs then
+      ignore (write_xtree t b level (Array.sub ptrs 0 n))
   in
   Array.iteri (fun i b -> if i >= from && b <> 0 then free_data b) inode.direct;
   (if inode.xtree <> 0 then
@@ -586,28 +590,28 @@ let free_file_from t inode ~from =
          match decode_xtree buf with
          | None -> ()
          | Some (1, ptrs) ->
-             Array.iteri
-               (fun i b -> if direct_ptrs + i >= from then free_data b)
-               ptrs;
-             if from <= direct_ptrs then free_data inode.xtree
+             Array.iteri (fun i b -> if i >= x then free_data b) ptrs;
+             keep inode.xtree 1 ptrs x;
+             if x <= 0 then free_data inode.xtree
          | Some (_, children) ->
              Array.iteri
                (fun ci child ->
-                 if child <> 0 then
+                 let lo = ci * xtree_cap in
+                 if child <> 0 && lo + xtree_cap > x then
                    match meta_read t child with
                    | Error _ -> ()
                    | Ok cb -> (
                        match decode_xtree cb with
                        | Some (_, leaf) ->
                            Array.iteri
-                             (fun i b ->
-                               if direct_ptrs + (ci * xtree_cap) + i >= from then
-                                 free_data b)
+                             (fun i b -> if lo + i >= x then free_data b)
                              leaf;
-                           if from <= direct_ptrs then free_data child
+                           keep child 1 leaf (x - lo);
+                           if lo >= x then free_data child
                        | None -> ()))
                children;
-             if from <= direct_ptrs then free_data inode.xtree));
+             keep inode.xtree 2 children ((x + xtree_cap - 1) / xtree_cap);
+             if x <= 0 then free_data inode.xtree));
   let direct = Array.copy inode.direct in
   Array.iteri (fun i _ -> if i >= from then direct.(i) <- 0) direct;
   { inode with direct; xtree = (if from <= direct_ptrs then 0 else inode.xtree) }

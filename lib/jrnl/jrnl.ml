@@ -321,11 +321,17 @@ let commit t =
        reach their fixed homes at checkpoint. *)
     let all_blocks = List.rev t.txn_order in
     let blocks = List.filter t.cfg.journaled all_blocks in
-    let needed = 2 + List.length blocks + (if t.txn_revoked = [] then 0 else 1) in
-    if t.jhead + needed > t.cfg.geo.jend then checkpoint t;
+    let nblocks = List.length blocks in
+    let needed = 2 + nblocks + (if t.txn_revoked = [] then 0 else 1) in
+    let oversized () =
+      t.jhead + needed > t.cfg.geo.jend
+      || nblocks > Jrec.max_tags t.cfg.dev.Dev.block_size
+    in
+    if oversized () then checkpoint t;
     if aborted t then Error Errno.EROFS
-    else if t.jhead + needed > t.cfg.geo.jend then begin
-      (* A single transaction larger than the log: flush directly. This
+    else if oversized () then begin
+      (* A single transaction larger than the log, or with more blocks
+         than its one descriptor can name: flush directly. This
          sacrifices atomicity for this oversized transaction, which the
          real system avoids by bounding transaction size; our workloads
          never hit it, but fault injection might. *)

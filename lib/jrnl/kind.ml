@@ -31,7 +31,3 @@ let to_string = function
   | Unknown -> "?"
 
 let is_journal_region = function Jsb | Jdata -> true | _ -> false
-
-let is_metadata = function
-  | Superblock | Gdesc | Bitmap | Ibitmap | Inode | Dir -> true
-  | Data | Jsb | Jdata | Cksum | Rlog | Rmap | Replica | Unknown -> false

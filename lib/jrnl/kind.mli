@@ -26,4 +26,3 @@ type t =
 
 val to_string : t -> string
 val is_journal_region : t -> bool
-val is_metadata : t -> bool

@@ -43,9 +43,9 @@ type t = {
 }
 
 let ids = Atomic.make 0
-let default_span_cap = 65536
+let span_cap = 65536
 
-let create ?(span_cap = default_span_cap) () =
+let create () =
   {
     id = Atomic.fetch_and_add ids 1;
     m = Mutex.create ();

@@ -44,13 +44,10 @@ type t
     span buffer, with a clock. Cheap to create; the fingerprinting
     executor makes one per job. *)
 
-val create : ?span_cap:int -> unit -> t
-(** [create ()] is a fresh, empty context. [span_cap] bounds the span
-    ring (default {!default_span_cap}); the oldest spans are dropped
-    once it fills (see {!spans_dropped}). *)
-
-val default_span_cap : int
-(** [65536]. *)
+val create : unit -> t
+(** [create ()] is a fresh, empty context. Its span ring holds the
+    newest 65,536 spans; the oldest are dropped once it fills (see
+    {!spans_dropped}). *)
 
 val set_clock : t -> (unit -> float) -> unit
 (** Install the simulated-time source (milliseconds). The device layer

@@ -473,7 +473,8 @@ let data_write_block t objid fblock data =
   ignore (J.write_data t.jrnl ptr data);
   Ok ()
 
-(* Free data blocks and indirect items from file block [from] upward.
+(* Free data blocks and indirect items from file block [from] upward;
+   the item that holds [from] keeps only its pointers below the cut.
    Read failures here are detected but ignored — the space-leak bug. *)
 let free_file_from t objid ~from ~old_size =
   let nblocks = (old_size + t.bs - 1) / t.bs in
@@ -490,9 +491,17 @@ let free_file_from t objid ~from ~old_size =
               if p <> 0 && base + i >= from then
                 match free_block t p with Ok () -> () | Error _ -> incr errors)
             ptrs;
-          if base >= from then begin
-            match delete_item t key with Ok () -> () | Error _ -> incr errors
-          end
+          let trimmed =
+            if base >= from then delete_item t key
+            else if from - base < Array.length ptrs then
+              set_item t
+                {
+                  Rnode.key;
+                  body = Rnode.Indirect_body (Array.sub ptrs 0 (from - base));
+                }
+            else Ok ()
+          in
+          (match trimmed with Ok () -> () | Error _ -> incr errors)
       | Ok (Some _) | Ok None -> ()
       | Error _ -> incr errors);
       go (key.Rnode.offset + Rnode.max_indirect_ptrs)

@@ -171,8 +171,6 @@ let leaf_fits block_size items =
   && header_size + List.fold_left (fun a it -> a + item_size it) 0 items
      <= block_size
 
-let node_level = function Leaf _ -> 1 | Internal _ -> 2
-
 let encode block_size node buf =
   Bytes.fill buf 0 (Bytes.length buf) '\000';
   match node with
@@ -250,8 +248,3 @@ let decode buf =
             Some (Internal (ks, children))
     end
   with Codec.Decode_error _ -> None
-
-let min_key = function
-  | Leaf [] -> None
-  | Leaf (it :: _) -> Some it.key
-  | Internal (keys, _) -> ( match keys with k :: _ -> Some k | [] -> None)

@@ -70,8 +70,4 @@ val decode : bytes -> node option
 (** [None] when the header fails {!header_plausible} or the items are
     structurally impossible. *)
 
-val node_level : node -> int
 val leaf_fits : int -> item list -> bool
-
-val min_key : node -> key option
-(** Leftmost key, for separator maintenance. *)

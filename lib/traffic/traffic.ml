@@ -55,12 +55,15 @@ type config = {
   zipf : float;  (* working-set skew; quantized to quarters *)
   seed : int;
   num_blocks : int;  (* logical volume size *)
-  files_per_tenant : int;
   arrival : arrival;
-  think_ms : int;  (* closed-loop think time *)
-  rate_hz : int;  (* open-loop offered load, ops/sim-sec, all clients *)
   states : int;  (* crash states per tenant campaign *)
 }
+
+(* Every tenant's working set, the closed-loop think time and the
+   open-loop offered load (ops per simulated second, all clients). *)
+let files_per_tenant = 16
+let think_ms = 2_000
+let rate_hz = 80
 
 let default =
   {
@@ -70,10 +73,7 @@ let default =
     zipf = 0.75;
     seed = 42;
     num_blocks = 262_144 (* 1 GiB of 4 KiB blocks *);
-    files_per_tenant = 16;
     arrival = Mixed;
-    think_ms = 2_000;
-    rate_hz = 80;
     states = 1000;
   }
 
@@ -268,7 +268,7 @@ let run_load cfg brand =
     (match F.mkdir t (dir_of_tenant k) with
     | Ok () -> ()
     | Error e -> failwith ("traffic: mkdir: " ^ Iron_vfs.Errno.to_string e));
-    for j = 0 to cfg.files_per_tenant - 1 do
+    for j = 0 to files_per_tenant - 1 do
       match F.creat t (file_path k j) with
       | Error e -> failwith ("traffic: creat: " ^ Iron_vfs.Errno.to_string e)
       | Ok fd ->
@@ -287,12 +287,12 @@ let run_load cfg brand =
      turn the service-time model on for the measured window. *)
   Memdisk.restore disk (Memdisk.snapshot disk);
   Memdisk.set_time_model disk true;
-  let zipf = Zipf.create ~n:cfg.files_per_tenant ~theta:cfg.zipf in
+  let zipf = Zipf.create ~n:files_per_tenant ~theta:cfg.zipf in
   let obs = Obs.create () in
   let duration = float_of_int cfg.duration_ms in
   let lambda_ms =
     (* Per-client open-loop rate: the offered total spread evenly. *)
-    float_of_int cfg.rate_hz /. float_of_int (max 1 cfg.clients) /. 1000.0
+    float_of_int rate_hz /. float_of_int (max 1 cfg.clients) /. 1000.0
   in
   let clients =
     Array.init cfg.clients (fun c ->
@@ -314,7 +314,7 @@ let run_load cfg brand =
   Array.iteri
     (fun c cl ->
       let at =
-        if cl.c_closed then Prng.float cl.c_prng (float_of_int cfg.think_ms)
+        if cl.c_closed then Prng.float cl.c_prng (float_of_int think_ms)
         else exp_draw cl.c_prng /. cl.c_lambda_ms
       in
       Pq.push pq { Pq.at; client = c; seq = cl.c_seq };
@@ -394,7 +394,7 @@ let run_load cfg brand =
        | Op_stat -> op_counts.(3) <- op_counts.(3) + 1);
        tenant_ops.(cl.c_tenant) <- tenant_ops.(cl.c_tenant) + 1;
        if cl.c_closed then begin
-         let at = completion +. float_of_int cfg.think_ms in
+         let at = completion +. float_of_int think_ms in
          Pq.push pq { Pq.at; client = ev.Pq.client; seq = cl.c_seq };
          cl.c_seq <- cl.c_seq + 1
        end
@@ -597,7 +597,7 @@ let run ?(jobs = 1) cfg brand =
   let states, tc, viol_by, cross_by, cross, mount_viol =
     run_blast ~jobs cfg brand
   in
-  let zipf = Zipf.create ~n:cfg.files_per_tenant ~theta:cfg.zipf in
+  let zipf = Zipf.create ~n:files_per_tenant ~theta:cfg.zipf in
   {
     r_fs = Fs.brand_name brand;
     r_clients = cfg.clients;

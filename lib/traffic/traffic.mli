@@ -34,6 +34,9 @@ type arrival = Poisson | Closed | Mixed
 val arrival_to_string : arrival -> string
 val arrival_of_string : string -> arrival option
 
+(** Every run gives each tenant 16 files; a closed-loop client thinks
+    for 2 simulated seconds between ops, and the open-loop clients
+    together offer 80 ops per simulated second. *)
 type config = {
   clients : int;  (** simulated client sessions *)
   tenants : int;  (** tenants; client [c] belongs to [c mod tenants] *)
@@ -41,10 +44,7 @@ type config = {
   zipf : float;  (** working-set skew, quantized per {!Zipf} *)
   seed : int;
   num_blocks : int;  (** logical volume size in blocks *)
-  files_per_tenant : int;
   arrival : arrival;
-  think_ms : int;  (** closed-loop think time *)
-  rate_hz : int;  (** open-loop offered load, ops/sim-sec, summed *)
   states : int;  (** crash-state budget for the blast-radius phase *)
 }
 

@@ -16,14 +16,16 @@
 
 type t = {
   size : int;
-  cap : int;
   mutable free : bytes list;
   mutable nfree : int;
 }
 
-let create ?(cap = 4096) size =
-  if size <= 0 then invalid_arg "Arena.create: size must be positive";
-  { size; cap; free = []; nfree = 0 }
+(* Released buffers a pool retains. *)
+let cap = 4096
+
+let create size =
+  if size <= 0 then invalid_arg "Arena.block: size must be positive";
+  { size; free = []; nfree = 0 }
 
 let size t = t.size
 
@@ -53,7 +55,7 @@ let copy t data =
   end
 
 let put t b =
-  if Bytes.length b = t.size && t.nfree < t.cap then begin
+  if Bytes.length b = t.size && t.nfree < cap then begin
     t.free <- b :: t.free;
     t.nfree <- t.nfree + 1
   end

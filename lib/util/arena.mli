@@ -10,10 +10,6 @@
 
 type t
 
-val create : ?cap:int -> int -> t
-(** [create size] is an empty pool of [size]-byte buffers. [cap] bounds
-    how many released buffers are retained (default 4096). *)
-
 val size : t -> int
 
 val get : t -> bytes
@@ -29,7 +25,8 @@ val copy : t -> bytes -> bytes
 
 val put : t -> bytes -> unit
 (** Return a buffer to the pool. Buffers of the wrong size, or arriving
-    when the pool is full, are dropped (safe, just not reused). *)
+    when the pool already holds 4096, are dropped (safe, just not
+    reused). *)
 
 val block : int -> t
 (** The calling domain's shared pool for [size]-byte buffers. Buffers

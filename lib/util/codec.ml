@@ -5,7 +5,6 @@ let fail fmt = Format.kasprintf (fun s -> raise (Decode_error s)) fmt
 type reader = { rbuf : bytes; mutable rpos : int }
 
 let reader ?(pos = 0) rbuf = { rbuf; rpos = pos }
-let reader_pos r = r.rpos
 let remaining r = Bytes.length r.rbuf - r.rpos
 
 let need r n =

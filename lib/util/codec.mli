@@ -14,9 +14,6 @@ type reader
 
 val reader : ?pos:int -> bytes -> reader
 
-val reader_pos : reader -> int
-(** Current offset of the cursor within the underlying buffer. *)
-
 val remaining : reader -> int
 (** Bytes left between the cursor and the end of the buffer. *)
 

@@ -73,7 +73,6 @@ type boxed = Boxed : (module S with type t = 'a) * 'a -> boxed
 type brand = Brand : (module S with type t = 'a) -> brand
 
 let brand_name (Brand (module F)) = F.fs_name
-let brand_block_types (Brand (module F)) = F.block_types
 let mkfs (Brand (module F)) dev = F.mkfs dev
 
 let mount (Brand (module F)) dev =

@@ -101,6 +101,5 @@ type boxed = Boxed : (module S with type t = 'a) * 'a -> boxed
 type brand = Brand : (module S with type t = 'a) -> brand
 
 val brand_name : brand -> string
-val brand_block_types : brand -> string list
 val mkfs : brand -> Iron_disk.Dev.t -> (unit, Errno.t) result
 val mount : brand -> Iron_disk.Dev.t -> (boxed, Errno.t) result

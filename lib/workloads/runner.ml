@@ -10,7 +10,9 @@ type stats = {
   syncs : int;
 }
 
-let run ?obs ?(num_blocks = 4096) ?(seed = 42) brand (app : Apps.t) =
+let num_blocks = 4096
+
+let run ?obs ?(seed = 42) brand (app : Apps.t) =
   (* With a context: instrument the device and keep it ambient for the
      whole run, so journal/scrub spans from inside the file system are
      captured with real simulated timestamps (the time model is on for

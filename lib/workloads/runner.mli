@@ -12,12 +12,11 @@ type stats = {
 
 val run :
   ?obs:Iron_obs.Obs.t ->
-  ?num_blocks:int ->
   ?seed:int ->
   Iron_vfs.Fs.brand ->
   Apps.t ->
   (stats, Iron_vfs.Errno.t) result
-(** Default: a 4096-block (16 MiB) volume, seed 42. With [~obs] the
+(** A 4096-block (16 MiB) volume; default seed 42. With [~obs] the
     device stack is wrapped in {!Iron_disk.Dev.observe} and the context
     is ambient for the whole run, so journal spans carry real simulated
     timestamps. *)

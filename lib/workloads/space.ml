@@ -21,7 +21,9 @@ let profiles =
     ("media (large files)", 18, fun rng -> 131072 + Prng.int rng (300 * 1024));
   ]
 
-let measure_one ~num_blocks (name, nfiles, size_of) =
+let num_blocks = 4096
+
+let measure_one (name, nfiles, size_of) =
   let disk =
     Memdisk.create
       ~params:{ Memdisk.default_params with Memdisk.num_blocks; seed = 7 }
@@ -104,8 +106,7 @@ let measure_one ~num_blocks (name, nfiles, size_of) =
     parity_pct = pct parity_blocks;
   }
 
-let measure ?(num_blocks = 4096) () =
-  List.map (measure_one ~num_blocks) profiles
+let measure () = List.map measure_one profiles
 
 let pp fmt rows =
   Format.fprintf fmt "Space overheads of ixt3 redundancy (%%%% of used space):@.";

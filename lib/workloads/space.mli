@@ -14,5 +14,7 @@ type row = {
   parity_pct : float;  (** parity blocks, % of used space *)
 }
 
-val measure : ?num_blocks:int -> unit -> row list
+val measure : unit -> row list
+(** One ixt3 volume of 4096 blocks (16 MiB) per profile. *)
+
 val pp : Format.formatter -> row list -> unit

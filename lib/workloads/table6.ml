@@ -9,19 +9,19 @@ type table = {
   rows : row list;
 }
 
-let time ?obs ?num_blocks ?seed brand app =
-  match Runner.run ?obs ?num_blocks ?seed brand app with
+let time ?obs brand app =
+  match Runner.run ?obs brand app with
   | Ok r -> r.Runner.elapsed_ms
   | Error e ->
       failwith
         (Printf.sprintf "table6: %s failed: %s" app.Apps.name
            (Iron_vfs.Errno.to_string e))
 
-let compute ?obs ?num_blocks ?seed ?(jobs = 1) () =
+let compute ?obs ?(jobs = 1) () =
   let baselines =
     List.map
       (fun app ->
-        (app.Apps.name, time ?obs ?num_blocks ?seed Iron_ext3.Ext3.std app))
+        (app.Apps.name, time ?obs Iron_ext3.Ext3.std app))
       Apps.all
   in
   (* The 32 variants are independent experiments (each [Runner.run]
@@ -35,7 +35,7 @@ let compute ?obs ?num_blocks ?seed ?(jobs = 1) () =
           List.map
             (fun app ->
               let base = List.assoc app.Apps.name baselines in
-              (app.Apps.name, time ?obs ?num_blocks ?seed brand app /. base))
+              (app.Apps.name, time ?obs brand app /. base))
             Apps.all
         in
         (* Paper row order counts feature bits upward with Tc fastest. *)

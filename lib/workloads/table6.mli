@@ -12,14 +12,9 @@ type table = {
   rows : row list;
 }
 
-val compute :
-  ?obs:Iron_obs.Obs.t ->
-  ?num_blocks:int ->
-  ?seed:int ->
-  ?jobs:int ->
-  unit ->
-  table
-(** Runs 4 workloads x (1 baseline + 32 variants). Deterministic: the
+val compute : ?obs:Iron_obs.Obs.t -> ?jobs:int -> unit -> table
+(** Runs 4 workloads x (1 baseline + 32 variants), each a
+    {!Runner.run} at its default seed (42). Deterministic: the
     table is byte-identical for any [jobs] (default 1); the 32 variant
     rows fan out over an {!Iron_util.Pool} of worker domains.
 

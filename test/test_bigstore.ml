@@ -147,7 +147,7 @@ let payload seed =
 
 let run_case ops =
   let params =
-    { Memdisk.default_params with Memdisk.num_blocks; block_size; seed = 7 }
+    { Memdisk.num_blocks; block_size; seed = 7 }
   in
   let mk () =
     let d = Memdisk.create ~params () in

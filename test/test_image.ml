@@ -39,7 +39,7 @@ let bs = 512
 let fill c = Bytes.make bs (Char.chr (c land 0xff))
 
 let params nb seed =
-  { Memdisk.default_params with Memdisk.block_size = bs; num_blocks = nb; seed }
+  { Memdisk.block_size = bs; num_blocks = nb; seed }
 
 (* --- the reference device ---------------------------------------------- *)
 

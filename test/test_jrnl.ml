@@ -591,6 +591,44 @@ let t_batch_counters () =
   check Alcotest.bool "stages coalesce" true (coalesced > 0);
   check Alcotest.bool "checkpoints wait for a barrier" true (deferred > 0)
 
+(* A data-journal fsync of more blocks than one descriptor names (1,021
+   tags at 4 KiB, 253 at 1 KiB) fits the log, so only the descriptor
+   bound sends it to the direct flush; it must read back after a
+   remount, with and without an unmount first. *)
+let t_descriptor_bound () =
+  List.iter
+    (fun (block_size, num_blocks, blocks) ->
+      List.iter
+        (fun unmount ->
+          let what =
+            Printf.sprintf "%d blocks of %d bytes%s" blocks block_size
+              (if unmount then ", unmounted" else "")
+          in
+          let disk =
+            Memdisk.create
+              ~params:
+                { Memdisk.default_params with Memdisk.block_size; num_blocks }
+              ()
+          in
+          Memdisk.set_time_model disk false;
+          let dev = Memdisk.dev disk and brand = Iron_ext3.Modes.data in
+          ok (Fs.mkfs brand dev);
+          let (Fs.Boxed ((module F), t)) = ok (Fs.mount brand dev) in
+          let data =
+            Bytes.init (blocks * block_size) (fun i -> Char.chr (i * 7 mod 251))
+          in
+          let fd = ok (F.creat t "/big") in
+          ignore (ok (F.write t fd ~off:0 data));
+          ok (F.fsync t fd);
+          ok (F.close t fd);
+          if unmount then ok (F.unmount t);
+          let (Fs.Boxed ((module F), t)) = ok (Fs.mount brand dev) in
+          let fd = ok (F.open_ t "/big" Fs.Rd) in
+          let got = ok (F.read t fd ~off:0 ~len:(Bytes.length data)) in
+          check Alcotest.bool (what ^ " read back") true (Bytes.equal data got))
+        [ false; true ])
+    [ (4096, 32_768, 1_100); (1024, 8_192, 300) ]
+
 (* --- satellite: unified jrnl spans with device-clock timestamps -------- *)
 
 let journaling_brands =
@@ -864,6 +902,8 @@ let suites =
             t_writeback_window;
           Alcotest.test_case "batching counters tell the truth" `Quick
             t_batch_counters;
+          Alcotest.test_case "a transaction past its descriptor" `Quick
+            t_descriptor_bound;
         ] );
     ( "jrnl.borrowing",
       List.map

@@ -930,13 +930,19 @@ let rec mutate rng (j : Json.t) =
 
 (* The one decision the derived decoder changes on purpose: a rule
    whose [le_metric] is not a string is rejected, where the reference
-   loaded it without that bound. *)
+   loaded it without that bound. Both decoders read only the first
+   member of each name, so a repeated member is never looked at. *)
 let rec mistyped_le_metric = function
   | Json.Assoc ms ->
-      (match List.assoc_opt "le_metric" ms with
+      let firsts =
+        List.fold_left
+          (fun acc (k, v) -> if List.mem_assoc k acc then acc else (k, v) :: acc)
+          [] ms
+      in
+      (match List.assoc_opt "le_metric" firsts with
       | None | Some (Json.String _) -> false
       | Some _ -> true)
-      || List.exists (fun (_, v) -> mistyped_le_metric v) ms
+      || List.exists (fun (_, v) -> mistyped_le_metric v) firsts
   | Json.List l -> List.exists mistyped_le_metric l
   | _ -> false
 
@@ -988,6 +994,41 @@ let test_committed_mutants () =
       let s = read_file path in
       mutants_agree ~seed ~count:40 ~partners path (load path) s)
     (committed ())
+
+(* The case QCHECK_SEED=11 draws for [prop_generated_agree] below: its
+   second mutant appends a second [rules] member whose first rule has
+   ["le_metric": 15]. Both decoders read the first [rules] and accept. *)
+let test_repeated_member_agrees () =
+  let s =
+    {|{
+  "schema_version": 1,
+  "kind": "bench-thresholds",
+  "rules": [
+    {
+      "metric": "R'1:s?,M ",
+      "le_metric": "R'1:s?,M .other"
+    },
+    {
+      "metric": ".sM\u0001L[H5k65wC!.nFc_;7%>tA?JAKES[[4i&*+,PY",
+      "le_metric": ".sM\u0001L[H5k65wC!.nFc_;7%>tA?JAKES[[4i&*+,PY.other"
+    },
+    {
+      "metric": "4",
+      "max": 265
+    },
+    {
+      "metric": "+",
+      "min": 426
+    }
+  ]
+}
+|}
+  in
+  match decode_both "seed-11 artifact" s with
+  | None -> Alcotest.fail "seed-11 artifact: rejected by both decoders"
+  | Some d ->
+      mutants_agree ~seed:(-3219278067573421865) ~count:10 ~partners:[]
+        "seed-11 artifact" d s
 
 let prop_generated_agree =
   QCheck.Test.make ~name:"generated artifacts agree with the reference"
@@ -1055,6 +1096,8 @@ let suites =
           `Quick test_committed_agree;
         Alcotest.test_case "mutated committed artifacts agree" `Quick
           test_committed_mutants;
+        Alcotest.test_case "a repeated member is read once" `Quick
+          test_repeated_member_agrees;
         qtest prop_generated_agree;
       ] );
   ]

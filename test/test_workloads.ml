@@ -10,7 +10,7 @@ let check = Alcotest.check
 let test_apps_complete_on_ext3 () =
   List.iter
     (fun app ->
-      match Runner.run ~num_blocks:4096 Iron_ext3.Ext3.std app with
+      match Runner.run Iron_ext3.Ext3.std app with
       | Ok r ->
           check Alcotest.bool
             (app.Apps.name ^ " produced I/O")
@@ -23,7 +23,7 @@ let test_apps_complete_on_ext3 () =
 let test_apps_complete_on_full_ixt3 () =
   List.iter
     (fun app ->
-      match Runner.run ~num_blocks:4096 Iron_ixt3.Ixt3.full app with
+      match Runner.run Iron_ixt3.Ixt3.full app with
       | Ok _ -> ()
       | Error e ->
           Alcotest.failf "%s failed: %s" app.Apps.name (Iron_vfs.Errno.to_string e))
