@@ -14,8 +14,8 @@
       indexed per chunk by a plain slot array: the read path does no
       hashing and [read_into] allocates nothing;
     - a write of all zeroes onto a still-zero block is charged and
-      counted like any write but stores nothing, so mkfs's
-      zero-the-volume pass costs no memory.
+      counted like any write but stores nothing, so the empty group
+      metadata mkfs writes costs no memory.
 
     {!snapshot} and {!restore} are O(dirty). Frozen images are never
     written in place, so one image may be restored into any number of

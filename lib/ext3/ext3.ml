@@ -1048,9 +1048,14 @@ let mkfs_impl profile dev =
     match dev.Dev.write b data with Ok () -> Ok () | Error _ -> Error Errno.EIO
   in
   let cksums = Hashtbl.create 64 in
+  (* Every empty group's bitmaps and inode table are the zero block:
+     hash it once. *)
+  let zero_digest = lazy (Sha1.to_raw (Sha1.digest zero)) in
   let note_cksum b data =
     if profile.Profile.meta_checksum || profile.Profile.data_checksum then
-      Hashtbl.replace cksums b (Sha1.to_raw (Sha1.digest data))
+      Hashtbl.replace cksums b
+        (if data == zero then Lazy.force zero_digest
+         else Sha1.to_raw (Sha1.digest data))
   in
   let wr_meta b data =
     note_cksum b data;
@@ -1059,14 +1064,6 @@ let mkfs_impl profile dev =
       match Layout.replica_of lay b with Some r -> wr r data | None -> Ok ()
     else Ok ()
   in
-  (* Zero the whole volume for a deterministic image. *)
-  let rec zero_all b =
-    if b >= lay.Layout.num_blocks then Ok ()
-    else
-      let* () = wr b zero in
-      zero_all (b + 1)
-  in
-  let* () = zero_all 0 in
   (* Every group's (still empty) metadata gets its checksum and replica
      now, so later reads can verify them. Group 0's blocks are
      overwritten with real content just below. *)
@@ -1111,7 +1108,7 @@ let mkfs_impl profile dev =
   let ibbuf = Bytes.make bs '\000' in
   Bytes.set ibbuf 0 '\003' (* inodes 1 and 2 *);
   let* () = wr_meta (Layout.ibitmap_block lay 0) ibbuf in
-  (* Remaining groups: bitmaps stay zero (already zeroed). *)
+  (* Remaining groups: bitmaps stay the zero blocks written above. *)
   (* Group descriptor block: per-group locations and free counts. *)
   let gd = Bytes.make bs '\000' in
   let w = Codec.writer gd in

@@ -711,14 +711,6 @@ let mkfs_impl dev =
   let wr b data =
     match dev.Dev.write b data with Ok () -> Ok () | Error _ -> Error Errno.EIO
   in
-  let zero = Bytes.make bs '\000' in
-  let rec zero_all b =
-    if b >= num_blocks then Ok ()
-    else
-      let* () = wr b zero in
-      zero_all (b + 1)
-  in
-  let* () = zero_all 0 in
   let sb = Bytes.make bs '\000' in
   encode_super num_blocks sb;
   let* () = wr super_primary sb in

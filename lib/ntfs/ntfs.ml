@@ -550,14 +550,6 @@ let mkfs_impl dev =
   let wr b data =
     match dev.Dev.write b data with Ok () -> Ok () | Error _ -> Error Errno.EIO
   in
-  let zero = Bytes.make bs '\000' in
-  let rec zero_all b =
-    if b >= num_blocks then Ok ()
-    else
-      let* () = wr b zero in
-      zero_all (b + 1)
-  in
-  let* () = zero_all 0 in
   let boot = Bytes.make bs '\000' in
   let w = Codec.writer boot in
   Codec.put_u32 w boot_magic;

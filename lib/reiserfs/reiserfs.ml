@@ -553,13 +553,6 @@ let mkfs_impl dev =
   let wr b data =
     match dev.Dev.write b data with Ok () -> Ok () | Error _ -> Error Errno.EIO
   in
-  let rec zero_all b =
-    if b >= num_blocks then Ok ()
-    else
-      let* () = wr b zero in
-      zero_all (b + 1)
-  in
-  let* () = zero_all 0 in
   (* Root directory: stat + empty-ish dirent items in the root leaf. *)
   let now = 0 in
   let root_stat =

@@ -60,6 +60,11 @@ module type S = sig
   type t
 
   val mkfs : Iron_disk.Dev.t -> (unit, Errno.t) result
+  (** Format a device that reads zero at every block, as a fresh
+      [Memdisk] or a restored [Memdisk.blank_image] does. mkfs writes
+      only the blocks its layout defines, so on a device holding
+      anything else the blocks it leaves alone keep their bytes. *)
+
   val mount : Iron_disk.Dev.t -> (t, Errno.t) result
   val unmount : t -> (unit, Errno.t) result
   val klog : t -> Klog.t

@@ -11,9 +11,9 @@
      running over a carried image, frozen after every op, behaving like
      one holding the same contents in its overlay.
    - disk.sparse: the zero-default chunked footprint on multi-chunk
-     volumes — untouched chunks and zero writes cost nothing, and a
-     sparse device behaves like a fully materialized one, timing and
-     armed faults included.
+     volumes — untouched chunks and zero writes cost nothing, mkfs
+     writes only what its layout names, and a sparse device behaves
+     like a fully materialized one, timing and armed faults included.
    - disk.read_into: the zero-copy read path is indistinguishable from
      [read] through every wrapper. *)
 
@@ -491,8 +491,8 @@ let test_chunked_snapshot_is_frozen () =
 let test_zero_write_materializes_nothing () =
   let d = Memdisk.create ~params:(params nb 13) () in
   let dev = Memdisk.dev d in
-  (* A whole-volume zeroing pass (mkfs's first act): charged, counted,
-     but free. *)
+  (* Zeroes over untouched blocks, as mkfs writes each empty group's
+     bitmaps and inode table: charged, counted, but free. *)
   for b = 0 to nb - 1 do
     Dev.write_exn dev b (fill 0)
   done;
@@ -565,9 +565,8 @@ let test_large_volume_is_o_touched () =
     true
     (touched < 262_144 / 8)
 
-(* ext3-family mkfs zeroes the whole volume; the images the crash
-   explorer and the fuzzer memoize must still hold only what mkfs
-   actually wrote. *)
+(* The images the crash explorer and the fuzzer memoize hold only the
+   blocks mkfs and the setup wrote something other than zeroes to. *)
 let test_explore_base_is_sparse () =
   let params = { Memdisk.default_params with Memdisk.num_blocks = 2048; seed = 3 } in
   let img =
@@ -578,6 +577,69 @@ let test_explore_base_is_sparse () =
     (Printf.sprintf "touched (%d) well under 1/8 of 2048 blocks" touched)
     true
     (touched > 0 && touched < 2048 / 8)
+
+let brands =
+  [
+    Iron_ext3.Ext3.std; Iron_ext3.Modes.writeback; Iron_ext3.Modes.data;
+    Iron_reiserfs.Reiserfs.brand; Iron_jfs.Jfs.brand; Iron_ntfs.Ntfs.brand;
+    Iron_ext3.Ext3.ixt3;
+  ]
+
+let formatted ~num_blocks brand =
+  let d =
+    Memdisk.create
+      ~params:{ Memdisk.default_params with Memdisk.num_blocks; seed = 6 }
+      ()
+  in
+  Memdisk.set_time_model d false;
+  (match Iron_vfs.Fs.mkfs brand (Memdisk.dev d) with
+  | Ok () -> ()
+  | Error _ -> Alcotest.failf "%s: mkfs" (Iron_vfs.Fs.brand_name brand));
+  d
+
+(* mkfs formats a device that already reads zero and writes only what
+   its layout defines: on a 1 GiB volume, at most 1/64 of its blocks. *)
+let test_mkfs_writes_its_layout () =
+  let num_blocks = 262_144 in
+  List.iter
+    (fun brand ->
+      let writes =
+        (Memdisk.stats (formatted ~num_blocks brand)).Memdisk.writes
+      in
+      check Alcotest.bool
+        (Printf.sprintf "%s: %d writes within 1/64 of the volume"
+           (Iron_vfs.Fs.brand_name brand) writes)
+        true
+        (writes <= num_blocks / 64))
+    brands
+
+(* Full ixt3's mkfs checksums every group's bitmap, inode bitmap and
+   inode-table blocks, the empty ones through one digest of the zero
+   block: each stored entry is the SHA-1 of the block as it reads. *)
+let test_mkfs_checksums_group_metadata () =
+  let module Layout = Iron_ext3.Layout in
+  let num_blocks = 65_536 in
+  let d = formatted ~num_blocks Iron_ext3.Ext3.ixt3 in
+  let lay = Layout.compute ~block_size:4096 ~num_blocks in
+  let entry b =
+    let cb, off = Layout.cksum_location lay b in
+    Bytes.sub_string (Memdisk.peek d cb) off 20
+  in
+  let sha1 b = Iron_util.Sha1.(to_raw (digest (Memdisk.peek d b))) in
+  for g = 0 to lay.Layout.ngroups - 1 do
+    let blocks =
+      Layout.bitmap_block lay g
+      :: Layout.ibitmap_block lay g
+      :: List.init lay.Layout.itable_blocks (fun i ->
+             Layout.itable_block lay g + i)
+    in
+    List.iter
+      (fun b ->
+        if entry b <> sha1 b then
+          Alcotest.failf "group %d block %d: checksum entry is not its SHA-1"
+            g b)
+      blocks
+  done
 
 (* --- read_into = read through the wrapper stack ------------------------ *)
 
@@ -692,6 +754,10 @@ let suites =
           test_large_volume_is_o_touched;
         Alcotest.test_case "explore base image is sparse" `Quick
           test_explore_base_is_sparse;
+        Alcotest.test_case "mkfs writes only its layout" `Quick
+          test_mkfs_writes_its_layout;
+        Alcotest.test_case "mkfs checksums empty group metadata" `Quick
+          test_mkfs_checksums_group_metadata;
         qtest prop_sparse_equiv_memdisk;
         qtest prop_sparse_equiv_through_fault_and_obs;
       ] );

@@ -161,10 +161,10 @@ let resize s n =
 let chunk f off len =
   String.init len (fun i -> Char.chr (33 + ((f * 7 + off + i) mod 90)))
 
-let fresh ?(wrap = Fun.id) brand =
+let fresh ?(wrap = Fun.id) ?(num_blocks = 2048) brand =
   let d =
     Memdisk.create
-      ~params:{ Memdisk.default_params with Memdisk.num_blocks = 2048; seed = 77 }
+      ~params:{ Memdisk.default_params with Memdisk.num_blocks; seed = 77 }
       ()
   in
   Memdisk.set_time_model d false;
@@ -629,6 +629,60 @@ let t_descriptor_bound () =
         [ false; true ])
     [ (4096, 32_768, 1_100); (1024, 8_192, 300) ]
 
+(* --- directed: the direct flush is a barrier over every block ---------- *)
+
+let write_big (type a) (module F : Fs.S with type t = a) (t : a) blocks =
+  let fd = ok (F.creat t "/big") in
+  ignore (ok (F.write t fd ~off:0 (Bytes.make (blocks * 4096) 'd')));
+  ok (F.fsync t fd);
+  ok (F.close t fd)
+
+(* 200 data-journaled blocks outgrow the 128-block log of a 2,048-block
+   volume, so fsync flushes them straight home; they must be durable
+   when it returns. *)
+let t_direct_flush_barrier () =
+  let unsynced = ref 0 in
+  let count dev =
+    {
+      dev with
+      Dev.write =
+        (fun b data ->
+          incr unsynced;
+          dev.Dev.write b data);
+      sync =
+        (fun () ->
+          unsynced := 0;
+          dev.Dev.sync ());
+    }
+  in
+  let _, _, (Fs.Boxed ((module F), t)) =
+    fresh ~wrap:count Iron_ext3.Modes.data
+  in
+  write_big (module F) t 200;
+  check Alcotest.int "writes after the last sync" 0 !unsynced
+
+(* A 4,300-block fsync on an 8,192-block full ixt3 volume outgrows the
+   log; the direct flush must still carry the fixed-location replica
+   copies the transaction stages beside the journaled blocks. *)
+let t_direct_flush_replicas () =
+  let num_blocks = 8192 in
+  let _, dev, (Fs.Boxed ((module F), t)) =
+    fresh ~num_blocks Iron_ext3.Ext3.ixt3
+  in
+  write_big (module F) t 4300;
+  ok (F.unmount t);
+  let module Layout = Iron_ext3.Layout in
+  let lay = Layout.compute ~block_size:4096 ~num_blocks in
+  let stale b =
+    match Layout.replica_of lay b with
+    | Some r -> not (Bytes.equal (Dev.read_exn dev b) (Dev.read_exn dev r))
+    | None -> false
+  in
+  check
+    Alcotest.(list int)
+    "fixed replicas differing from their primaries" []
+    (List.filter stale (Layout.replica_targets lay))
+
 (* --- satellite: unified jrnl spans with device-clock timestamps -------- *)
 
 let journaling_brands =
@@ -904,6 +958,10 @@ let suites =
             t_batch_counters;
           Alcotest.test_case "a transaction past its descriptor" `Quick
             t_descriptor_bound;
+          Alcotest.test_case "direct flush ends with a barrier" `Quick
+            t_direct_flush_barrier;
+          Alcotest.test_case "direct flush writes the replicas home" `Quick
+            t_direct_flush_replicas;
         ] );
     ( "jrnl.borrowing",
       List.map

@@ -124,9 +124,9 @@ let table6_pins =
        ("TPC-B", 7266.439087974245, 156, 1222, 411) ]);
     ("ixt3 full", Iron_ixt3.Ixt3.full,
      [ ("SSH-Build", 8541.6007512969318, 19, 665, 6);
-       ("Web", 21207.486879241489, 1910, 17, 3);
+       ("Web", 21212.510647927364, 1910, 17, 3);
        ("PostMark", 2183.0788350690077, 3, 1282, 14);
-       ("TPC-B", 9999.8775288030029, 173, 2938, 219) ]);
+       ("TPC-B", 9999.9751850530029, 174, 2938, 219) ]);
     ("ixt3 Dc", Iron_ixt3.Ixt3.brand ~dc:true (),
      [ ("SSH-Build", 8231.6940895125445, 12, 323, 7);
        ("Web", 21063.634246594967, 1797, 2, 3);
