@@ -5,7 +5,7 @@ let () =
     @ Test_fault.suites
     @ Test_vfs.suites
     @ Test_codecs.suites @ Test_jrnl.suites @ Test_ext3.suites
-    @ Test_genops.suites
+    @ Test_genops.suites @ Test_streams.suites
     @ Test_reiserfs.suites @ Test_jfs.suites @ Test_ntfs.suites
     @ Test_ixt3.suites @ Test_fsck.suites @ Test_crash.suites
     @ Test_explore.suites @ Test_enumerate.suites @ Test_fuzz.suites @ Test_core.suites
