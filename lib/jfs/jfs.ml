@@ -4,8 +4,7 @@ module Bcache = Iron_disk.Bcache
 module Errno = Iron_vfs.Errno
 module Klog = Iron_vfs.Klog
 module Fs = Iron_vfs.Fs
-module Fdtable = Iron_vfs.Fdtable
-module Resolver = Iron_vfs.Resolver
+module Posix = Iron_vfs.Posix
 module Jrnl = Iron_jrnl.Jrnl
 module Record = Iron_jrnl.Jrnl.Record
 module Kind = Iron_jrnl.Kind
@@ -266,8 +265,6 @@ let kind_of_block num_blocks b =
 
 (* ---- state ----------------------------------------------------------- *)
 
-type fdesc = { fd_ino : int; fd_mode : Fs.open_mode }
-
 type state = {
   dev : Dev.t;
   bs : int;
@@ -279,14 +276,10 @@ type state = {
   jrnl : Record.t;
   mutable free_blocks : int;
   mutable free_inodes : int;
-  fds : fdesc Fdtable.t;
-  mutable cwd : int;
-  mutable root : int;
   mutable readonly : bool;
 }
 
 let zero_block t = Bytes.make t.bs '\000'
-let now_seconds t = int_of_float (t.dev.Dev.now () /. 1000.)
 
 (* ---- block access ---------------------------------------------------- *)
 
@@ -674,35 +667,6 @@ let dir_remove t _dino dinode name =
   in
   go blocks
 
-(* ---- resolver -------------------------------------------------------- *)
-
-let resolver_ops t =
-  {
-    Resolver.lookup =
-      (fun dir name ->
-        let* di = read_inode t dir in
-        if di.kind <> Some Fs.Directory then Error Errno.ENOTDIR
-        else
-          let* es = dir_entries t di in
-          match List.assoc_opt name es with
-          | Some i -> Ok i
-          | None -> Error Errno.ENOENT);
-    kind_of =
-      (fun ino ->
-        let* i = read_inode t ino in
-        match i.kind with Some k -> Ok k | None -> Error Errno.EIO);
-    readlink_of =
-      (fun ino ->
-        let* i = read_inode t ino in
-        Ok i.target);
-  }
-
-let resolve t ?follow_last path =
-  Resolver.resolve (resolver_ops t) ~root:t.root ~cwd:t.cwd ?follow_last path
-
-let resolve_parent t path =
-  Resolver.resolve_parent (resolver_ops t) ~root:t.root ~cwd:t.cwd path
-
 (* ---- mkfs / mount ---------------------------------------------------- *)
 
 let mkfs_impl dev =
@@ -845,111 +809,8 @@ let mount_impl dev =
           ~geo:(jgeo dev.Dev.num_blocks) ~txid;
       free_blocks;
       free_inodes;
-      fds = Fdtable.create ();
-      cwd = root_ino;
-      root = root_ino;
       readonly = false;
     }
-
-(* ---- ops ------------------------------------------------------------- *)
-
-let stat_of ino (i : inode) =
-  {
-    Fs.st_ino = ino;
-    st_kind = Option.value ~default:Fs.Regular i.kind;
-    st_size = i.size;
-    st_links = i.links;
-    st_mode = i.perms;
-    st_uid = i.uid;
-    st_gid = i.gid;
-    st_atime = float_of_int i.atime;
-    st_mtime = float_of_int i.mtime;
-    st_ctime = float_of_int i.ctime;
-  }
-
-let guard t = if t.readonly then Error Errno.EROFS else Ok ()
-
-let create_node t path k ~perms ~target =
-  let* () = guard t in
-  let* dino, name = resolve_parent t path in
-  let* dinode = read_inode t dino in
-  if dinode.kind <> Some Fs.Directory then Error Errno.ENOTDIR
-  else
-    let* es = dir_entries t dinode in
-    if List.mem_assoc name es then Error Errno.EEXIST
-    else begin
-      let* ino = alloc_inode t in
-      let now = now_seconds t in
-      let node =
-        {
-          free_inode_slot with
-          kind = Some k;
-          links = (if k = Fs.Directory then 2 else 1);
-          perms;
-          atime = now;
-          mtime = now;
-          ctime = now;
-          target;
-        }
-      in
-      let* node =
-        if k <> Fs.Directory then Ok node
-        else begin
-          let* b, node = bmap_alloc t ino node 0 in
-          let buf = Bytes.make t.bs '\000' in
-          encode_dir [ (".", ino); ("..", dino) ] buf;
-          let* () = meta_write t b buf in
-          Ok { node with size = t.bs }
-        end
-      in
-      let* () = write_inode t ino node in
-      let* () = dir_add t dino dinode name ino in
-      let* dinode = read_inode t dino in
-      let links = if k = Fs.Directory then dinode.links + 1 else dinode.links in
-      let* () = write_inode t dino { dinode with links; mtime = now; ctime = now } in
-      Ok ino
-    end
-
-let remove_common t path ~dir =
-  let* () = guard t in
-  let* dino, name = resolve_parent t path in
-  let* dinode = read_inode t dino in
-  let* es = dir_entries t dinode in
-  match List.assoc_opt name es with
-  | None -> Error Errno.ENOENT
-  | Some ino -> (
-      let* i = read_inode t ino in
-      match (dir, i.kind) with
-      | true, k when k <> Some Fs.Directory -> Error Errno.ENOTDIR
-      | false, Some Fs.Directory -> Error Errno.EISDIR
-      | _ ->
-          let* () =
-            if not dir then Ok ()
-            else
-              let* ces = dir_entries t i in
-              if List.for_all (fun (n, _) -> n = "." || n = "..") ces then Ok ()
-              else Error Errno.ENOTEMPTY
-          in
-          let now = now_seconds t in
-          let* () = dir_remove t dino dinode name in
-          let links = i.links - if dir then 2 else 1 in
-          if (dir && links <= 1) || ((not dir) && links <= 0) then begin
-            let i' = free_file_from t i ~from:0 in
-            let* () = write_inode t ino { i' with kind = None; links = 0 } in
-            let* () = free_inode t ino in
-            let* d = read_inode t dino in
-            write_inode t dino
-              {
-                d with
-                links = (if dir then d.links - 1 else d.links);
-                mtime = now;
-                ctime = now;
-              }
-          end
-          else
-            let* () = write_inode t ino { i with links; ctime = now } in
-            let* d = read_inode t dino in
-            write_inode t dino { d with mtime = now; ctime = now })
 
 (* ---- classifier ------------------------------------------------------ *)
 
@@ -1095,284 +956,159 @@ let corrupt_field ty =
   | "bmap" | "imap" -> Some (fun buf -> Bytes.fill buf 0 (Bytes.length buf) '\xFF')
   | _ -> None
 
-(* ---- brand ----------------------------------------------------------- *)
+(* ---- store and brand ------------------------------------------------ *)
 
-let brand =
-  let module M = struct
-    let fs_name = "jfs"
-    let block_types = block_types
-    let classifier = classify
-    let corrupt_field = corrupt_field
+module Store = struct
+  type t = state
+  type node = inode
+  type dir = int * inode
 
-    type t = state
+  let fs_name = "jfs"
+  let block_types = block_types
+  let classifier = classify
+  let corrupt_field = corrupt_field
+  let mkfs = mkfs_impl
+  let mount = mount_impl
 
-    let mkfs = mkfs_impl
-    let mount = mount_impl
+  let sync t =
+    let* () = commit t in
+    checkpoint t;
+    Ok ()
 
-    let unmount t =
-      let* () = commit t in
-      checkpoint t;
-      ignore (t.dev.Dev.sync ());
-      Ok ()
+  let unmount t =
+    let* () = sync t in
+    ignore (t.dev.Dev.sync ());
+    Ok ()
 
-    let klog t = t.klog
-    let is_readonly t = t.readonly
+  let fsync = commit
 
-    let access t path =
-      let* _ = resolve t path in
-      Ok ()
+  let statfs t =
+    {
+      Fs.f_blocks = t.num_blocks - first_data;
+      f_bfree = t.free_blocks;
+      f_files = total_inodes;
+      f_ffree = t.free_inodes;
+      f_bsize = t.bs;
+    }
 
-    let chdir t path =
-      let* ino = resolve t path in
-      let* i = read_inode t ino in
-      if i.kind = Some Fs.Directory then begin
-        t.cwd <- ino;
-        Ok ()
-      end
-      else Error Errno.ENOTDIR
+  let dev t = t.dev
+  let klog t = t.klog
+  let is_readonly t = t.readonly
+  let root = root_ino
+  let writable t = if t.readonly then Error Errno.EROFS else Ok ()
+  let read = read_inode
+  let write = write_inode
 
-    let chroot t path =
-      let* ino = resolve t path in
-      let* i = read_inode t ino in
-      if i.kind = Some Fs.Directory then begin
-        t.root <- ino;
-        t.cwd <- ino;
-        Ok ()
-      end
-      else Error Errno.ENOTDIR
+  let attr (i : inode) =
+    {
+      Posix.kind = i.kind;
+      links = i.links;
+      perms = i.perms;
+      uid = i.uid;
+      gid = i.gid;
+      size = i.size;
+      atime = i.atime;
+      mtime = i.mtime;
+      ctime = i.ctime;
+      target = i.target;
+    }
 
-    let stat t path =
-      let* ino = resolve t path in
-      let* i = read_inode t ino in
-      Ok (stat_of ino i)
+  let with_attr (i : inode) (a : Posix.attr) =
+    {
+      i with
+      kind = a.kind;
+      links = a.links;
+      perms = a.perms;
+      uid = a.uid;
+      gid = a.gid;
+      size = a.size;
+      atime = a.atime;
+      mtime = a.mtime;
+      ctime = a.ctime;
+      target = a.target;
+    }
 
-    let lstat t path =
-      let* ino = resolve t ~follow_last:false path in
-      let* i = read_inode t ino in
-      Ok (stat_of ino i)
+  let open_dir t ino =
+    let* i = read_inode t ino in
+    Ok (ino, i)
 
-    let statfs t =
-      Ok
-        {
-          Fs.f_blocks = t.num_blocks - first_data;
-          f_bfree = t.free_blocks;
-          f_files = total_inodes;
-          f_ffree = t.free_inodes;
-          f_bsize = t.bs;
-        }
+  let entries t (_, i) = dir_entries t i
+  let add_entry t (dino, dinode) name ino = dir_add t dino dinode name ino
+  let remove_entry t (dino, dinode) name = dir_remove t dino dinode name
 
-    let open_ t path mode =
-      let* ino = resolve t path in
-      let* i = read_inode t ino in
-      match i.kind with
-      | None -> Error Errno.EIO
-      | Some Fs.Directory when mode <> Fs.Rd -> Error Errno.EISDIR
-      | Some _ -> Ok (Fdtable.alloc t.fds { fd_ino = ino; fd_mode = mode })
+  (* [".."] lives in the directory's first block. *)
+  let reparent t _ i parent =
+    let* blocks = dir_blocks t i in
+    match blocks with
+    | (_, b, entries) :: _ ->
+        let buf = Bytes.make t.bs '\000' in
+        encode_dir
+          (List.map (fun (n, e) -> if n = ".." then (n, parent) else (n, e)) entries)
+          buf;
+        meta_write t b buf
+    | [] -> Ok ()
 
-    let close t fd = Fdtable.close t.fds fd
+  let alloc = alloc_inode
 
-    let creat t path =
-      let* ino = create_node t path Fs.Regular ~perms:0o644 ~target:"" in
-      Ok (Fdtable.alloc t.fds { fd_ino = ino; fd_mode = Fs.Rdwr })
-
-    let read t fd ~off ~len =
-      let* { fd_ino; _ } = Fdtable.find t.fds fd in
-      let* i = read_inode t fd_ino in
-      let len = max 0 (min len (i.size - off)) in
-      if len = 0 then Ok Bytes.empty
+  let create t ino ~parent (a : Posix.attr) =
+    let node = with_attr free_inode_slot a in
+    let* node =
+      if a.kind <> Some Fs.Directory then Ok node
       else begin
-        let out = Bytes.create len in
-        let rec fill pos =
-          if pos >= len then Ok ()
-          else begin
-            let fblock = (off + pos) / t.bs in
-            let boff = (off + pos) mod t.bs in
-            let n = min (t.bs - boff) (len - pos) in
-            let* data = data_read_block t i fblock in
-            Bytes.blit data boff out pos n;
-            fill (pos + n)
-          end
-        in
-        let* () = fill 0 in
-        Ok out
+        let* b, node = bmap_alloc t ino node 0 in
+        let buf = Bytes.make t.bs '\000' in
+        encode_dir [ (".", ino); ("..", parent) ] buf;
+        let* () = meta_write t b buf in
+        Ok { node with size = t.bs }
       end
+    in
+    write_inode t ino node
 
-    let write t fd ~off data =
-      let* () = guard t in
-      let* { fd_ino; fd_mode } = Fdtable.find t.fds fd in
-      if fd_mode = Fs.Rd then Error Errno.EBADF
-      else begin
-        let* i0 = read_inode t fd_ino in
-        let len = Bytes.length data in
-        let inode = ref i0 in
-        let rec put pos =
-          if pos >= len then Ok ()
-          else begin
-            let fblock = (off + pos) / t.bs in
-            let boff = (off + pos) mod t.bs in
-            let n = min (t.bs - boff) (len - pos) in
-            let* existing = bmap t !inode fblock in
-            let* b, inode' = bmap_alloc t fd_ino !inode fblock in
-            inode := inode';
-            let* buf =
-              if boff = 0 && n = t.bs then Ok (Bytes.sub data pos n)
-              else
+  let destroy t ino i =
+    let i' = free_file_from t i ~from:0 in
+    let* () = write_inode t ino { i' with kind = None; links = 0 } in
+    let* () = free_inode t ino in
+    Ok (Ok ())
+
+  let write_super _ = Ok ()
+  let inline _ _ = Ok None
+  let read_block t _ i fblock = data_read_block t i fblock
+
+  let write_data t ino i0 ~off data =
+    let inode = ref i0 in
+    let* () =
+      Posix.each_block ~bs:t.bs ~off ~len:(Bytes.length data) (fun fblock boff pos n ->
+          let* existing = bmap t !inode fblock in
+          let* b, inode' = bmap_alloc t ino !inode fblock in
+          inode := inode';
+          let* buf =
+            Posix.patch ~bs:t.bs data ~boff ~pos ~n (fun () ->
                 let* old = data_read_block t !inode fblock in
                 (* A freshly mapped block still holds whatever its last
                    owner wrote; splicing into that leaks freed data. The
                    read stays (the request stream is part of the failure
                    fingerprint) but the baseline must be zeros. *)
-                let old =
-                  if existing = 0 then zero_block t else Bytes.copy old
-                in
-                Bytes.blit data pos old boff n;
-                Ok old
-            in
-            let* () = data_write_block t b buf in
-            put (pos + n)
-          end
-        in
-        let* () = put 0 in
-        let now = now_seconds t in
-        let* () =
-          write_inode t fd_ino
-            { !inode with size = max i0.size (off + len); mtime = now; ctime = now }
-        in
-        Ok len
-      end
-
-    let readlink t path =
-      let* ino = resolve t ~follow_last:false path in
-      let* i = read_inode t ino in
-      if i.kind = Some Fs.Symlink then Ok i.target else Error Errno.EINVAL
-
-    let getdirentries t path =
-      let* ino = resolve t path in
-      let* i = read_inode t ino in
-      if i.kind <> Some Fs.Directory then Error Errno.ENOTDIR
-      else dir_entries t i
-
-    let link t existing newpath =
-      let* () = guard t in
-      let* ino = resolve t existing in
-      let* i = read_inode t ino in
-      if i.kind = Some Fs.Directory then Error Errno.EISDIR
-      else
-        let* dino, name = resolve_parent t newpath in
-        let* dinode = read_inode t dino in
-        let* es = dir_entries t dinode in
-        if List.mem_assoc name es then Error Errno.EEXIST
-        else
-          let* () = dir_add t dino dinode name ino in
-          write_inode t ino { i with links = i.links + 1; ctime = now_seconds t }
-
-    let symlink t target linkpath =
-      let* _ = create_node t linkpath Fs.Symlink ~perms:0o777 ~target in
-      Ok ()
-
-    let mkdir t path =
-      let* _ = create_node t path Fs.Directory ~perms:0o755 ~target:"" in
-      Ok ()
-
-    let rmdir t path = remove_common t path ~dir:true
-    let unlink t path = remove_common t path ~dir:false
-
-    let rename t src dst =
-      let* () = guard t in
-      let* sdino, sname = resolve_parent t src in
-      let* sdinode = read_inode t sdino in
-      let* ses = dir_entries t sdinode in
-      match List.assoc_opt sname ses with
-      | None -> Error Errno.ENOENT
-      | Some ino ->
-          let* ddino, dname = resolve_parent t dst in
-          let* ddinode = read_inode t ddino in
-          let* des = dir_entries t ddinode in
-          let* () =
-            match List.assoc_opt dname des with
-            | Some old when old <> ino -> (
-                let* oi = read_inode t old in
-                match oi.kind with
-                | Some Fs.Directory -> Error Errno.EISDIR
-                | Some _ | None -> remove_common t dst ~dir:false)
-            | Some _ | None -> Ok ()
+                Ok (if existing = 0 then zero_block t else Bytes.copy old))
           in
-          let* sdinode = read_inode t sdino in
-          let* () = dir_remove t sdino sdinode sname in
-          let* ddinode = read_inode t ddino in
-          let* () = dir_add t ddino ddinode dname ino in
-          let* i = read_inode t ino in
-          if i.kind = Some Fs.Directory && sdino <> ddino then begin
-            let* blocks = dir_blocks t i in
-            let* () =
-              match blocks with
-              | (_, b, entries) :: _ ->
-                  let entries' =
-                    List.map
-                      (fun (n, e) -> if n = ".." then (n, ddino) else (n, e))
-                      entries
-                  in
-                  let buf = Bytes.make t.bs '\000' in
-                  encode_dir entries' buf;
-                  meta_write t b buf
-              | [] -> Ok ()
-            in
-            let* sd = read_inode t sdino in
-            let* () = write_inode t sdino { sd with links = sd.links - 1 } in
-            let* dd = read_inode t ddino in
-            write_inode t ddino { dd with links = dd.links + 1 }
-          end
-          else Ok ()
+          data_write_block t b buf)
+    in
+    Ok !inode
 
-    let truncate t path size =
-      let* () = guard t in
-      let* ino = resolve t path in
-      let* i = read_inode t ino in
-      if i.kind = Some Fs.Directory then Error Errno.EISDIR
-      else begin
-        let keep = (size + t.bs - 1) / t.bs in
-        let i' = free_file_from t i ~from:keep in
-        (* Zero the tail of a partially kept block. *)
-        let* () =
-          if size >= i.size || size mod t.bs = 0 then Ok ()
-          else
-            let* b = bmap t i' (size / t.bs) in
-            if b = 0 then Ok ()
-            else
-              let* old = owned (data_read_block t i' (size / t.bs)) in
-              Bytes.fill old (size mod t.bs) (t.bs - (size mod t.bs)) '\000';
-              data_write_block t b old
-        in
-        let now = now_seconds t in
-        write_inode t ino { i' with size; mtime = now; ctime = now }
-      end
+  let truncate t _ i size =
+    let keep = (size + t.bs - 1) / t.bs in
+    let i' = free_file_from t i ~from:keep in
+    (* Zero the tail of a partially kept block. *)
+    let* () =
+      if size >= i.size || size mod t.bs = 0 then Ok ()
+      else
+        let* b = bmap t i' (size / t.bs) in
+        if b = 0 then Ok ()
+        else
+          let* old = owned (data_read_block t i' (size / t.bs)) in
+          Bytes.fill old (size mod t.bs) (t.bs - (size mod t.bs)) '\000';
+          data_write_block t b old
+    in
+    Ok (i', Ok ())
+end
 
-    let chmod t path perms =
-      let* () = guard t in
-      let* ino = resolve t path in
-      let* i = read_inode t ino in
-      write_inode t ino { i with perms; ctime = now_seconds t }
-
-    let chown t path uid gid =
-      let* () = guard t in
-      let* ino = resolve t path in
-      let* i = read_inode t ino in
-      write_inode t ino { i with uid; gid; ctime = now_seconds t }
-
-    let utimes t path atime mtime =
-      let* () = guard t in
-      let* ino = resolve t path in
-      let* i = read_inode t ino in
-      write_inode t ino
-        { i with atime = int_of_float atime; mtime = int_of_float mtime }
-
-    let fsync t fd =
-      let* _ = Fdtable.find t.fds fd in
-      commit t
-
-    let sync t =
-      let* () = commit t in
-      checkpoint t;
-      Ok ()
-  end in
-  Fs.Brand (module M)
+let brand = Fs.Brand (module Posix.Make (Store))

@@ -4,8 +4,7 @@ module Bcache = Iron_disk.Bcache
 module Errno = Iron_vfs.Errno
 module Klog = Iron_vfs.Klog
 module Fs = Iron_vfs.Fs
-module Fdtable = Iron_vfs.Fdtable
-module Resolver = Iron_vfs.Resolver
+module Posix = Iron_vfs.Posix
 module Jrnl = Iron_jrnl.Jrnl
 module Jrec = Iron_jrnl.Jrec
 
@@ -161,8 +160,6 @@ let decode_index buf =
 
 (* ---- state ------------------------------------------------------------ *)
 
-type fdesc = { fd_ino : int; fd_mode : Fs.open_mode }
-
 type state = {
   dev : Dev.t;
   bs : int;
@@ -175,13 +172,9 @@ type state = {
   mutable lpos : int; (* next free logfile block *)
   mutable lseq : int;
   mutable free_blocks : int;
-  fds : fdesc Fdtable.t;
-  mutable cwd : int;
-  mutable root : int;
   mutable readonly : bool;
 }
 
-let now_seconds t = int_of_float (t.dev.Dev.now () /. 1000.)
 let total_records = mft_blocks * records_per_block
 
 (* ---- retried I/O ------------------------------------------------------ *)
@@ -513,35 +506,6 @@ let dir_remove t _dino dr name =
   in
   go blocks
 
-(* ---- resolver ------------------------------------------------------------ *)
-
-let resolver_ops t =
-  {
-    Resolver.lookup =
-      (fun dir name ->
-        let* dr = read_record t dir in
-        if dr.kind <> Some Fs.Directory then Error Errno.ENOTDIR
-        else
-          let* es = dir_entries t dr in
-          match List.assoc_opt name es with
-          | Some i -> Ok i
-          | None -> Error Errno.ENOENT);
-    kind_of =
-      (fun ino ->
-        let* r = read_record t ino in
-        match r.kind with Some k -> Ok k | None -> Error Errno.EIO);
-    readlink_of =
-      (fun ino ->
-        let* r = read_record t ino in
-        Ok r.target);
-  }
-
-let resolve t ?follow_last path =
-  Resolver.resolve (resolver_ops t) ~root:t.root ~cwd:t.cwd ?follow_last path
-
-let resolve_parent t path =
-  Resolver.resolve_parent (resolver_ops t) ~root:t.root ~cwd:t.cwd path
-
 (* ---- mkfs / mount ---------------------------------------------------------- *)
 
 let mkfs_impl dev =
@@ -676,9 +640,6 @@ let mount_impl dev =
       lpos = logfile_start;
       lseq = 1;
       free_blocks;
-      fds = Fdtable.create ();
-      cwd = root_ino;
-      root = root_ino;
       readonly = false;
     }
 
@@ -747,384 +708,168 @@ let corrupt_field ty =
       Some (fun buf -> Bytes.fill buf 0 (Bytes.length buf) '\xFF')
   | _ -> None
 
-(* ---- brand -------------------------------------------------------------------- *)
+(* ---- store and brand ---------------------------------------------------------- *)
 
-let brand =
-  let module M = struct
-    let fs_name = "ntfs"
-    let block_types = block_types
-    let classifier = classify
-    let corrupt_field = corrupt_field
+module Store = struct
+  type t = state
+  type node = record
+  type dir = int * record
 
-    type t = state
+  let fs_name = "ntfs"
+  let block_types = block_types
+  let classifier = classify
+  let corrupt_field = corrupt_field
+  let mkfs = mkfs_impl
+  let mount = mount_impl
+  let sync = commit
+  let fsync = commit
 
-    let mkfs = mkfs_impl
-    let mount = mount_impl
+  let unmount t =
+    let* () = commit t in
+    checkpoint t;
+    ignore (t.dev.Dev.sync ());
+    Ok ()
 
-    let unmount t =
-      let* () = commit t in
-      checkpoint t;
-      ignore (t.dev.Dev.sync ());
-      Ok ()
+  let statfs t =
+    {
+      Fs.f_blocks = t.num_blocks - first_data;
+      f_bfree = t.free_blocks;
+      f_files = total_records;
+      f_ffree = total_records;
+      f_bsize = t.bs;
+    }
 
-    let klog t = t.klog
-    let is_readonly t = t.readonly
+  let dev t = t.dev
+  let klog t = t.klog
+  let is_readonly t = t.readonly
+  let root = root_ino
+  let writable _ = Ok ()
+  let read = read_record
+  let write = write_record
 
-    let access t path =
-      let* _ = resolve t path in
-      Ok ()
+  (* An MFT record keeps no owner: it reads as root's, and chown
+     changes only its ctime. *)
+  let attr (r : record) =
+    {
+      Posix.kind = r.kind;
+      links = r.links;
+      perms = r.perms;
+      uid = 0;
+      gid = 0;
+      size = r.size;
+      atime = r.atime;
+      mtime = r.mtime;
+      ctime = r.ctime;
+      target = r.target;
+    }
 
-    let chdir t path =
-      let* ino = resolve t path in
-      let* r = read_record t ino in
-      if r.kind = Some Fs.Directory then begin
-        t.cwd <- ino;
-        Ok ()
-      end
-      else Error Errno.ENOTDIR
+  let with_attr (r : record) (a : Posix.attr) =
+    {
+      r with
+      kind = a.kind;
+      links = a.links;
+      perms = a.perms;
+      size = a.size;
+      atime = a.atime;
+      mtime = a.mtime;
+      ctime = a.ctime;
+      target = a.target;
+    }
 
-    let chroot t path =
-      let* ino = resolve t path in
-      let* r = read_record t ino in
-      if r.kind = Some Fs.Directory then begin
-        t.root <- ino;
-        t.cwd <- ino;
-        Ok ()
-      end
-      else Error Errno.ENOTDIR
+  let open_dir t ino =
+    let* r = read_record t ino in
+    Ok (ino, r)
 
-    let stat_of ino (r : record) =
-      {
-        Fs.st_ino = ino;
-        st_kind = Option.value ~default:Fs.Regular r.kind;
-        st_size = r.size;
-        st_links = r.links;
-        st_mode = r.perms;
-        st_uid = 0;
-        st_gid = 0;
-        st_atime = float_of_int r.atime;
-        st_mtime = float_of_int r.mtime;
-        st_ctime = float_of_int r.ctime;
-      }
+  let entries t (_, r) = dir_entries t r
+  let add_entry t (dino, dr) name ino = dir_add t dino dr name ino
+  let remove_entry t (dino, dr) name = dir_remove t dino dr name
 
-    let stat t path =
-      let* ino = resolve t path in
-      let* r = read_record t ino in
-      Ok (stat_of ino r)
+  (* [".."] lives in the directory's first index block. *)
+  let reparent t _ r parent =
+    let* blocks = dir_blocks t r in
+    match blocks with
+    | (_, b, entries) :: _ ->
+        let buf = Bytes.make t.bs '\000' in
+        encode_index
+          (List.map (fun (n, e) -> if n = ".." then (n, parent) else (n, e)) entries)
+          buf;
+        meta_write t b buf
+    | [] -> Ok ()
 
-    let lstat t path =
-      let* ino = resolve t ~follow_last:false path in
-      let* r = read_record t ino in
-      Ok (stat_of ino r)
+  let alloc = alloc_record
 
-    let statfs t =
-      Ok
-        {
-          Fs.f_blocks = t.num_blocks - first_data;
-          f_bfree = t.free_blocks;
-          f_files = total_records;
-          f_ffree = total_records;
-          f_bsize = t.bs;
-        }
-
-    let open_ t path mode =
-      let* ino = resolve t path in
-      let* r = read_record t ino in
-      match r.kind with
-      | None -> Error Errno.EIO
-      | Some Fs.Directory when mode <> Fs.Rd -> Error Errno.EISDIR
-      | Some _ -> Ok (Fdtable.alloc t.fds { fd_ino = ino; fd_mode = mode })
-
-    let close t fd = Fdtable.close t.fds fd
-
-    let create_node t path k ~perms ~target =
-      let* dino, name = resolve_parent t path in
-      let* dr = read_record t dino in
-      if dr.kind <> Some Fs.Directory then Error Errno.ENOTDIR
-      else
-        let* es = dir_entries t dr in
-        if List.mem_assoc name es then Error Errno.EEXIST
-        else begin
-          let* ino = alloc_record t in
-          let now = now_seconds t in
-          let node =
-            {
-              free_record with
-              kind = Some k;
-              links = (if k = Fs.Directory then 2 else 1);
-              perms;
-              atime = now;
-              mtime = now;
-              ctime = now;
-              target;
-            }
-          in
-          let* node =
-            if k <> Fs.Directory then Ok node
-            else begin
-              let* b = alloc_block t in
-              let runs = Array.copy node.runs in
-              runs.(0) <- b;
-              let buf = Bytes.make t.bs '\000' in
-              encode_index [ (".", ino); ("..", dino) ] buf;
-              let* () = meta_write t b buf in
-              Ok { node with runs; size = t.bs }
-            end
-          in
-          let* () = write_record t ino node in
-          let* () = dir_add t dino dr name ino in
-          let* dr = read_record t dino in
-          let links = if k = Fs.Directory then dr.links + 1 else dr.links in
-          let* () = write_record t dino { dr with links; mtime = now; ctime = now } in
-          Ok ino
-        end
-
-    let creat t path =
-      let* ino = create_node t path Fs.Regular ~perms:0o644 ~target:"" in
-      Ok (Fdtable.alloc t.fds { fd_ino = ino; fd_mode = Fs.Rdwr })
-
-    let read t fd ~off ~len =
-      let* { fd_ino; _ } = Fdtable.find t.fds fd in
-      let* r = read_record t fd_ino in
-      let len = max 0 (min len (r.size - off)) in
-      if len = 0 then Ok Bytes.empty
+  let create t ino ~parent (a : Posix.attr) =
+    let node = with_attr free_record a in
+    let* node =
+      if a.kind <> Some Fs.Directory then Ok node
       else begin
-        let out = Bytes.create len in
-        let rec fill pos =
-          if pos >= len then Ok ()
-          else begin
-            let fblock = (off + pos) / t.bs in
-            let boff = (off + pos) mod t.bs in
-            let n = min (t.bs - boff) (len - pos) in
-            let* data = data_read_block t r fblock in
-            Bytes.blit data boff out pos n;
-            fill (pos + n)
-          end
-        in
-        let* () = fill 0 in
-        Ok out
+        let* b = alloc_block t in
+        let runs = Array.copy node.runs in
+        runs.(0) <- b;
+        let buf = Bytes.make t.bs '\000' in
+        encode_index [ (".", ino); ("..", parent) ] buf;
+        let* () = meta_write t b buf in
+        Ok { node with runs; size = t.bs }
       end
+    in
+    write_record t ino node
 
-    let write t fd ~off data =
-      let* { fd_ino; fd_mode } = Fdtable.find t.fds fd in
-      if fd_mode = Fs.Rd then Error Errno.EBADF
-      else begin
-        let* r0 = read_record t fd_ino in
-        let len = Bytes.length data in
-        let r = ref r0 in
-        let rec put pos =
-          if pos >= len then Ok ()
-          else begin
-            let fblock = (off + pos) / t.bs in
-            let boff = (off + pos) mod t.bs in
-            let n = min (t.bs - boff) (len - pos) in
-            let* buf =
-              if boff = 0 && n = t.bs then Ok (Bytes.sub data pos n)
-              else
-                let* old = owned (data_read_block t !r fblock) in
-                Bytes.blit data pos old boff n;
-                Ok old
-            in
-            let* r' = data_write_block t fd_ino !r fblock buf in
-            r := r';
-            put (pos + n)
-          end
-        in
-        let* () = put 0 in
-        let now = now_seconds t in
-        let* () =
-          write_record t fd_ino
-            { !r with size = max r0.size (off + len); mtime = now; ctime = now }
-        in
-        Ok len
-      end
+  (* A run that fails to free leaks, and the unlink reports EIO once
+     the parent is updated. *)
+  let destroy t ino r =
+    let errors = ref 0 in
+    Array.iter
+      (fun b ->
+        if b <> 0 then
+          match free_block t b with Ok () -> () | Error _ -> incr errors)
+      r.runs;
+    let* () = write_record t ino free_record in
+    let* () = free_record_slot t ino in
+    Ok (if !errors > 0 then Error Errno.EIO else Ok ())
 
-    let readlink t path =
-      let* ino = resolve t ~follow_last:false path in
-      let* r = read_record t ino in
-      if r.kind = Some Fs.Symlink then Ok r.target else Error Errno.EINVAL
+  let write_super _ = Ok ()
+  let inline _ _ = Ok None
+  let read_block t _ r fblock = data_read_block t r fblock
 
-    let getdirentries t path =
-      let* ino = resolve t path in
-      let* r = read_record t ino in
-      if r.kind <> Some Fs.Directory then Error Errno.ENOTDIR
-      else dir_entries t r
-
-    let link t existing newpath =
-      let* ino = resolve t existing in
-      let* r = read_record t ino in
-      if r.kind = Some Fs.Directory then Error Errno.EISDIR
-      else
-        let* dino, name = resolve_parent t newpath in
-        let* dr = read_record t dino in
-        let* es = dir_entries t dr in
-        if List.mem_assoc name es then Error Errno.EEXIST
-        else
-          let* () = dir_add t dino dr name ino in
-          write_record t ino { r with links = r.links + 1; ctime = now_seconds t }
-
-    let symlink t target linkpath =
-      let* _ = create_node t linkpath Fs.Symlink ~perms:0o777 ~target in
-      Ok ()
-
-    let mkdir t path =
-      let* _ = create_node t path Fs.Directory ~perms:0o755 ~target:"" in
-      Ok ()
-
-    let remove_common t path ~dir =
-      let* dino, name = resolve_parent t path in
-      let* dr = read_record t dino in
-      let* es = dir_entries t dr in
-      match List.assoc_opt name es with
-      | None -> Error Errno.ENOENT
-      | Some ino -> (
-          let* r = read_record t ino in
-          match (dir, r.kind) with
-          | true, k when k <> Some Fs.Directory -> Error Errno.ENOTDIR
-          | false, Some Fs.Directory -> Error Errno.EISDIR
-          | _ ->
-              let* () =
-                if not dir then Ok ()
-                else
-                  let* ces = dir_entries t r in
-                  if List.for_all (fun (n, _) -> n = "." || n = "..") ces then Ok ()
-                  else Error Errno.ENOTEMPTY
-              in
-              let now = now_seconds t in
-              let* () = dir_remove t dino dr name in
-              let links = r.links - if dir then 2 else 1 in
-              if (dir && links <= 1) || ((not dir) && links <= 0) then begin
-                let errors = ref 0 in
-                Array.iter
-                  (fun b ->
-                    if b <> 0 then
-                      match free_block t b with
-                      | Ok () -> ()
-                      | Error _ -> incr errors)
-                  r.runs;
-                let* () = write_record t ino free_record in
-                let* () = free_record_slot t ino in
-                let* d = read_record t dino in
-                let* () =
-                  write_record t dino
-                    {
-                      d with
-                      links = (if dir then d.links - 1 else d.links);
-                      mtime = now;
-                      ctime = now;
-                    }
-                in
-                if !errors > 0 then Error Errno.EIO else Ok ()
-              end
-              else
-                let* () = write_record t ino { r with links; ctime = now } in
-                let* d = read_record t dino in
-                write_record t dino { d with mtime = now; ctime = now })
-
-    let rmdir t path = remove_common t path ~dir:true
-    let unlink t path = remove_common t path ~dir:false
-
-    let rename t src dst =
-      let* sdino, sname = resolve_parent t src in
-      let* sdr = read_record t sdino in
-      let* ses = dir_entries t sdr in
-      match List.assoc_opt sname ses with
-      | None -> Error Errno.ENOENT
-      | Some ino ->
-          let* ddino, dname = resolve_parent t dst in
-          let* ddr = read_record t ddino in
-          let* des = dir_entries t ddr in
-          let* () =
-            match List.assoc_opt dname des with
-            | Some old when old <> ino -> (
-                let* orr = read_record t old in
-                match orr.kind with
-                | Some Fs.Directory -> Error Errno.EISDIR
-                | Some _ | None -> remove_common t dst ~dir:false)
-            | Some _ | None -> Ok ()
+  let write_data t ino r0 ~off data =
+    let r = ref r0 in
+    let* () =
+      Posix.each_block ~bs:t.bs ~off ~len:(Bytes.length data) (fun fblock boff pos n ->
+          let* buf =
+            Posix.patch ~bs:t.bs data ~boff ~pos ~n (fun () ->
+                owned (data_read_block t !r fblock))
           in
-          let* sdr = read_record t sdino in
-          let* () = dir_remove t sdino sdr sname in
-          let* ddr = read_record t ddino in
-          let* () = dir_add t ddino ddr dname ino in
-          let* r = read_record t ino in
-          if r.kind = Some Fs.Directory && sdino <> ddino then begin
-            let* blocks = dir_blocks t r in
-            let* () =
-              match blocks with
-              | (_, b, entries) :: _ ->
-                  let entries' =
-                    List.map
-                      (fun (n, e) -> if n = ".." then (n, ddino) else (n, e))
-                      entries
-                  in
-                  let buf = Bytes.make t.bs '\000' in
-                  encode_index entries' buf;
-                  meta_write t b buf
-              | [] -> Ok ()
-            in
-            let* sd = read_record t sdino in
-            let* () = write_record t sdino { sd with links = sd.links - 1 } in
-            let* dd = read_record t ddino in
-            write_record t ddino { dd with links = dd.links + 1 }
-          end
-          else Ok ()
+          let* r' = data_write_block t ino !r fblock buf in
+          r := r';
+          Ok ())
+    in
+    Ok !r
 
-    let truncate t path size =
-      let* ino = resolve t path in
-      let* r = read_record t ino in
-      if r.kind = Some Fs.Directory then Error Errno.EISDIR
-      else if size > data_runs * t.bs then Error Errno.EFBIG
-      else begin
-        let keep = (size + t.bs - 1) / t.bs in
-        let errors = ref 0 in
-        let runs = Array.copy r.runs in
-        Array.iteri
-          (fun i b ->
-            if i >= keep && b <> 0 then begin
-              (match free_block t b with Ok () -> () | Error _ -> incr errors);
-              runs.(i) <- 0
-            end)
-          runs;
-        (* Zero the tail of a partially kept cluster. *)
-        (if size < r.size && size mod t.bs <> 0 then begin
-           let b = runs.(size / t.bs) in
-           if b <> 0 then
-             match owned (retried_read t b) with
-             | Ok old ->
-                 Bytes.fill old (size mod t.bs) (t.bs - (size mod t.bs)) '\000';
-                 ignore
-                   (retried_write t b old ~attempts:data_write_attempts
-                      ~what:"data")
-             | Error _ -> incr errors
-         end);
-        let now = now_seconds t in
-        let* () =
-          write_record t ino { r with runs; size; mtime = now; ctime = now }
-        in
-        if !errors > 0 then Error Errno.EIO else Ok ()
-      end
+  let truncate t _ r size =
+    if size > data_runs * t.bs then Error Errno.EFBIG
+    else begin
+      let keep = (size + t.bs - 1) / t.bs in
+      let errors = ref 0 in
+      let runs = Array.copy r.runs in
+      Array.iteri
+        (fun i b ->
+          if i >= keep && b <> 0 then begin
+            (match free_block t b with Ok () -> () | Error _ -> incr errors);
+            runs.(i) <- 0
+          end)
+        runs;
+      (* Zero the tail of a partially kept cluster. *)
+      (if size < r.size && size mod t.bs <> 0 then begin
+         let b = runs.(size / t.bs) in
+         if b <> 0 then
+           match owned (retried_read t b) with
+           | Ok old ->
+               Bytes.fill old (size mod t.bs) (t.bs - (size mod t.bs)) '\000';
+               ignore (retried_write t b old ~attempts:data_write_attempts ~what:"data")
+           | Error _ -> incr errors
+       end);
+      Ok ({ r with runs }, if !errors > 0 then Error Errno.EIO else Ok ())
+    end
+end
 
-    let chmod t path perms =
-      let* ino = resolve t path in
-      let* r = read_record t ino in
-      write_record t ino { r with perms; ctime = now_seconds t }
-
-    let chown t path _uid _gid =
-      let* ino = resolve t path in
-      let* r = read_record t ino in
-      write_record t ino { r with ctime = now_seconds t }
-
-    let utimes t path atime mtime =
-      let* ino = resolve t path in
-      let* r = read_record t ino in
-      write_record t ino
-        { r with atime = int_of_float atime; mtime = int_of_float mtime }
-
-    let fsync t fd =
-      let* _ = Fdtable.find t.fds fd in
-      commit t
-
-    let sync t = commit t
-  end in
-  Fs.Brand (module M)
+let brand = Fs.Brand (module Posix.Make (Store))

@@ -4,8 +4,7 @@ module Bcache = Iron_disk.Bcache
 module Errno = Iron_vfs.Errno
 module Klog = Iron_vfs.Klog
 module Fs = Iron_vfs.Fs
-module Fdtable = Iron_vfs.Fdtable
-module Resolver = Iron_vfs.Resolver
+module Posix = Iron_vfs.Posix
 module Jrnl = Iron_jrnl.Jrnl
 module Jrec = Iron_jrnl.Jrec
 module Kind = Iron_jrnl.Kind
@@ -90,8 +89,6 @@ let geo num_blocks =
 
 (* ---- state ---------------------------------------------------------- *)
 
-type fdesc = { fd_obj : int; fd_mode : Fs.open_mode }
-
 type state = {
   dev : Dev.t;
   bs : int;
@@ -100,13 +97,9 @@ type state = {
   zeros : bytes; (* read-only, like every borrowed buffer: holes read as it *)
   super : super;
   jrnl : J.t;
-  fds : fdesc Fdtable.t;
-  mutable cwd : int;
-  mutable root : int;
 }
 
 let zero_block t = Bytes.make t.bs '\000'
-let now_seconds t = int_of_float (t.dev.Dev.now () /. 1000.)
 
 (* ---- block access with journal overlay ------------------------------ *)
 
@@ -513,32 +506,6 @@ let free_file_from t objid ~from ~old_size =
       !errors objid;
   Ok ()
 
-(* ---- resolver ------------------------------------------------------- *)
-
-let resolver_ops t =
-  {
-    Resolver.lookup =
-      (fun dir name ->
-        let* es = read_dirents t dir in
-        match List.assoc_opt name es with
-        | Some o -> Ok o
-        | None -> Error Errno.ENOENT);
-    kind_of =
-      (fun o ->
-        let* s = read_stat t o in
-        Ok s.Rnode.sk);
-    readlink_of =
-      (fun o ->
-        let* s = read_stat t o in
-        Ok s.Rnode.target);
-  }
-
-let resolve t ?follow_last path =
-  Resolver.resolve (resolver_ops t) ~root:t.root ~cwd:t.cwd ?follow_last path
-
-let resolve_parent t path =
-  Resolver.resolve_parent (resolver_ops t) ~root:t.root ~cwd:t.cwd path
-
 (* ---- mkfs / mount --------------------------------------------------- *)
 
 let mkfs_impl dev =
@@ -654,148 +621,9 @@ let mount_impl dev =
       jrnl =
         J.create ~dev ~cache ~klog ~kinds:(kind_of_block super) ~geo
           ~journaled:(fun _ -> true) ~seq:jseq;
-      fds = Fdtable.create ();
-      cwd = root_objid;
-      root = root_objid;
     }
 
-(* ---- operations ----------------------------------------------------- *)
-
-let stat_of t objid (s : Rnode.stat_body) =
-  ignore t;
-  {
-    Fs.st_ino = objid;
-    st_kind = s.Rnode.sk;
-    st_size = s.Rnode.size;
-    st_links = s.Rnode.links;
-    st_mode = s.Rnode.perms;
-    st_uid = s.Rnode.uid;
-    st_gid = s.Rnode.gid;
-    st_atime = float_of_int s.Rnode.atime;
-    st_mtime = float_of_int s.Rnode.mtime;
-    st_ctime = float_of_int s.Rnode.ctime;
-  }
-
-let fresh_objid t =
-  let o = t.super.next_objid in
-  t.super.next_objid <- o + 1;
-  o
-
-let create_node t path sk ~perms ~target =
-  let* dino, name = resolve_parent t path in
-  let* ds = read_stat t dino in
-  if ds.Rnode.sk <> Fs.Directory then Error Errno.ENOTDIR
-  else
-    let* es = read_dirents t dino in
-    if List.mem_assoc name es then Error Errno.EEXIST
-    else begin
-      let objid = fresh_objid t in
-      let now = now_seconds t in
-      let stat =
-        {
-          Rnode.sk;
-          links = (if sk = Fs.Directory then 2 else 1);
-          uid = 0;
-          gid = 0;
-          perms;
-          size = 0;
-          atime = now;
-          mtime = now;
-          ctime = now;
-          target;
-        }
-      in
-      let* () = write_stat t objid stat in
-      let* () =
-        if sk = Fs.Directory then
-          write_dirents t objid [ (".", objid); ("..", dino) ]
-        else Ok ()
-      in
-      let* () = write_dirents t dino (es @ [ (name, objid) ]) in
-      let* () =
-        if sk = Fs.Directory then
-          write_stat t dino
-            { ds with Rnode.links = ds.Rnode.links + 1; mtime = now; ctime = now }
-        else write_stat t dino { ds with Rnode.mtime = now; ctime = now }
-      in
-      let* () = write_super t in
-      Ok objid
-    end
-
-let remove_common t path ~dir =
-  let* dino, name = resolve_parent t path in
-  let* es = read_dirents t dino in
-  match List.assoc_opt name es with
-  | None -> Error Errno.ENOENT
-  | Some objid -> (
-      let* s = read_stat t objid in
-      match (dir, s.Rnode.sk) with
-      | true, k when k <> Fs.Directory -> Error Errno.ENOTDIR
-      | false, Fs.Directory -> Error Errno.EISDIR
-      | _ ->
-          let* () =
-            if not dir then Ok ()
-            else
-              let* ces = read_dirents t objid in
-              if List.for_all (fun (n, _) -> n = "." || n = "..") ces then Ok ()
-              else Error Errno.ENOTEMPTY
-          in
-          let now = now_seconds t in
-          let* () = write_dirents t dino (List.remove_assoc name es) in
-          let links = s.Rnode.links - if dir then 2 else 1 in
-          if (dir && links <= 1) || ((not dir) && links <= 0) then begin
-            let* () = free_file_from t objid ~from:0 ~old_size:s.Rnode.size in
-            let* () = delete_item t (direct_key objid) in
-            let* () = delete_item t (dirent_key objid) in
-            let* () = delete_item t (stat_key objid) in
-            let* ds = read_stat t dino in
-            let* () =
-              write_stat t dino
-                {
-                  ds with
-                  Rnode.links = (if dir then ds.Rnode.links - 1 else ds.Rnode.links);
-                  mtime = now;
-                  ctime = now;
-                }
-            in
-            write_super t
-          end
-          else
-            let* () = write_stat t objid { s with Rnode.links; ctime = now } in
-            let* ds = read_stat t dino in
-            write_stat t dino { ds with Rnode.mtime = now; ctime = now })
-
-let op_read t fd ~off ~len =
-  let* { fd_obj; _ } = Fdtable.find t.fds fd in
-  let* s = read_stat t fd_obj in
-  let len = max 0 (min len (s.Rnode.size - off)) in
-  if len = 0 then Ok Bytes.empty
-  else
-    let* tail = read_tail t fd_obj in
-    match tail with
-    | Some tail ->
-        (* Small file stored inline. *)
-        let out = Bytes.make len '\000' in
-        let avail = max 0 (min len (String.length tail - off)) in
-        if avail > 0 then Bytes.blit_string tail off out 0 avail;
-        Ok out
-    | None ->
-  begin
-    let out = Bytes.create len in
-    let rec fill pos =
-      if pos >= len then Ok ()
-      else begin
-        let fblock = (off + pos) / t.bs in
-        let boff = (off + pos) mod t.bs in
-        let n = min (t.bs - boff) (len - pos) in
-        let* data = data_read_block t fd_obj fblock in
-        Bytes.blit data boff out pos n;
-        fill (pos + n)
-      end
-    in
-    let* () = fill 0 in
-    Ok out
-  end
+(* ---- file data ----------------------------------------------------- *)
 
 (* A tail that outgrew {!Rnode.max_direct_bytes}: push it out to an
    unformatted block and continue with the indirect representation. *)
@@ -805,72 +633,60 @@ let convert_tail t objid tail =
   let* () = data_write_block t objid 0 buf in
   delete_item t (direct_key objid)
 
-let op_write t fd ~off data =
-  let* { fd_obj; fd_mode } = Fdtable.find t.fds fd in
-  if fd_mode = Fs.Rd then Error Errno.EBADF
-  else begin
-    let* s = read_stat t fd_obj in
-    let len = Bytes.length data in
-    let new_size = max s.Rnode.size (off + len) in
-    let* tail = read_tail t fd_obj in
-    let* () =
-      match tail with
-      | Some tail when new_size > Rnode.max_direct_bytes ->
-          convert_tail t fd_obj tail
-      | Some _ | None -> Ok ()
-    in
-    if
-      new_size <= Rnode.max_direct_bytes
-      && (tail <> None || s.Rnode.size = 0)
+(* A file small enough stays (or becomes) a direct item; one that grows
+   past it converts its tail first. *)
+let write_data t objid (s : Rnode.stat_body) ~off data =
+  let len = Bytes.length data in
+  let new_size = max s.Rnode.size (off + len) in
+  let* tail = read_tail t objid in
+  let* () =
+    match tail with
+    | Some tail when new_size > Rnode.max_direct_bytes -> convert_tail t objid tail
+    | Some _ | None -> Ok ()
+  in
+  let* () =
+    if new_size <= Rnode.max_direct_bytes && (tail <> None || s.Rnode.size = 0)
     then begin
-      (* Stay (or become) a direct item. *)
       let cur = match tail with Some tl -> tl | None -> "" in
       let b = Bytes.make new_size '\000' in
       Bytes.blit_string cur 0 b 0 (String.length cur);
       Bytes.blit data 0 b off len;
-      let* () = write_tail t fd_obj (Bytes.to_string b) in
-      let now = now_seconds t in
-      let* () =
-        write_stat t fd_obj
-          { s with Rnode.size = new_size; mtime = now; ctime = now }
-      in
-      let* () = write_super t in
-      Ok len
+      write_tail t objid (Bytes.to_string b)
     end
-    else begin
-    let rec put pos =
-      if pos >= len then Ok ()
-      else begin
-        let fblock = (off + pos) / t.bs in
-        let boff = (off + pos) mod t.bs in
-        let n = min (t.bs - boff) (len - pos) in
-        let* buf =
-          if boff = 0 && n = t.bs then Ok (Bytes.sub data pos n)
-          else
-            let* old = owned (data_read_block t fd_obj fblock) in
-            Bytes.blit data pos old boff n;
-            Ok old
-        in
-        let* () = data_write_block t fd_obj fblock buf in
-        put (pos + n)
-      end
-    in
-    let* () = put 0 in
-    let now = now_seconds t in
-    let* () =
-      write_stat t fd_obj
-        { s with Rnode.size = new_size; mtime = now; ctime = now }
-    in
-    let* () = write_super t in
-    Ok len
-    end
-  end
+    else
+      Posix.each_block ~bs:t.bs ~off ~len (fun fblock boff pos n ->
+          let* buf =
+            Posix.patch ~bs:t.bs data ~boff ~pos ~n (fun () ->
+                owned (data_read_block t objid fblock))
+          in
+          data_write_block t objid fblock buf)
+  in
+  Ok s
 
-let op_unmount t =
-  let* () = J.commit t.jrnl in
-  J.checkpoint t.jrnl;
-  ignore (t.dev.Dev.sync ());
-  Ok ()
+let truncate t o (s : Rnode.stat_body) size =
+  let* tail = read_tail t o in
+  let* () =
+    match tail with
+    | Some tail when size <= Rnode.max_direct_bytes ->
+        (* Resize the inline tail. *)
+        let b = Bytes.make size '\000' in
+        Bytes.blit_string tail 0 b 0 (min size (String.length tail));
+        write_tail t o (Bytes.to_string b)
+    | Some tail ->
+        (* Growing past the inline limit. *)
+        convert_tail t o tail
+    | None ->
+        let keep = (size + t.bs - 1) / t.bs in
+        let* () = free_file_from t o ~from:keep ~old_size:s.Rnode.size in
+        (* Zero the tail of a partially kept block. *)
+        if size >= s.Rnode.size || size mod t.bs = 0 then Ok ()
+        else
+          let fblock = size / t.bs in
+          let* old = owned (data_read_block t o fblock) in
+          Bytes.fill old (size mod t.bs) (t.bs - (size mod t.bs)) '\000';
+          data_write_block t o fblock old
+  in
+  Ok (s, Ok ())
 
 (* ---- classifier & corruption ---------------------------------------- *)
 
@@ -992,215 +808,118 @@ let corrupt_field ty =
   | "bitmap" -> Some (fun buf -> Bytes.fill buf 0 (Bytes.length buf) '\xFF')
   | _ -> None
 
-(* ---- brand ----------------------------------------------------------- *)
+(* ---- store and brand ------------------------------------------------ *)
 
-let brand =
-  let module M = struct
-    let fs_name = "reiserfs"
-    let block_types = block_types
-    let classifier = classify
-    let corrupt_field = corrupt_field
+(* The namespace layer sees an object as its stat item, a directory as
+   the dirent item read when it is opened, and a small file's bytes as
+   its tail. *)
+module Store = struct
+  type t = state
+  type node = Rnode.stat_body
+  type dir = { dobj : int; des : (string * int) list }
 
-    type t = state
+  let fs_name = "reiserfs"
+  let block_types = block_types
+  let classifier = classify
+  let corrupt_field = corrupt_field
+  let mkfs = mkfs_impl
+  let mount = mount_impl
 
-    let mkfs = mkfs_impl
-    let mount = mount_impl
-    let unmount = op_unmount
-    let klog t = t.klog
-    let is_readonly _ = false
+  let sync t =
+    let* () = J.commit t.jrnl in
+    J.checkpoint t.jrnl;
+    Ok ()
 
-    let access t path =
-      let* _ = resolve t path in
-      Ok ()
+  let unmount t =
+    let* () = sync t in
+    ignore (t.dev.Dev.sync ());
+    Ok ()
 
-    let chdir t path =
-      let* o = resolve t path in
-      let* s = read_stat t o in
-      if s.Rnode.sk = Fs.Directory then begin
-        t.cwd <- o;
-        Ok ()
-      end
-      else Error Errno.ENOTDIR
+  let fsync t = J.commit t.jrnl
 
-    let chroot t path =
-      let* o = resolve t path in
-      let* s = read_stat t o in
-      if s.Rnode.sk = Fs.Directory then begin
-        t.root <- o;
-        t.cwd <- o;
-        Ok ()
-      end
-      else Error Errno.ENOTDIR
+  let statfs t =
+    {
+      Fs.f_blocks = t.super.num_blocks - t.super.first_data;
+      f_bfree = t.super.free_blocks;
+      f_files = t.super.next_objid;
+      f_ffree = max 0 (65536 - t.super.next_objid);
+      f_bsize = t.bs;
+    }
 
-    let stat t path =
-      let* o = resolve t path in
-      let* s = read_stat t o in
-      Ok (stat_of t o s)
+  let dev t = t.dev
+  let klog t = t.klog
+  let is_readonly _ = false
+  let root = root_objid
+  let writable _ = Ok ()
+  let read t o = read_stat t o
+  let write = write_stat
 
-    let lstat t path =
-      let* o = resolve t ~follow_last:false path in
-      let* s = read_stat t o in
-      Ok (stat_of t o s)
+  let attr (s : node) =
+    {
+      Posix.kind = Some s.Rnode.sk;
+      links = s.links;
+      perms = s.perms;
+      uid = s.uid;
+      gid = s.gid;
+      size = s.size;
+      atime = s.atime;
+      mtime = s.mtime;
+      ctime = s.ctime;
+      target = s.target;
+    }
 
-    let statfs t =
-      Ok
-        {
-          Fs.f_blocks = t.super.num_blocks - t.super.first_data;
-          f_bfree = t.super.free_blocks;
-          f_files = t.super.next_objid;
-          f_ffree = max 0 (65536 - t.super.next_objid);
-          f_bsize = t.bs;
-        }
+  (* [sk] serves only an attribute record without a kind, which no
+     caller passes. *)
+  let of_attr sk (a : Posix.attr) =
+    {
+      Rnode.sk = Option.value ~default:sk a.kind;
+      links = a.links;
+      uid = a.uid;
+      gid = a.gid;
+      perms = a.perms;
+      size = a.size;
+      atime = a.atime;
+      mtime = a.mtime;
+      ctime = a.ctime;
+      target = a.target;
+    }
 
-    let open_ t path mode =
-      let* o = resolve t path in
-      let* s = read_stat t o in
-      match s.Rnode.sk with
-      | Fs.Directory when mode <> Fs.Rd -> Error Errno.EISDIR
-      | Fs.Regular | Fs.Directory | Fs.Symlink ->
-          Ok (Fdtable.alloc t.fds { fd_obj = o; fd_mode = mode })
+  let with_attr (s : node) a = of_attr s.Rnode.sk a
 
-    let close t fd = Fdtable.close t.fds fd
+  let open_dir t o =
+    let* des = read_dirents t o in
+    Ok { dobj = o; des }
 
-    let creat t path =
-      let* o = create_node t path Fs.Regular ~perms:0o644 ~target:"" in
-      Ok (Fdtable.alloc t.fds { fd_obj = o; fd_mode = Fs.Rdwr })
+  let entries _ d = Ok d.des
+  let add_entry t d name o = write_dirents t d.dobj (d.des @ [ (name, o) ])
+  let remove_entry t d name = write_dirents t d.dobj (List.remove_assoc name d.des)
 
-    let read t fd ~off ~len = op_read t fd ~off ~len
-    let write t fd ~off data = op_write t fd ~off data
+  let reparent t o _ parent =
+    let* es = read_dirents t o in
+    write_dirents t o (List.map (fun (n, e) -> if n = ".." then (n, parent) else (n, e)) es)
 
-    let readlink t path =
-      let* o = resolve t ~follow_last:false path in
-      let* s = read_stat t o in
-      if s.Rnode.sk = Fs.Symlink then Ok s.Rnode.target else Error Errno.EINVAL
+  let alloc t =
+    let o = t.super.next_objid in
+    t.super.next_objid <- o + 1;
+    Ok o
 
-    let getdirentries t path =
-      let* o = resolve t path in
-      let* s = read_stat t o in
-      if s.Rnode.sk <> Fs.Directory then Error Errno.ENOTDIR
-      else read_dirents t o
+  let create t o ~parent (a : Posix.attr) =
+    let dir = a.kind = Some Fs.Directory in
+    let* () = write_stat t o (of_attr Fs.Regular a) in
+    if dir then write_dirents t o [ (".", o); ("..", parent) ] else Ok ()
 
-    let link t existing newpath =
-      let* o = resolve t existing in
-      let* s = read_stat t o in
-      if s.Rnode.sk = Fs.Directory then Error Errno.EISDIR
-      else
-        let* dino, name = resolve_parent t newpath in
-        let* es = read_dirents t dino in
-        if List.mem_assoc name es then Error Errno.EEXIST
-        else
-          let* () = write_dirents t dino (es @ [ (name, o) ]) in
-          write_stat t o
-            { s with Rnode.links = s.Rnode.links + 1; ctime = now_seconds t }
+  let destroy t o (s : node) =
+    let* () = free_file_from t o ~from:0 ~old_size:s.Rnode.size in
+    let* () = delete_item t (direct_key o) in
+    let* () = delete_item t (dirent_key o) in
+    let* () = delete_item t (stat_key o) in
+    Ok (Ok ())
 
-    let symlink t target linkpath =
-      let* _ = create_node t linkpath Fs.Symlink ~perms:0o777 ~target in
-      Ok ()
+  let write_super = write_super
+  let inline t o = read_tail t o
+  let read_block t o _ fblock = data_read_block t o fblock
+  let write_data = write_data
+  let truncate = truncate
+end
 
-    let mkdir t path =
-      let* _ = create_node t path Fs.Directory ~perms:0o755 ~target:"" in
-      Ok ()
-
-    let rmdir t path = remove_common t path ~dir:true
-    let unlink t path = remove_common t path ~dir:false
-
-    let rename t src dst =
-      let* sdino, sname = resolve_parent t src in
-      let* ses = read_dirents t sdino in
-      match List.assoc_opt sname ses with
-      | None -> Error Errno.ENOENT
-      | Some o ->
-          let* ddino, dname = resolve_parent t dst in
-          let* () =
-            let* des = read_dirents t ddino in
-            match List.assoc_opt dname des with
-            | Some old when old <> o -> (
-                let* os = read_stat t old in
-                match os.Rnode.sk with
-                | Fs.Directory -> Error Errno.EISDIR
-                | Fs.Regular | Fs.Symlink -> remove_common t dst ~dir:false)
-            | Some _ | None -> Ok ()
-          in
-          let* ses = read_dirents t sdino in
-          let* () = write_dirents t sdino (List.remove_assoc sname ses) in
-          let* des = read_dirents t ddino in
-          let* () = write_dirents t ddino (des @ [ (dname, o) ]) in
-          let* s = read_stat t o in
-          if s.Rnode.sk = Fs.Directory && sdino <> ddino then begin
-            let* ces = read_dirents t o in
-            let ces' = List.map (fun (n, e) -> if n = ".." then (n, ddino) else (n, e)) ces in
-            let* () = write_dirents t o ces' in
-            let* sd = read_stat t sdino in
-            let* () = write_stat t sdino { sd with Rnode.links = sd.Rnode.links - 1 } in
-            let* dd = read_stat t ddino in
-            write_stat t ddino { dd with Rnode.links = dd.Rnode.links + 1 }
-          end
-          else Ok ()
-
-    let truncate t path size =
-      let* o = resolve t path in
-      let* s = read_stat t o in
-      if s.Rnode.sk = Fs.Directory then Error Errno.EISDIR
-      else
-        let* tail = read_tail t o in
-        match tail with
-        | Some tail when size <= Rnode.max_direct_bytes ->
-            (* Resize the inline tail. *)
-            let b = Bytes.make size '\000' in
-            Bytes.blit_string tail 0 b 0 (min size (String.length tail));
-            let* () = write_tail t o (Bytes.to_string b) in
-            let now = now_seconds t in
-            let* () = write_stat t o { s with Rnode.size; mtime = now; ctime = now } in
-            write_super t
-        | Some tail ->
-            (* Growing past the inline limit. *)
-            let* () = convert_tail t o tail in
-            let now = now_seconds t in
-            let* () = write_stat t o { s with Rnode.size; mtime = now; ctime = now } in
-            write_super t
-        | None ->
-      begin
-        let keep = (size + t.bs - 1) / t.bs in
-        let* () = free_file_from t o ~from:keep ~old_size:s.Rnode.size in
-        (* Zero the tail of a partially kept block. *)
-        let* () =
-          if size >= s.Rnode.size || size mod t.bs = 0 then Ok ()
-          else
-            let fblock = size / t.bs in
-            let* old = owned (data_read_block t o fblock) in
-            Bytes.fill old (size mod t.bs) (t.bs - (size mod t.bs)) '\000';
-            data_write_block t o fblock old
-        in
-        let now = now_seconds t in
-        let* () =
-          write_stat t o { s with Rnode.size; mtime = now; ctime = now }
-        in
-        write_super t
-      end
-
-    let chmod t path perms =
-      let* o = resolve t path in
-      let* s = read_stat t o in
-      write_stat t o { s with Rnode.perms; ctime = now_seconds t }
-
-    let chown t path uid gid =
-      let* o = resolve t path in
-      let* s = read_stat t o in
-      write_stat t o { s with Rnode.uid = uid; gid; ctime = now_seconds t }
-
-    let utimes t path atime mtime =
-      let* o = resolve t path in
-      let* s = read_stat t o in
-      write_stat t o
-        { s with Rnode.atime = int_of_float atime; mtime = int_of_float mtime }
-
-    let fsync t fd =
-      let* _ = Fdtable.find t.fds fd in
-      J.commit t.jrnl
-
-    let sync t =
-      let* () = J.commit t.jrnl in
-      J.checkpoint t.jrnl;
-      Ok ()
-  end in
-  Fs.Brand (module M)
+let brand = Fs.Brand (module Posix.Make (Store))

@@ -1,0 +1,136 @@
+(** One POSIX namespace and attribute layer over a per-brand store.
+
+    The paper places each file system's failure policy in how its own
+    code reacts to a failed or corrupted block (§4–§5); path lookup and
+    the system-call surface belong to the shared VFS. [Make (S)]
+    implements every {!Fs.S} namespace and attribute op once — access,
+    chdir, chroot, stat, lstat, open, close, creat, readlink,
+    getdirentries, link, symlink, mkdir, rmdir, unlink, rename, chmod,
+    chown, utimes, fsync, and the descriptor, mode and EISDIR checks
+    around read, write and truncate — over a store that reads and
+    writes nodes, lists and edits directories, and moves file data.
+
+    Every read, write and failure decision stays in the store, which
+    the layer calls in one fixed order per op; it never asks which
+    brand it serves. reiserfs, jfs and ntfs are built on it. The ext3
+    family keeps its own op layer: its ops run inside a transaction
+    under the stock-or-fixed switches, with their own descriptor
+    table. *)
+
+type attr = {
+  kind : Fs.kind option;  (** [None]: a free slot *)
+  links : int;
+  perms : int;
+  uid : int;
+  gid : int;
+  size : int;
+  atime : int;  (** seconds of simulated time, as are the next two *)
+  mtime : int;
+  ctime : int;
+  target : string;  (** a symlink's target *)
+}
+(** The attributes every store maps its nodes to. *)
+
+module type STORE = sig
+  type t
+  (** A mounted store. *)
+
+  type node
+  (** One object's node as the store keeps it: a stat item, an inode,
+      an MFT record. *)
+
+  type dir
+  (** A directory opened for listing and editing. *)
+
+  val fs_name : string
+  val block_types : string list
+  val classifier : (int -> bytes) -> int -> string
+  val corrupt_field : string -> (bytes -> unit) option
+  val mkfs : Iron_disk.Dev.t -> (unit, Errno.t) result
+  val mount : Iron_disk.Dev.t -> (t, Errno.t) result
+  val unmount : t -> (unit, Errno.t) result
+
+  val sync : t -> (unit, Errno.t) result
+  val fsync : t -> (unit, Errno.t) result
+  (** Make every update so far durable ([fsync] takes a live
+      descriptor; which file it names does not matter to any store). *)
+
+  val statfs : t -> Fs.statfs
+  val dev : t -> Iron_disk.Dev.t
+  val klog : t -> Klog.t
+  val is_readonly : t -> bool
+
+  val root : int
+  (** The root directory's object id. *)
+
+  val writable : t -> (unit, Errno.t) result
+  (** Checked before anything else by every update. *)
+
+  val read : t -> int -> (node, Errno.t) result
+  val write : t -> int -> node -> (unit, Errno.t) result
+  val attr : node -> attr
+
+  val with_attr : node -> attr -> node
+  (** A store keeps only the attributes its format has room for. *)
+
+  val open_dir : t -> int -> (dir, Errno.t) result
+  (** Does not check that the object is a directory: ops that must,
+      read its node first. *)
+
+  val entries : t -> dir -> ((string * int) list, Errno.t) result
+  val add_entry : t -> dir -> string -> int -> (unit, Errno.t) result
+  val remove_entry : t -> dir -> string -> (unit, Errno.t) result
+
+  val reparent : t -> int -> node -> int -> (unit, Errno.t) result
+  (** [reparent t o node p]: directory [o] moved under [p]; point its
+      [".."] there. *)
+
+  val alloc : t -> (int, Errno.t) result
+  (** A free object id. *)
+
+  val create : t -> int -> parent:int -> attr -> (unit, Errno.t) result
+  (** Write the new object's node, and a directory's ["."] and [".."]. *)
+
+  val destroy : t -> int -> node -> ((unit, Errno.t) result, Errno.t) result
+  (** Free the object's data and node. The inner result is reported
+      once the parent directory is updated. *)
+
+  val write_super : t -> (unit, Errno.t) result
+  (** Called after each update that can allocate or free, last. *)
+
+  val inline : t -> int -> (string option, Errno.t) result
+  (** A file's bytes, when the store keeps them in its metadata. *)
+
+  val read_block : t -> int -> node -> int -> (bytes, Errno.t) result
+  (** File block [n], borrowed: the caller copies what it keeps. *)
+
+  val write_data : t -> int -> node -> off:int -> bytes -> (node, Errno.t) result
+  (** Store the bytes; returns the node to take the new size and
+      times. *)
+
+  val truncate :
+    t -> int -> node -> int -> (node * (unit, Errno.t) result, Errno.t) result
+  (** Free or zero what lies past the new size; returns the node to
+      take the size and times, and a result reported after it is
+      written. *)
+end
+
+module Make (S : STORE) : Fs.S
+
+(** {2 Helpers for stores} *)
+
+val each_block :
+  bs:int -> off:int -> len:int -> (int -> int -> int -> int -> (unit, Errno.t) result) ->
+  (unit, Errno.t) result
+(** [each_block ~bs ~off ~len f] calls [f fblock boff pos n] for each
+    block-sized piece of the byte range [\[off, off + len)], in order:
+    [n] bytes at offset [boff] of file block [fblock], which are bytes
+    [pos] onward of the range. It stops at the first error. *)
+
+val patch :
+  bs:int -> bytes -> boff:int -> pos:int -> n:int ->
+  (unit -> (bytes, Errno.t) result) -> (bytes, Errno.t) result
+(** [patch ~bs data ~boff ~pos ~n old]: the block to write for one
+    piece of [data] — the piece itself when it fills the block, else
+    [old ()], a private copy of what the block holds, with the piece
+    laid over it. *)
