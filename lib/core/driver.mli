@@ -40,8 +40,6 @@ type cell = {
   note : string;  (** e.g. the errno returned, for human inspection *)
 }
 
-val empty_cell : cell
-
 type matrix = {
   fs_name : string;
   fault : Taxonomy.fault_kind;

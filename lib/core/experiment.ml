@@ -25,7 +25,9 @@ type t = {
 let default_seed = 0xF1D0
 let default_num_blocks = 2048
 
-(* splitmix64 finalizer over (seed, index): pure, order-independent. *)
+(* splitmix64 finalizer over (seed, index): two campaigns with the same
+   seed assign every job the same seed, independent of enumeration or
+   execution order. *)
 let job_seed ~campaign_seed ~index =
   let golden = 0x9E3779B97F4A7C15L in
   let mix z =

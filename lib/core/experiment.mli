@@ -38,13 +38,6 @@ type t = {
 val default_seed : int
 (** [0xF1D0], the seed the original serial engine hard-coded. *)
 
-val default_num_blocks : int
-
-val job_seed : campaign_seed:int -> index:int -> int
-(** Pure splitmix-style derivation: two campaigns with the same seed
-    assign every job the same seed, independent of enumeration or
-    execution order. *)
-
 val plan :
   ?faults:Taxonomy.fault_kind list ->
   ?workloads:Workload.t list ->

@@ -8,17 +8,14 @@ val cell_symbols : which:[ `Detection | `Recovery ] -> Driver.cell -> string
     Exposed so the golden-artifact layer ({!Iron_report.Report}) renders
     cell-level diffs with the same vocabulary as the matrices. *)
 
-val pp_matrix :
-  which:[ `Detection | `Recovery ] -> Format.formatter -> Driver.matrix -> unit
-(** One grid: rows are block types, columns are workloads a–t. Cell
-    symbols follow the paper's key ({!Taxonomy.detection_symbol} /
-    {!Taxonomy.recovery_symbol}); multiple observed mechanisms are
-    superimposed left-to-right; ['.'] marks a gray (not-applicable)
-    cell, ['o'] an applicable cell whose fault never triggered. *)
-
 val pp_report : Format.formatter -> Driver.report -> unit
 (** The full Figure-2 block for one file system: detection and recovery
-    grids for each fault kind, plus the key. *)
+    grids for each fault kind, plus the key. In each grid, rows are
+    block types and columns are workloads a–t; cell symbols follow the
+    paper's key ({!Taxonomy.detection_symbol} /
+    {!Taxonomy.recovery_symbol}), multiple observed mechanisms are
+    superimposed left-to-right, ['.'] marks a gray (not-applicable)
+    cell and ['o'] an applicable cell whose fault never triggered. *)
 
 (** {2 Table 5} *)
 

@@ -120,13 +120,6 @@ let peek t b =
   if s <> clean then Bigstore.copy_out t.slab s
   else Bytes.copy (image_block t.base b)
 
-let read t b =
-  if not (in_range t b) then Error Dev.Enxio
-  else begin
-    Model.charge_read t.model b;
-    Ok (peek t b)
-  end
-
 let read_into t b buf =
   if not (in_range t b) then Error Dev.Enxio
   else if Bytes.length buf <> block_size t then Error Dev.Eio
@@ -137,6 +130,10 @@ let read_into t b buf =
     else Bytes.blit (image_block t.base b) 0 buf 0 (Bytes.length buf);
     Ok ()
   end
+
+let read t b =
+  let buf = Bytes.create (block_size t) in
+  match read_into t b buf with Ok () -> Ok buf | Error e -> Error e
 
 let write t b data =
   if not (in_range t b) then Error Dev.Enxio

@@ -14,5 +14,3 @@ val encode : bytes -> (string * int) list -> bool
 
 val fits : int -> (string * int) list -> bool
 (** Would these entries (plus terminator) fit in a block of that size? *)
-
-val entry_size : string -> int

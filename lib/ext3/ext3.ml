@@ -1064,25 +1064,17 @@ let mkfs_impl profile dev =
       match Layout.replica_of lay b with Some r -> wr r data | None -> Ok ()
     else Ok ()
   in
-  (* Every group's (still empty) metadata gets its checksum and replica
-     now, so later reads can verify them. Group 0's blocks are
-     overwritten with real content just below. *)
-  let rec init_groups g =
-    if g >= lay.Layout.ngroups then Ok ()
-    else begin
-      let* () = wr_meta (Layout.bitmap_block lay g) zero in
-      let* () = wr_meta (Layout.ibitmap_block lay g) zero in
-      let rec itable i =
-        if i >= lay.Layout.itable_blocks then Ok ()
-        else
-          let* () = wr_meta (Layout.itable_block lay g + i) zero in
-          itable (i + 1)
-      in
-      let* () = itable 0 in
-      init_groups (g + 1)
-    end
-  in
-  let* () = init_groups 0 in
+  (* Every group's empty bitmaps and inode table, replicas included,
+     already read as the zero block, so mkfs writes none of them: only
+     the checksum table (Mc, Dc) needs their entries, so later reads can
+     verify them. Group 0's blocks get real content just below. *)
+  for g = 0 to lay.Layout.ngroups - 1 do
+    note_cksum (Layout.bitmap_block lay g) zero;
+    note_cksum (Layout.ibitmap_block lay g) zero;
+    for i = 0 to lay.Layout.itable_blocks - 1 do
+      note_cksum (Layout.itable_block lay g + i) zero
+    done
+  done;
   (* Root directory: inode 2, one dir block (first data block, group 0). *)
   let root_block = Layout.data_start lay 0 in
   let dirbuf = Bytes.make bs '\000' in
@@ -1108,7 +1100,7 @@ let mkfs_impl profile dev =
   let ibbuf = Bytes.make bs '\000' in
   Bytes.set ibbuf 0 '\003' (* inodes 1 and 2 *);
   let* () = wr_meta (Layout.ibitmap_block lay 0) ibbuf in
-  (* Remaining groups: bitmaps stay the zero blocks written above. *)
+  (* Remaining groups: bitmaps stay the zero blocks they read as. *)
   (* Group descriptor block: per-group locations and free counts. *)
   let gd = Bytes.make bs '\000' in
   let w = Codec.writer gd in

@@ -53,7 +53,6 @@ val compute : block_size:int -> num_blocks:int -> t
 
 (** {2 Per-group block numbers} *)
 
-val group_base : t -> int -> int
 val super_copy_block : t -> int -> int
 val bitmap_block : t -> int -> int
 val ibitmap_block : t -> int -> int

@@ -249,40 +249,10 @@ let corrupt_block corruption data =
       end
   | Tweak f -> f data
 
-let read t block =
-  match firing t Read block with
-  | Some ({ r = { kind = Fail_read; _ }; _ } as a) ->
-      commit_firing a;
-      record_injection t a block;
-      record t Read block (Io_error Iron_disk.Dev.Eio);
-      Error Iron_disk.Dev.Eio
-  | Some ({ r = { kind = Corrupt c; _ }; _ } as a) -> (
-      match t.below.Iron_disk.Dev.read block with
-      | Ok data ->
-          corrupt_block c data;
-          commit_firing a;
-          record_injection t a block;
-          record t Read block Io_corrupted;
-          Ok data
-      | Error e ->
-          (* The device failed underneath: nothing was injected, so the
-             rule neither fired nor consumed budget. *)
-          record t Read block (Io_error e);
-          Error e)
-  | Some { r = { kind = Fail_write; _ }; _ } | None -> (
-      match t.below.Iron_disk.Dev.read block with
-      | Ok _ as ok ->
-          record t Read block Io_ok;
-          ok
-      | Error e ->
-          record t Read block (Io_error e);
-          Error e)
-
-(* The zero-copy twin of [read]: same firing decision, same trace
-   events, same injection counters — corruption mangles the caller's
-   buffer in place instead of a freshly allocated one. A [read] and a
-   [read_into] of the same block are indistinguishable to every layer
-   above and below. *)
+(* The one read path: the firing decision, the corruption (in the
+   caller's buffer), the trace event and the injection counters.
+   [read] is [read_into] on a fresh block, so the two are
+   indistinguishable to every layer above and below. *)
 let read_into t block buf =
   match firing t Read block with
   | Some ({ r = { kind = Fail_read; _ }; _ } as a) ->
@@ -309,6 +279,10 @@ let read_into t block buf =
       | Error e ->
           record t Read block (Io_error e);
           Error e)
+
+let read t block =
+  let buf = Bytes.create t.below.Iron_disk.Dev.block_size in
+  match read_into t block buf with Ok () -> Ok buf | Error e -> Error e
 
 let write t block data =
   match firing t Write block with

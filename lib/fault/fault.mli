@@ -90,13 +90,10 @@ val create : ?obs:Iron_obs.Obs.t -> ?trace_cap:int -> Iron_disk.Dev.t -> t
     committed injection also notes the rule's name in the ambient
     {!Iron_obs.Prov} tag, so recorded writes carry the fault that
     bit them. [trace_cap] bounds the in-memory
-    I/O trace (default {!default_trace_cap}); once full, the oldest
+    I/O trace (default 65,536 events, generous: a whole fingerprinting
+    job issues a few thousand I/Os); once full, the oldest
     events are dropped and counted by {!trace_dropped} — a long-running
     job no longer grows its trace without bound. *)
-
-val default_trace_cap : int
-(** [65536] events — generous: a whole fingerprinting job issues a few
-    thousand I/Os. *)
 
 val dev : t -> Iron_disk.Dev.t
 (** The injector as a device. Its [read_into] is the zero-copy twin of

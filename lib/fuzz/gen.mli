@@ -68,9 +68,6 @@ val setup : Iron_vfs.Fs.boxed -> unit
 val init_content : string -> string
 (** The fixture content of a path created by {!setup}. *)
 
-val write_content : string -> string
-(** The content a [Write] op overwrites a path with. *)
-
 type tracker
 (** The replay model + sample log for one workload run. Create fresh
     per run; updated incrementally so a model panic mid-workload loses

@@ -653,7 +653,7 @@ let dir_add t dino dinode name ino =
   in
   place blocks
 
-let dir_remove t _dino dinode name =
+let dir_remove t dinode name =
   let* blocks = dir_blocks t dinode in
   let rec go = function
     | [] -> Error Errno.ENOENT
@@ -1034,7 +1034,7 @@ module Store = struct
 
   let entries t (_, i) = dir_entries t i
   let add_entry t (dino, dinode) name ino = dir_add t dino dinode name ino
-  let remove_entry t (dino, dinode) name = dir_remove t dino dinode name
+  let remove_entry t (_, dinode) name = dir_remove t dinode name
 
   (* [".."] lives in the directory's first block. *)
   let reparent t _ i parent =

@@ -492,7 +492,7 @@ let dir_add t dino dr name ino =
   in
   place blocks
 
-let dir_remove t _dino dr name =
+let dir_remove t dr name =
   let* blocks = dir_blocks t dr in
   let rec go = function
     | [] -> Error Errno.ENOENT
@@ -782,7 +782,7 @@ module Store = struct
 
   let entries t (_, r) = dir_entries t r
   let add_entry t (dino, dr) name ino = dir_add t dino dr name ino
-  let remove_entry t (dino, dr) name = dir_remove t dino dr name
+  let remove_entry t (_, dr) name = dir_remove t dr name
 
   (* [".."] lives in the directory's first index block. *)
   let reparent t _ r parent =

@@ -78,13 +78,10 @@ val set_gauge : t -> string -> float -> unit
 val observe : ?buckets:float array -> t -> string -> float -> unit
 (** [observe t path v] records one observation into the fixed-bucket
     histogram at [path], creating it with [buckets] (strictly
-    increasing upper bounds, default {!default_buckets}) on first use.
+    increasing upper bounds, default: upper bounds in milliseconds from 10 microseconds to five
+    simulated seconds) on first use.
     An observation [v] lands in the first bucket whose bound is
     [>= v], or in the implicit overflow bucket. *)
-
-val default_buckets : float array
-(** Upper bounds in milliseconds, spanning 10 microseconds to five
-    simulated seconds. *)
 
 (** {1 Spans} *)
 

@@ -516,7 +516,6 @@ let mkfs_impl dev =
   let bitmap_start = journal_start + journal_len in
   let first_data = bitmap_start + bitmap_blocks in
   let root_block = first_data in
-  let zero = Bytes.make bs '\000' in
   let wr b data =
     match dev.Dev.write b data with Ok () -> Ok () | Error _ -> Error Errno.EIO
   in
@@ -549,19 +548,13 @@ let mkfs_impl dev =
   let buf = Bytes.make bs '\000' in
   Rnode.encode bs leaf buf;
   let* () = wr root_block buf in
-  (* Bitmap: blocks up to and including the root leaf are in use. *)
+  (* Bitmap: blocks up to and including the root leaf are in use. The
+     other bitmap blocks already read as zero. *)
   let bm = Bytes.make bs '\000' in
   for b = 0 to root_block do
     if b / per = 0 then bit_set bm b true
   done;
   let* () = wr bitmap_start bm in
-  let rec other_maps m =
-    if m >= bitmap_blocks then Ok ()
-    else
-      let* () = wr (bitmap_start + m) zero in
-      other_maps (m + 1)
-  in
-  let* () = other_maps 1 in
   (* Journal header. *)
   let jh = Bytes.create bs in
   Jrec.encode_jsuper journal_format

@@ -13,8 +13,6 @@
 
 type item_kind = Stat | Dirent | Direct | Indirect
 
-val kind_rank : item_kind -> int
-
 type key = { objid : int; kind : item_kind; offset : int }
 
 val compare_key : key -> key -> int
@@ -46,7 +44,6 @@ type node =
   | Leaf of item list
   | Internal of key list * int list  (** n separator keys, n+1 children *)
 
-val max_leaf_items : int
 val max_children : int
 val max_indirect_ptrs : int
 

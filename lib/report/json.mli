@@ -45,6 +45,3 @@ val mem_int : string -> t -> (int, string) result
 val mem_str : string -> t -> (string, string) result
 val mem_list : string -> t -> (t list, string) result
 
-val escape_string : string -> string
-(** The encoder's string escaping (including the surrounding quotes),
-    exposed for one-line hand-rendered JSON elsewhere. *)

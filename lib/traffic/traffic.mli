@@ -31,7 +31,6 @@ type arrival = Poisson | Closed | Mixed
 (** Open-loop arrivals, closed think-time loops, or (default) odd
     clients closed / even clients open. *)
 
-val arrival_to_string : arrival -> string
 val arrival_of_string : string -> arrival option
 
 (** Every run gives each tenant 16 files; a closed-loop client thinks

@@ -37,7 +37,6 @@ val put_u8 : writer -> int -> unit
 val put_u16 : writer -> int -> unit
 val put_u32 : writer -> int -> unit
 val put_u64 : writer -> int64 -> unit
-val put_bytes : writer -> bytes -> unit
 val put_string : writer -> string -> unit
 
 val read_u32 : bytes -> int -> int

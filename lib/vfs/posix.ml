@@ -128,7 +128,6 @@ module Make (S : STORE) = struct
   let resolve_parent t path =
     Resolver.resolve_parent t.ops ~root:t.root ~cwd:t.cwd path
 
-  (* Resolve [path] and read its node. *)
   let lookup t ?follow_last path =
     let* o = resolve t ?follow_last path in
     let* n = S.read t.st o in

@@ -31,7 +31,6 @@ type t = {
           workloads (PostMark, TPC-B) carry 0 here. *)
 }
 
-val ssh_build : t
 val web : t
 val postmark : t
 val tpcb : t

@@ -585,14 +585,14 @@ let brands =
     Iron_ext3.Ext3.ixt3;
   ]
 
-let formatted ~num_blocks brand =
+let formatted ?(wrap = Fun.id) ~num_blocks brand =
   let d =
     Memdisk.create
       ~params:{ Memdisk.default_params with Memdisk.num_blocks; seed = 6 }
       ()
   in
   Memdisk.set_time_model d false;
-  (match Iron_vfs.Fs.mkfs brand (Memdisk.dev d) with
+  (match Iron_vfs.Fs.mkfs brand (wrap (Memdisk.dev d)) with
   | Ok () -> ()
   | Error _ -> Alcotest.failf "%s: mkfs" (Iron_vfs.Fs.brand_name brand));
   d
@@ -611,6 +611,26 @@ let test_mkfs_writes_its_layout () =
            (Iron_vfs.Fs.brand_name brand) writes)
         true
         (writes <= num_blocks / 64))
+    brands
+
+(* A device reading zero at every block gains nothing from a zero
+   write, so no brand's mkfs issues one, in any profile. *)
+let test_mkfs_writes_no_zero_block () =
+  List.iter
+    (fun brand ->
+      let zeros = ref 0 in
+      let wrap (dev : Dev.t) =
+        let zero = Bytes.make dev.Dev.block_size '\000' in
+        let write b data =
+          if Bytes.equal data zero then incr zeros;
+          dev.Dev.write b data
+        in
+        { dev with Dev.write }
+      in
+      ignore (formatted ~wrap ~num_blocks:262_144 brand);
+      check Alcotest.int
+        (Printf.sprintf "%s: all-zero writes" (Iron_vfs.Fs.brand_name brand))
+        0 !zeros)
     brands
 
 (* Full ixt3's mkfs checksums every group's bitmap, inode bitmap and
@@ -758,6 +778,8 @@ let suites =
           test_mkfs_writes_its_layout;
         Alcotest.test_case "mkfs checksums empty group metadata" `Quick
           test_mkfs_checksums_group_metadata;
+        Alcotest.test_case "mkfs writes no all-zero block" `Quick
+          test_mkfs_writes_no_zero_block;
         qtest prop_sparse_equiv_memdisk;
         qtest prop_sparse_equiv_through_fault_and_obs;
       ] );
