@@ -1,4 +1,4 @@
-(* Request-stream pins for reiserfs, jfs and ntfs.
+(* Request-stream pins for all seven brands.
 
    Each fingerprint column (Workload.all) runs through the fault
    injector with tracing on, once fault-free and once per fault the
@@ -9,7 +9,7 @@
    image. Every run feeds one SHA-1 per column: the whole request trace
    (position, direction, block, outcome) from mount to unmount, the API
    result, panic and read-only flags, the verify verdict, the klog
-   lines and the final bytes of every block written.
+   lines and the final bytes of every block written inside the volume.
 
    The matrices the goldens pin derive from the first touched block of
    each type, so a reordered or extra request later in a run could slip
@@ -54,7 +54,7 @@ let rig brand =
   must "crash prep" (W.crash_prep (must "remount" (Fs.mount brand dev)));
   { disk; inj; dev; base; crash = Memdisk.snapshot disk }
 
-let rigs = Hashtbl.create 3
+let rigs = Hashtbl.create 7
 
 let rig_of brand =
   let name = Fs.brand_name brand in
@@ -140,8 +140,11 @@ let run_one ctx brand r (w : W.t) ~arm =
            | Fault.Io_corrupted -> "corrupt"
            | Fault.Io_error err -> Dev.error_to_string err)))
     trace;
+  (* A write past the volume is in the trace, refused; it left no bytes
+     to hash. *)
   List.iter
-    (fun b -> Sha1.feed ctx (Memdisk.peek r.disk b))
+    (fun b ->
+      if b >= 0 && b < num_blocks then Sha1.feed ctx (Memdisk.peek r.disk b))
     (List.sort compare (List.of_seq (Hashtbl.to_seq_keys written)));
   trace
 
@@ -187,6 +190,98 @@ let column_digest brand (w : W.t) =
    which column and why. *)
 let pinned =
   [
+    ( "ext3",
+      [
+        ('a', "e38a07a52611c541ab75e4c69e10d6b8d419e36c");
+        ('b', "37a3713b321d822282afd41a0ea168eb48dc2cb2");
+        ('c', "bc7a5a87895ef2dd8d33bb4eb2fbd6a76066897e");
+        ('d', "b2a26de24f6dca490956c32efc907d055946e7b4");
+        ('e', "771f667aef27c68c2cbef26ef70aab3abb80450e");
+        ('f', "f9b89e63dfd2d015eb42dceb8056a98f90846ee7");
+        ('g', "0aa57b6e415ff9601a3354470b36ce641a16d6b5");
+        ('h', "90ec0e8fd6a0141fe8703b8571bbbeb6369f1345");
+        ('i', "bfc7bd57c7ef97b7a1d4d828c7f90f8abcf96b48");
+        ('j', "009a8bebfe35c2e2f9c25a3728928bd0f25b2550");
+        ('k', "3b1695be9a4a6434a2a8f276dac86a77af4672a7");
+        ('l', "be8fe432e1388d62676b9b83e74f1ab7571e30b3");
+        ('m', "785598c4a311d917278f02a0f7fa098615e396b0");
+        ('n', "764e86c589514eca6b5af2430f0ee1a8d9dfadfd");
+        ('o', "b1c58dd186c76a8f44ac9c47ed331ead86f0cdb7");
+        ('p', "e78812a0e0825dede0fbb7a55b2ae8c830268290");
+        ('q', "41187e3505f5d440800a6e5396d7d96609e99350");
+        ('r', "7765da219683f2f04d705014af24193165144d52");
+        ('s', "4968416e4a55822c7681cdaedae2cc9e22e25938");
+        ('t', "36e38e5af1a1f1cc589fffe79c5cf78396cb1366");
+      ] );
+    ( "ext3-writeback",
+      [
+        ('a', "e38a07a52611c541ab75e4c69e10d6b8d419e36c");
+        ('b', "37a3713b321d822282afd41a0ea168eb48dc2cb2");
+        ('c', "bc7a5a87895ef2dd8d33bb4eb2fbd6a76066897e");
+        ('d', "b2a26de24f6dca490956c32efc907d055946e7b4");
+        ('e', "771f667aef27c68c2cbef26ef70aab3abb80450e");
+        ('f', "f9b89e63dfd2d015eb42dceb8056a98f90846ee7");
+        ('g', "de3bef66832d37130bc3f4dc4be12f89964f6d5d");
+        ('h', "90ec0e8fd6a0141fe8703b8571bbbeb6369f1345");
+        ('i', "bfc7bd57c7ef97b7a1d4d828c7f90f8abcf96b48");
+        ('j', "009a8bebfe35c2e2f9c25a3728928bd0f25b2550");
+        ('k', "3b1695be9a4a6434a2a8f276dac86a77af4672a7");
+        ('l', "357233f2e10f57cf16894d79330f03f6ac3875fc");
+        ('m', "2cda52277164cad025f3a814c5fe42ed0c39279e");
+        ('n', "764e86c589514eca6b5af2430f0ee1a8d9dfadfd");
+        ('o', "b1c58dd186c76a8f44ac9c47ed331ead86f0cdb7");
+        ('p', "e78812a0e0825dede0fbb7a55b2ae8c830268290");
+        ('q', "7827812782977af7c5d177cf34bfc06aa3e7aace");
+        ('r', "b2a779a49abba3b54fd701f9b6babecc4a5ef513");
+        ('s', "4968416e4a55822c7681cdaedae2cc9e22e25938");
+        ('t', "a9cf69aeb77c00a31c868d1e1444e346d71cf94d");
+      ] );
+    ( "ext3-data",
+      [
+        ('a', "e38a07a52611c541ab75e4c69e10d6b8d419e36c");
+        ('b', "37a3713b321d822282afd41a0ea168eb48dc2cb2");
+        ('c', "9b2f8f607fbd1ce9537424eb651cc4596d06d8f4");
+        ('d', "b2a26de24f6dca490956c32efc907d055946e7b4");
+        ('e', "771f667aef27c68c2cbef26ef70aab3abb80450e");
+        ('f', "f9b89e63dfd2d015eb42dceb8056a98f90846ee7");
+        ('g', "7976ad96d12f0baebb49ceae3564b7ef5334d639");
+        ('h', "bc4090c0de33094cd002e3922ad99db4625c6862");
+        ('i', "c7bf9a332209607c82d9fdfbb4dabca986a3018e");
+        ('j', "391023acf45712ea051a48493f63f88a168b3f02");
+        ('k', "d51a6407f91da770b7144ab557d3ae7e537b10cc");
+        ('l', "d8299d0285abfaa8d6e7e1009ed982084e0b1e15");
+        ('m', "b639e7fd669131a5d8a9d7b312bab6ccd8b99577");
+        ('n', "aad21b2d8a9fb75e8bfaa286fe5d1866ac44013d");
+        ('o', "8a8a62eee2b0c976a69a58641ae4c7945e34ea77");
+        ('p', "e78812a0e0825dede0fbb7a55b2ae8c830268290");
+        ('q', "ac3301345ace3509bd5a52062f7447f32c8a16f2");
+        ('r', "aed08797003bf8230513182b46f81539d2616ad5");
+        ('s', "baabbea200c88a9b0c47bc4fa3f66fcc95b9275c");
+        ('t', "b9bb7bbc8944d35a0810753db4f7406af962038c");
+      ] );
+    ( "ixt3",
+      [
+        ('a', "b3fde69668e5a9900c3f7d34b9f3de0014da618a");
+        ('b', "0102ea4f5c4dee2aca07594e8aaa19ff36a772d4");
+        ('c', "c2bdc5c72c38fbb15bf6dcfbe08e4a965fbc8e44");
+        ('d', "797aa924c9fbd38de9af16c88a332edcd588f4e7");
+        ('e', "c3f0fb5981e09b5fcec97522e88c81b5fd5d697c");
+        ('f', "cf486b88a260f31bf8ede23f990103282748f5a1");
+        ('g', "47cf6ef56492a12beab145158bdf88f625e13a21");
+        ('h', "1effaf95144e4acfbdbaa0ec7b42c7a639e8efce");
+        ('i', "50443c5fbe962e72784d3b29b3f5b79efe528c19");
+        ('j', "f09d9c64ba43300827f1928a3fc2be89cf2082bc");
+        ('k', "471e020eb862aa758efb5b453be2c86c25ba364c");
+        ('l', "79ff62044d5bfdb0ca9e69d4aa9f47866345309d");
+        ('m', "a975df104c801ff608b63472eac17876909ee24a");
+        ('n', "cf983324c555165573dd92f7b335c20873c11ee6");
+        ('o', "4a357eeb7c53c9e48a4a8b00c6519a0fd6032a09");
+        ('p', "5017e909b22a6d5dbfcf46f4a3c4708393e069c2");
+        ('q', "6059baab64feb77c1cb4db45c3fb2db119adba5e");
+        ('r', "26c47407e4b35040b736556dc198e6b9368fb118");
+        ('s', "11abc9c88c2d9279b4f5eff22ca966e9637deab6");
+        ('t', "5ca40db6374af895479f8092b67b686bbfb621be");
+      ] );
     ( "reiserfs",
       [
         ('a', "cc3a915c9cde647afe6184a19bdabf3352e47dc6");
@@ -272,6 +367,10 @@ let suite brand =
 
 let suites =
   [
+    suite Iron_ext3.Ext3.std;
+    suite Iron_ext3.Modes.writeback;
+    suite Iron_ext3.Modes.data;
+    suite Iron_ext3.Ext3.ixt3;
     suite Iron_reiserfs.Reiserfs.brand;
     suite Iron_jfs.Jfs.brand;
     suite Iron_ntfs.Ntfs.brand;
