@@ -8,7 +8,6 @@ module VPath = Iron_vfs.Path
 module Obs = Iron_obs.Obs
 module Jrnl = Iron_jrnl.Jrnl
 module Jrec = Iron_jrnl.Jrec
-module Kind = Iron_jrnl.Kind
 
 let ( let* ) = Result.bind
 
@@ -44,10 +43,9 @@ type state = {
   gd_bitmap : int array;
   gd_ibitmap : int array;
   gd_itable : int array;
-  mutable readonly : bool;
-  mutable aborted : bool;
-  (* journaling: transaction state lives in the shared typed-journal
-     core; the profile's commit policy picked the engine's mode *)
+  mutable readonly : bool; (* mount could not mark the volume dirty *)
+  (* journaling: transaction state, and whether the journal aborted,
+     live in the shared engine, built from the profile's policy *)
   jrnl : Jrnl.t;
   (* process state *)
   fds : (int, fdesc) Hashtbl.t;
@@ -57,9 +55,6 @@ type state = {
   (* "Checksums are very small and can be cached for read
      verification" (§6.1): block -> raw SHA-1, loaded lazily. *)
   cksums : (int, string) Hashtbl.t;
-  mutable rlog_head : int;
-      (* next free slot in the replica log; wraps (it is advisory —
-         durability comes from the journal + checkpointed replicas) *)
 }
 
 let now_seconds t = int_of_float (t.dev.Dev.now () /. 1000.)
@@ -74,62 +69,20 @@ let checksummed t cls =
   (t.profile.Profile.meta_checksum && is_meta_cls cls)
   || (t.profile.Profile.data_checksum && cls = Data)
 
-let abort_journal t why =
-  if not t.aborted then begin
-    t.aborted <- true;
-    t.readonly <- true;
-    Klog.error t.klog "ext3" "journal aborted (%s); remounting read-only" why
-  end
+(* An aborted journal remounts the volume read-only. *)
+let readonly t = t.readonly || Jrnl.aborted t.jrnl
 
 (* ------------------------------------------------------------------ *)
-(* Typed layout and commit policy handed to the journal core           *)
+(* Commit policy handed to the journal core                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Region-level block classification for the journal core. Directory
-   and indirect blocks live in the data region and are classified Data
-   here; the call sites carry the finer [cls] distinction. *)
-let kind_of_block lay b =
-  if b = 0 then Kind.Superblock
-  else if b = 1 then Kind.Gdesc
-  else if b = lay.Layout.journal_start then Kind.Jsb
-  else if
-    b > lay.Layout.journal_start
-    && b < lay.Layout.journal_start + lay.Layout.journal_len
-  then Kind.Jdata
-  else if
-    b >= lay.Layout.replica_start
-    && b < lay.Layout.replica_start + lay.Layout.replica_blocks
-  then Kind.Replica
-  else if
-    b >= lay.Layout.rmap_start && b < lay.Layout.rmap_start + lay.Layout.rmap_blocks
-  then Kind.Rmap
-  else if
-    b >= lay.Layout.rlog_start && b < lay.Layout.rlog_start + lay.Layout.rlog_blocks
-  then Kind.Rlog
-  else if
-    b >= lay.Layout.cksum_start && b < lay.Layout.cksum_start + lay.Layout.cksum_blocks
-  then Kind.Cksum
-  else
-    match Layout.group_of_block lay b with
-    | None -> Kind.Unknown
-    | Some g ->
-        if b = Layout.super_copy_block lay g then Kind.Superblock
-        else if b = Layout.bitmap_block lay g then Kind.Bitmap
-        else if b = Layout.ibitmap_block lay g then Kind.Ibitmap
-        else if
-          b >= Layout.itable_block lay g
-          && b < Layout.itable_block lay g + lay.Layout.itable_blocks
-        then Kind.Inode
-        else Kind.Data
-
-let policy_of_profile (p : Profile.t) : (module Jrnl.POLICY) =
-  (module struct
-    let tag = "ext3"
-    let mode = p.Profile.mode
-
-    let iron = if p.Profile.bugs_fixed then Jrnl.Abort else Jrnl.Ignore
-    let format = Jrec.jbd
-  end)
+let policy_of_profile (p : Profile.t) =
+  {
+    Jrnl.tag = "ext3";
+    mode = p.Profile.mode;
+    iron = (if p.Profile.bugs_fixed then Jrnl.Abort else Jrnl.Ignore);
+    format = Jrec.jbd;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Low-level block access with journal overlay                         *)
@@ -301,7 +254,7 @@ let is_dynamic_meta = function Dir | Indirect -> true
    replica shadows when those features are on. Dynamic metadata gets a
    mirror allocated (in a distant group) on first write. *)
 let meta_write t cls b data =
-  if t.readonly then Error Errno.EROFS
+  if readonly t then Error Errno.EROFS
   else begin
     txn_put t b data;
     if checksummed t cls then set_cksum t b data;
@@ -331,8 +284,8 @@ let revoke_block t b = Jrnl.revoke t.jrnl b
 (* Journal: commit, checkpoint, recovery                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Commit and checkpoint are the engine's; ext3 keeps only the abort
-   bookkeeping (wired in via hooks at mount) and the op-level plumbing. *)
+(* Commit, checkpoint and the aborted flag are the engine's; ext3 keeps
+   the op-level plumbing. *)
 let checkpoint t = Jrnl.checkpoint t.jrnl
 let commit t = Jrnl.commit t.jrnl
 
@@ -390,7 +343,7 @@ let txn_meta_read t cls b =
   | Ok d -> Ok d
   | Error e ->
       Klog.error t.klog "ext3" "metadata read of block %d failed in transaction" b;
-      abort_journal t "metadata read failure";
+      Jrnl.abort t.jrnl "metadata read failure";
       Error e
 
 let alloc_block t ~goal_group =
@@ -795,18 +748,18 @@ let data_write_block t ino inode fblock data =
             Ok (b2, inode)
         | Error _ ->
             Klog.error t.klog "ext3" "data write to block %d failed (remap failed too)" b;
-            abort_journal t "data write failure";
+            Jrnl.abort t.jrnl "data write failure";
             Ok (b, inode))
     | Error _ ->
         (* Stock ext3 never looks at data write errors (DZero). *)
         if t.profile.Profile.bugs_fixed then begin
           Klog.error t.klog "ext3" "data write to block %d failed" b;
-          abort_journal t "data write failure"
+          Jrnl.abort t.jrnl "data write failure"
         end;
         Ok (b, inode)
   in
   if t.profile.Profile.data_checksum then set_cksum t b data;
-  if t.aborted then Error Errno.EIO else Ok inode
+  if Jrnl.aborted t.jrnl then Error Errno.EIO else Ok inode
 
 (* ------------------------------------------------------------------ *)
 (* Directories                                                         *)
@@ -1184,8 +1137,6 @@ let mkfs_impl profile dev =
    is unreadable or corrupt, and refreshing fixed-location replicas of
    whatever replay just rewrote. *)
 let recover_journal profile lay dev klog =
-  let (module P : Jrnl.POLICY) = policy_of_profile profile in
-  let module J = Jrnl.Make (P) in
   let jsb_fallback =
     if not profile.Profile.meta_replica then None
     else
@@ -1214,8 +1165,8 @@ let recover_journal profile lay dev klog =
               match dev.Dev.write r copy with Ok () -> () | Error _ -> ())
           | None -> ())
   in
-  J.recover ~geo:(Layout.journal_geo lay) ~dev ~klog ?jsb_fallback
-    ?refresh_replica ()
+  Jrnl.recover (policy_of_profile profile) ~geo:(Layout.journal_geo lay) ~dev
+    ~klog ?jsb_fallback ?refresh_replica ()
 
 let mount_impl profile dev =
   let klog = Klog.create ~clock:dev.Dev.now () in
@@ -1299,13 +1250,32 @@ let mount_impl profile dev =
        done
      with Codec.Decode_error _ -> ());
     let cache = Bcache.create ~capacity:512 dev in
-    let (module P : Jrnl.POLICY) = policy_of_profile profile in
-    let module J = Jrnl.Make (P) in
-    let jrnl =
-      J.create ~dev ~cache ~klog ~kinds:(kind_of_block lay)
-        ~geo:(Layout.journal_geo lay)
-        ~journaled:(fun b -> b < lay.Layout.replica_start)
-        ~seq:jseq
+    (* Replica copies do not ride the regular journal: they stream to
+       the separate replica log after each commit and reach their fixed
+       homes at checkpoint (§6.1); Mr also shadows the journal
+       superblock itself. *)
+    let jsb_shadow, post_commit =
+      if not profile.Profile.meta_replica then (None, None)
+      else
+        let shadow buf =
+          match Layout.replica_of lay lay.Layout.journal_start with
+          | Some r -> ignore (dev.Dev.write r buf)
+          | None -> ()
+        in
+        (* Next free slot in the replica log. It wraps: the log is
+           advisory, durability comes from the journal and the
+           checkpointed replicas, so a failed write is dropped too. *)
+        let rlog_head = ref lay.Layout.rlog_start in
+        let rlog_end = lay.Layout.rlog_start + lay.Layout.rlog_blocks in
+        let stream (b, data) =
+          (* Only the replica copies themselves stream to the log. *)
+          if b >= lay.Layout.replica_start then begin
+            if !rlog_head >= rlog_end then rlog_head := lay.Layout.rlog_start;
+            ignore (dev.Dev.write !rlog_head data);
+            incr rlog_head
+          end
+        in
+        (Some shadow, Some (List.iter stream))
     in
     let t =
       {
@@ -1321,53 +1291,24 @@ let mount_impl profile dev =
         gd_ibitmap;
         gd_itable;
         readonly = false;
-        aborted = false;
-        jrnl;
+        jrnl =
+          Jrnl.create ?jsb_shadow ?post_commit
+            {
+              Jrnl.policy = policy_of_profile profile;
+              dev;
+              cache;
+              klog;
+              geo = Layout.journal_geo lay;
+              journaled = (fun b -> b < lay.Layout.replica_start);
+            }
+            ~seq:jseq;
         fds = Hashtbl.create 16;
         next_fd = 3;
         cwd = Layout.root_ino;
         root = Layout.root_ino;
         cksums = Hashtbl.create 256;
-        rlog_head = lay.Layout.rlog_start;
       }
     in
-    (* The hooks close over the state record, which in turn holds the
-       engine — hence the two-phase construction. Replica copies do not
-       ride the regular journal: they stream to the separate replica
-       log after each commit and reach their fixed homes at checkpoint
-       (§6.1); Mr also shadows the journal superblock itself. *)
-    J.connect jrnl
-      ~on_abort:(fun why -> abort_journal t why)
-      ~aborted:(fun () -> t.aborted)
-      ?jsb_shadow:
-        (if not profile.Profile.meta_replica then None
-         else
-           Some
-             (fun buf ->
-               match Layout.replica_of lay lay.Layout.journal_start with
-               | Some r -> (
-                   match dev.Dev.write r buf with Ok () | Error _ -> ())
-               | None -> ()))
-      ?post_commit:
-        (if not profile.Profile.meta_replica then None
-         else
-           Some
-             (fun blocks ->
-               List.iter
-                 (fun (b, data) ->
-                   (* Only the replica copies themselves stream to the log. *)
-                   if b >= lay.Layout.replica_start then begin
-                     if
-                       t.rlog_head
-                       >= lay.Layout.rlog_start + lay.Layout.rlog_blocks
-                     then t.rlog_head <- lay.Layout.rlog_start;
-                     (match dev.Dev.write t.rlog_head data with
-                     | Ok () -> ()
-                     | Error _ -> () (* the primaries' journal is authoritative *));
-                     t.rlog_head <- t.rlog_head + 1
-                   end)
-                 blocks))
-      ();
     (* Mark the volume dirty. Stock ext3 ignores a failure here too. *)
     let sbuf = Bytes.make lay.Layout.block_size '\000' in
     Sb.encode { sb with Sb.state = Sb.Dirty; mount_count = sb.Sb.mount_count + 1 } sbuf;
@@ -1385,7 +1326,7 @@ let mount_impl profile dev =
 (* Write-path helpers and guards                                       *)
 (* ------------------------------------------------------------------ *)
 
-let guard_write t = if t.readonly then Error Errno.EROFS else Ok ()
+let guard_write t = if readonly t then Error Errno.EROFS else Ok ()
 
 (* Update group-descriptor free counts on disk lazily: we serialize the
    in-memory values wholesale whenever allocation state changed. *)
@@ -1846,12 +1787,12 @@ let op_fsync t fd =
 let op_sync t =
   let* () = commit t in
   checkpoint t;
-  if t.aborted then Error Errno.EROFS else Ok ()
+  if Jrnl.aborted t.jrnl then Error Errno.EROFS else Ok ()
 
 let op_unmount t =
   let* () = commit t in
   checkpoint t;
-  if t.aborted then Error Errno.EROFS
+  if Jrnl.aborted t.jrnl then Error Errno.EROFS
   else begin
     (* Write back a clean superblock (and, for ixt3+Mr, refresh the
        per-group copies — stock ext3 famously never does, §5.1). *)
@@ -1874,7 +1815,7 @@ let op_unmount t =
     | Error _ ->
         if t.profile.Profile.bugs_fixed then begin
           Klog.error t.klog "ext3" "superblock write failed at unmount";
-          abort_journal t "superblock write"
+          Jrnl.abort t.jrnl "superblock write"
         end);
     if t.profile.Profile.meta_replica then
       for g = 0 to t.lay.Layout.ngroups - 1 do
@@ -1906,7 +1847,7 @@ let brand profile =
     let mount dev = mount_impl profile dev
     let unmount = op_unmount
     let klog t = t.klog
-    let is_readonly t = t.readonly
+    let is_readonly = readonly
     let access = op_access
     let chdir = op_chdir
     let chroot = op_chroot

@@ -7,7 +7,6 @@ module Fs = Iron_vfs.Fs
 module Posix = Iron_vfs.Posix
 module Jrnl = Iron_jrnl.Jrnl
 module Record = Iron_jrnl.Jrnl.Record
-module Kind = Iron_jrnl.Kind
 
 let ( let* ) = Result.bind
 
@@ -239,8 +238,7 @@ let decode_counted buf =
 (* ---- record-level journal ------------------------------------------- *)
 
 (* The diff-based record engine lives in the shared journal core
-   ({!Iron_jrnl.Jrnl.Record}); jfs supplies its geometry and typed
-   block map. *)
+   ({!Iron_jrnl.Jrnl.Record}); jfs supplies its geometry. *)
 let jgeo num_blocks =
   {
     Jrnl.jsb = jsuper_block;
@@ -248,20 +246,6 @@ let jgeo num_blocks =
     jend = jdata_start + journal_len;
     num_blocks;
   }
-
-let kind_of_block num_blocks b =
-  if b = super_primary || b = super_secondary then Kind.Superblock
-  else if
-    b = aggr_primary || b = aggr_secondary || b = bmap_desc_block
-    || b = imap_cntl_block
-  then Kind.Gdesc
-  else if b = bmap_block then Kind.Bitmap
-  else if b = imap_block then Kind.Ibitmap
-  else if b = jsuper_block then Kind.Jsb
-  else if b >= jdata_start && b < jdata_start + journal_len then Kind.Jdata
-  else if b >= itable_start && b < itable_start + itable_blocks then Kind.Inode
-  else if b >= first_data && b < num_blocks then Kind.Data
-  else Kind.Unknown
 
 (* ---- state ----------------------------------------------------------- *)
 
@@ -805,7 +789,6 @@ let mount_impl dev =
       num_blocks;
       jrnl =
         Record.create ~tag:"jfs" ~dev ~cache ~klog
-          ~kinds:(kind_of_block num_blocks)
           ~geo:(jgeo dev.Dev.num_blocks) ~txid;
       free_blocks;
       free_inodes;

@@ -31,18 +31,20 @@ type iron =
   | Abort  (** ixt3: log the error and abort the journal *)
   | Panic  (** reiserfs: panic the machine ("first, do no harm", §5.2) *)
 
-module type POLICY = sig
-  val tag : string
-  (** klog subsystem tag; fingerprint classification greps these
-      messages, so the tag is part of the observable failure policy *)
+(* A brand's journal, as the paper tells the brands apart (§5): one
+   mechanism under four values. *)
+type policy = {
+  tag : string;
+      (** klog subsystem tag; fingerprint classification greps these
+          messages, so the tag is part of the observable failure policy *)
+  mode : mode;
+  iron : iron;
+  format : Jrec.format;
+      (** the log's magic numbers, and whether it has revoke blocks *)
+}
 
-  val mode : mode
-  val iron : iron
-
-  val format : Jrec.format
-  (** the log's magic numbers, and whether it has revoke blocks *)
-end
-
+(* The journal's own region, [jsb, jend), is the one range of blocks
+   both engines refuse to journal. *)
 type geometry = {
   jsb : int;  (** journal superblock *)
   jfirst : int;  (** first log block *)
@@ -50,32 +52,13 @@ type geometry = {
   num_blocks : int;  (** device size; replay refuses homes beyond it *)
 }
 
-(* Hooks connect the engine back to file-system state that cannot exist
-   before the engine does (mount builds the engine first, then the FS
-   state closing over it). All are optional behaviors layered on the
-   core protocol: replica streaming, journal-superblock shadows, abort
-   plumbing. *)
-type hooks = {
-  mutable on_abort : string -> unit;
-  mutable aborted : unit -> bool;
-  mutable jsb_shadow : (bytes -> unit) option;
-      (** called with the encoded journal superblock before the primary
-          write (ixt3 Mr keeps a replica of it) *)
-  mutable post_commit : ((int * bytes) list -> unit) option;
-      (** called after the commit barrier with the full transaction
-          (home, image) list (ixt3 Mr streams replica copies to the
-          replica log here) *)
-}
+let in_region geo b = b >= geo.jsb && b < geo.jend
 
 type config = {
-  tag : string;
-  mode : mode;
-  iron : iron;
-  format : Jrec.format;
+  policy : policy;
   dev : Dev.t;
   cache : Bcache.t;
   klog : Klog.t;
-  kinds : int -> Kind.t;
   geo : geometry;
   journaled : int -> bool;
       (** which staged blocks ride the log; the rest reach their homes
@@ -93,7 +76,9 @@ let image data = { data; sha = None }
 
 type t = {
   cfg : config;
-  hooks : hooks;
+  jsb_shadow : (bytes -> unit) option;
+  post_commit : ((int * bytes) list -> unit) option;
+  mutable aborted : bool;
   txn : (int, image) Hashtbl.t;
   mutable txn_order : int list; (* newest first *)
   mutable txn_revoked : int list;
@@ -103,16 +88,16 @@ type t = {
   mutable jseq : int;
 }
 
-let create cfg ~seq =
+(* [jsb_shadow] is called with the encoded journal superblock before
+   the primary write (ixt3 Mr keeps a replica of it); [post_commit]
+   after the commit barrier with the full transaction's (home, image)
+   list (ixt3 Mr streams replica copies to the replica log there). *)
+let create ?jsb_shadow ?post_commit cfg ~seq =
   {
     cfg;
-    hooks =
-      {
-        on_abort = (fun _ -> ());
-        aborted = (fun () -> false);
-        jsb_shadow = None;
-        post_commit = None;
-      };
+    jsb_shadow;
+    post_commit;
+    aborted = false;
     txn = Hashtbl.create 32;
     txn_order = [];
     txn_revoked = [];
@@ -122,15 +107,16 @@ let create cfg ~seq =
     jseq = seq;
   }
 
-let connect t ~on_abort ~aborted ?jsb_shadow ?post_commit () =
-  t.hooks.on_abort <- on_abort;
-  t.hooks.aborted <- aborted;
-  t.hooks.jsb_shadow <- jsb_shadow;
-  t.hooks.post_commit <- post_commit
+(* Stop the journal: every later commit fails with EROFS, and the file
+   system on it reads as read-only. *)
+let abort t why =
+  if not t.aborted then begin
+    t.aborted <- true;
+    Klog.error t.cfg.klog t.cfg.policy.tag
+      "journal aborted (%s); remounting read-only" why
+  end
 
-let abort t why = t.hooks.on_abort why
-let aborted t = t.hooks.aborted ()
-let kind t b = t.cfg.kinds b
+let aborted t = t.aborted
 
 (* Transaction images and commit scratch blocks cycle through the
    calling domain's block arena: staged images are released when the
@@ -173,10 +159,10 @@ let digest t b buf =
    win the counter makes visible: every stage since the last barrier
    rides one descriptor/commit pair. *)
 let stage t b data =
-  (* The one invariant the typed layout enforces unconditionally: the
-     journal never journals its own region. *)
-  if Kind.is_journal_region (t.cfg.kinds b) then
-    Klog.error t.cfg.klog t.cfg.tag "refusing to journal journal block %d" b
+  (* The one invariant every journal keeps: it never journals its own
+     region. *)
+  if in_region t.cfg.geo b then
+    Klog.error t.cfg.klog t.cfg.policy.tag "refusing to journal journal block %d" b
   else begin
     (match Hashtbl.find_opt t.txn b with
     | Some old ->
@@ -223,9 +209,9 @@ let revoke t b =
    no longer fail here at all. Returns [false] only on a device write
    failure in the ordered modes. *)
 let write_data t b data =
-  match t.cfg.mode with
+  match t.cfg.policy.mode with
   | Ordered | Tc_checksummed -> (
-      Prov.with_txn ~txn:t.jseq ~policy:(mode_label t.cfg.mode) @@ fun () ->
+      Prov.with_txn ~txn:t.jseq ~policy:(mode_label t.cfg.policy.mode) @@ fun () ->
       Prov.with_role "data" @@ fun () ->
       match Bcache.write t.cfg.cache b data with Ok () -> true | Error _ -> false)
   | Writeback ->
@@ -245,15 +231,15 @@ let write_data t b data =
 (* The policy's reaction to a failed write of [what] to block [b].
    Returns false once the journal has stopped. *)
 let failed_write t what b =
-  match t.cfg.iron with
+  let tag = t.cfg.policy.tag in
+  match t.cfg.policy.iron with
   | Ignore -> true
   | Abort ->
-      Klog.error t.cfg.klog t.cfg.tag "%s write to block %d failed" what b;
+      Klog.error t.cfg.klog tag "%s write to block %d failed" what b;
       abort t (what ^ " write failure");
       false
   | Panic ->
-      Klog.panic t.cfg.klog t.cfg.tag "%s write to block %d failed; panicking"
-        what b
+      Klog.panic t.cfg.klog tag "%s write to block %d failed; panicking" what b
 
 (* Write one block into the journal region. Stock ext3 drops the error
    and keeps committing — the bug the paper documents (§5.1). Returns
@@ -266,10 +252,10 @@ let journal_write t jb data =
 let write_jsuper t =
   Prov.with_role "jsb" @@ fun () ->
   let buf = zero_block t in
-  Jrec.encode_jsuper t.cfg.format
+  Jrec.encode_jsuper t.cfg.policy.format
     { Jrec.sequence = t.jseq; start = t.jhead }
     buf;
-  (match t.hooks.jsb_shadow with Some f -> f buf | None -> ());
+  (match t.jsb_shadow with Some f -> f buf | None -> ());
   let r = t.cfg.dev.Dev.write t.cfg.geo.jsb buf in
   release t buf;
   match r with
@@ -281,7 +267,7 @@ let write_jsuper t =
    DZero on writes. *)
 let checkpoint t =
   Obs.span_a ~subsystem:"jrnl" "checkpoint" @@ fun () ->
-  Prov.with_txn ~txn:t.jseq ~policy:(mode_label t.cfg.mode) @@ fun () ->
+  Prov.with_txn ~txn:t.jseq ~policy:(mode_label t.cfg.policy.mode) @@ fun () ->
   Prov.with_role "checkpoint" @@ fun () ->
   (* Elevator order: writeback sweeps the disk in one direction, as the
      kernel's flusher would, instead of seeking in insertion order. *)
@@ -312,10 +298,10 @@ let commit t =
   else if aborted t then Error Errno.EROFS
   else
     Obs.span_a ~subsystem:"jrnl" "commit" @@ fun () ->
-    Prov.with_txn ~txn:t.jseq ~policy:(mode_label t.cfg.mode) @@ fun () ->
+    Prov.with_txn ~txn:t.jseq ~policy:(mode_label t.cfg.policy.mode) @@ fun () ->
     begin
-    let tc = t.cfg.mode = Tc_checksummed in
-    let fmt = t.cfg.format in
+    let tc = t.cfg.policy.mode = Tc_checksummed in
+    let fmt = t.cfg.policy.format in
     (* Blocks the policy excludes from the log (ext3's replica copies
        stream to the separate replica log via [post_commit], §6.1) still
        reach their fixed homes at checkpoint. *)
@@ -338,7 +324,7 @@ let commit t =
          journaled blocks into a 255-block log. Every block goes home,
          the unjournaled ones included, and a barrier makes them
          durable before commit returns, as at checkpoint. *)
-      Klog.warn t.cfg.klog t.cfg.tag "transaction larger than journal; direct flush";
+      Klog.warn t.cfg.klog t.cfg.policy.tag "transaction larger than journal; direct flush";
       Prov.with_role "direct" (fun () ->
           List.iter
             (fun b ->
@@ -401,7 +387,7 @@ let commit t =
       ignore (t.cfg.dev.Dev.sync ());
       (* Issued after the commit (the journal is authoritative), so the
          hook costs one region visit per transaction. *)
-      (match t.hooks.post_commit with
+      (match t.post_commit with
       | None -> ()
       | Some f ->
           f
@@ -575,8 +561,8 @@ let committed_overlay fmt ~geo raw =
 (* Recovery                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let recover ~tag ~format ~iron ~geo ~dev ~klog ?jsb_fallback ?refresh_replica
-    () =
+let recover { tag; format; iron; mode = _ } ~geo ~dev ~klog ?jsb_fallback
+    ?refresh_replica () =
   Obs.span_a ~subsystem:"jrnl" "recover" @@ fun () ->
   let bs = dev.Dev.block_size in
   (* Scratch block for every decode-then-discard read in the scan
@@ -685,52 +671,6 @@ let recover ~tag ~format ~iron ~geo ~dev ~klog ?jsb_fallback ?refresh_replica
     ignore (dev.Dev.sync ());
     Ok last_seq
   end
-
-(* ------------------------------------------------------------------ *)
-(* Functor packaging                                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* The functor is a thin specialization over the shared engine type:
-   [type nonrec t = t] keeps the engine storable inside the file
-   system's own state record (a generative [t] per application could
-   not escape the mount function), while the policy module pins the
-   tag, commit mode, IRON reaction and log format at brand-construction
-   time. *)
-module Make (P : POLICY) = struct
-  type nonrec t = t
-
-  let create ~dev ~cache ~klog ~kinds ~geo ~journaled ~seq =
-    create
-      {
-        tag = P.tag;
-        mode = P.mode;
-        iron = P.iron;
-        format = P.format;
-        dev;
-        cache;
-        klog;
-        kinds;
-        geo;
-        journaled;
-      }
-      ~seq
-
-  let recover ~geo ~dev ~klog ?jsb_fallback ?refresh_replica () =
-    recover ~tag:P.tag ~format:P.format ~iron:P.iron ~geo ~dev ~klog
-      ?jsb_fallback ?refresh_replica ()
-
-  let connect = connect
-  let find = find
-  let digest = digest
-  let stage = stage
-  let forget = forget
-  let revoke = revoke
-  let write_data = write_data
-  let commit = commit
-  let checkpoint = checkpoint
-  let kind = kind
-  let mode = P.mode
-end
 
 (* ------------------------------------------------------------------ *)
 (* Record-structured engine (jfs)                                      *)
@@ -898,7 +838,6 @@ module Record = struct
     bs : int;
     cache : Bcache.t;
     klog : Klog.t;
-    kinds : int -> Kind.t;
     geo : geometry;
     (* overlay: current in-memory page state; records: since last commit *)
     overlay : (int, bytes) Hashtbl.t;
@@ -908,14 +847,13 @@ module Record = struct
     mutable jpos : int; (* next free j-data block *)
   }
 
-  let create ~tag ~dev ~cache ~klog ~kinds ~geo ~txid =
+  let create ~tag ~dev ~cache ~klog ~geo ~txid =
     {
       tag;
       dev;
       bs = dev.Dev.block_size;
       cache;
       klog;
-      kinds;
       geo;
       overlay = Hashtbl.create 32;
       overlay_order = [];
@@ -927,7 +865,7 @@ module Record = struct
   let find t b = Hashtbl.find_opt t.overlay b
 
   let write t b data =
-    if Kind.is_journal_region (t.kinds b) then
+    if in_region t.geo b then
       Klog.error t.klog t.tag "refusing to journal journal block %d" b
     else begin
       let seen = Hashtbl.mem t.overlay b in

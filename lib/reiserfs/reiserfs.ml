@@ -7,7 +7,6 @@ module Fs = Iron_vfs.Fs
 module Posix = Iron_vfs.Posix
 module Jrnl = Iron_jrnl.Jrnl
 module Jrec = Iron_jrnl.Jrec
-module Kind = Iron_jrnl.Kind
 
 let ( let* ) = Result.bind
 
@@ -77,12 +76,13 @@ let journal_format =
     revoke_magic = None;
   }
 
-module J = Jrnl.Make (struct
-  let tag = "reiserfs"
-  let mode = Jrnl.Ordered
-  let iron = Jrnl.Panic
-  let format = journal_format
-end)
+let policy =
+  {
+    Jrnl.tag = "reiserfs";
+    mode = Jrnl.Ordered;
+    iron = Jrnl.Panic;
+    format = journal_format;
+  }
 
 let geo num_blocks =
   { Jrnl.jsb = journal_start; jfirst = journal_start + 1; jend; num_blocks }
@@ -96,7 +96,7 @@ type state = {
   cache : Bcache.t;
   zeros : bytes; (* read-only, like every borrowed buffer: holes read as it *)
   super : super;
-  jrnl : J.t;
+  jrnl : Jrnl.t;
 }
 
 let zero_block t = Bytes.make t.bs '\000'
@@ -110,7 +110,7 @@ let zero_block t = Bytes.make t.bs '\000'
    decodes or copies what it needs first, and every site that modifies
    what it read takes a private copy through [owned]. *)
 let block_read_raw t b =
-  match J.find t.jrnl b with
+  match Jrnl.find t.jrnl b with
   | Some d -> Ok d
   | None -> (
       match Bcache.borrow t.cache b with
@@ -120,7 +120,7 @@ let block_read_raw t b =
 let owned r = Result.map Bytes.copy r
 
 let meta_write t b data =
-  J.stage t.jrnl b data;
+  Jrnl.stage t.jrnl b data;
   Ok ()
 
 (* ---- allocation ----------------------------------------------------- *)
@@ -167,7 +167,7 @@ let free_block t b =
       (* The freed block's images go with it, or its next owner would
          read the old owner's bytes and the checkpoint would write them
          over the new owner's. *)
-      J.forget t.jrnl b;
+      Jrnl.forget t.jrnl b;
       let buf = Bytes.copy buf in
       bit_set buf (b mod per) false;
       let* () = meta_write t bb buf in
@@ -463,7 +463,7 @@ let data_write_block t objid fblock data =
   (* Ordered data write: the paper's ReiserFS bug — a failed ordered
      data-block write is not handled at all; the transaction commits
      over it (RZero). *)
-  ignore (J.write_data t.jrnl ptr data);
+  ignore (Jrnl.write_data t.jrnl ptr data);
   Ok ()
 
 (* Free data blocks and indirect items from file block [from] upward;
@@ -578,18 +578,10 @@ let mkfs_impl dev =
   let* () = wr super_block sb in
   match dev.Dev.sync () with Ok () -> Ok () | Error _ -> Error Errno.EIO
 
-let kind_of_block s b =
-  if b = super_block then Kind.Superblock
-  else if b = journal_start then Kind.Jsb
-  else if b > journal_start && b < jend then Kind.Jdata
-  else if b >= s.bitmap_start && b < s.bitmap_start + s.bitmap_blocks then
-    Kind.Bitmap
-  else Kind.Data
-
 let mount_impl dev =
   let klog = Klog.create ~clock:dev.Dev.now () in
   let geo = geo dev.Dev.num_blocks in
-  let* jseq = J.recover ~geo ~dev ~klog () in
+  let* jseq = Jrnl.recover policy ~geo ~dev ~klog () in
   let* super =
     match dev.Dev.read super_block with
     | Error _ ->
@@ -612,8 +604,9 @@ let mount_impl dev =
       zeros = Bytes.make dev.Dev.block_size '\000';
       super;
       jrnl =
-        J.create ~dev ~cache ~klog ~kinds:(kind_of_block super) ~geo
-          ~journaled:(fun _ -> true) ~seq:jseq;
+        Jrnl.create
+          { Jrnl.policy; dev; cache; klog; geo; journaled = (fun _ -> true) }
+          ~seq:jseq;
     }
 
 (* ---- file data ----------------------------------------------------- *)
@@ -819,8 +812,8 @@ module Store = struct
   let mount = mount_impl
 
   let sync t =
-    let* () = J.commit t.jrnl in
-    J.checkpoint t.jrnl;
+    let* () = Jrnl.commit t.jrnl in
+    Jrnl.checkpoint t.jrnl;
     Ok ()
 
   let unmount t =
@@ -828,7 +821,7 @@ module Store = struct
     ignore (t.dev.Dev.sync ());
     Ok ()
 
-  let fsync t = J.commit t.jrnl
+  let fsync t = Jrnl.commit t.jrnl
 
   let statfs t =
     {

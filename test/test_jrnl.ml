@@ -1,4 +1,4 @@
-(* Refinement harness for the typed journal core (lib/jrnl) and the one
+(* Refinement harness for the shared journal core (lib/jrnl) and the one
    journal still kept beside it (ntfs's logfile, which shares the core's
    record codecs and committed-log scan but keeps its own commit and
    checkpoint).
@@ -37,8 +37,8 @@
 
    Every brand also runs a PostMark-style read-back churn, in which a
    block freed while its image still sits in the journal must not be
-   served to its next owner, and the engine's image digests, spans and
-   batching counter are pinned directly. *)
+   served to its next owner, and the engine's image digests, spans,
+   batching counter and journal-region refusal are pinned directly. *)
 
 open Iron_disk
 module Fault = Iron_fault.Fault
@@ -841,28 +841,29 @@ let t_readback brand () = List.iter (readback brand) [ 0; 1; 2 ]
 
 (* A bare engine over a 64-block disk: block 0 holds the journal
    superblock, 1-15 the log, the rest plain data. *)
-let digest_engine () =
-  let dev =
-    Memdisk.dev
-      (Memdisk.create
-         ~params:{ Memdisk.default_params with Memdisk.num_blocks = 64; seed = 1 }
-         ())
-  in
+let bare_geo = { Jrnl.jsb = 0; jfirst = 1; jend = 16; num_blocks = 64 }
+
+let bare_dev () =
+  Memdisk.dev
+    (Memdisk.create
+       ~params:{ Memdisk.default_params with Memdisk.num_blocks = 64; seed = 1 }
+       ())
+
+let digest_engine ?(klog = Klog.create ()) () =
+  let dev = bare_dev () in
   Jrnl.create
     {
-      Jrnl.tag = "test";
-      mode = Jrnl.Ordered;
-      iron = Jrnl.Ignore;
-      format = Iron_jrnl.Jrec.jbd;
+      Jrnl.policy =
+        {
+          Jrnl.tag = "test";
+          mode = Jrnl.Ordered;
+          iron = Jrnl.Ignore;
+          format = Iron_jrnl.Jrec.jbd;
+        };
       dev;
       cache = Bcache.create dev;
-      klog = Klog.create ();
-      kinds =
-        (fun b ->
-          if b = 0 then Iron_jrnl.Kind.Jsb
-          else if b < 16 then Iron_jrnl.Kind.Jdata
-          else Iron_jrnl.Kind.Data);
-      geo = { Jrnl.jsb = 0; jfirst = 1; jend = 16; num_blocks = 64 };
+      klog;
+      geo = bare_geo;
       journaled = (fun _ -> true);
     }
     ~seq:1
@@ -940,6 +941,46 @@ let t_digest_checkpoint () =
   same_buffer "re-stage recycled the checkpointed buffer" first second;
   digest_is "re-staged image" j second 'b'
 
+(* --- journal-region refusal -------------------------------------------- *)
+
+(* Neither engine journals its own region, [jsb, jend): the superblock,
+   the first log block and the last are refused with a klog line and
+   never reach the overlay, while [jend] is an ordinary block. *)
+let check_refusal klog ~write ~find =
+  let logged () =
+    List.map (fun e -> (e.Klog.subsystem, e.Klog.message)) (Klog.entries klog)
+  in
+  List.iter
+    (fun b ->
+      Klog.clear klog;
+      write b (bytes_of 'r');
+      check
+        Alcotest.(list (pair string string))
+        (Printf.sprintf "block %d refused" b)
+        [ ("test", Printf.sprintf "refusing to journal journal block %d" b) ]
+        (logged ());
+      check Alcotest.bool (Printf.sprintf "block %d not staged" b) true
+        (find b = None))
+    [ bare_geo.jsb; bare_geo.jfirst; bare_geo.jend - 1 ];
+  Klog.clear klog;
+  write bare_geo.jend (bytes_of 'r');
+  check Alcotest.(list (pair string string)) "jend logs nothing" [] (logged ());
+  check Alcotest.bool "jend staged" true (find bare_geo.jend <> None)
+
+let t_refusal_block () =
+  let klog = Klog.create () in
+  let j = digest_engine ~klog () in
+  check_refusal klog ~write:(Jrnl.stage j) ~find:(Jrnl.find j)
+
+let t_refusal_record () =
+  let klog = Klog.create () in
+  let dev = bare_dev () in
+  let r =
+    Jrnl.Record.create ~tag:"test" ~dev ~cache:(Bcache.create dev) ~klog
+      ~geo:bare_geo ~txid:1
+  in
+  check_refusal klog ~write:(Jrnl.Record.write r) ~find:(Jrnl.Record.find r)
+
 let suites =
   [
     ( "jrnl.refinement",
@@ -976,6 +1017,13 @@ let suites =
         Alcotest.test_case "revoke and re-stage" `Quick t_digest_revoke;
         Alcotest.test_case "commit carries the digest" `Quick t_digest_commit;
         Alcotest.test_case "checkpoint and re-stage" `Quick t_digest_checkpoint;
+      ] );
+    ( "jrnl.region",
+      [
+        Alcotest.test_case "the block engine refuses its own region" `Quick
+          t_refusal_block;
+        Alcotest.test_case "the record engine refuses its own region" `Quick
+          t_refusal_record;
       ] );
     ( "jrnl.readback",
       List.map
