@@ -260,7 +260,6 @@ type state = {
   jrnl : Record.t;
   mutable free_blocks : int;
   mutable free_inodes : int;
-  mutable readonly : bool;
 }
 
 let zero_block t = Bytes.make t.bs '\000'
@@ -290,13 +289,10 @@ let meta_read t b =
 let owned r = Result.map Bytes.copy r
 
 (* Diff-based record emission, commit and checkpoint are the engine's;
-   jfs keeps only the readonly guard and the VFS-facing result types. *)
+   jfs keeps only the VFS-facing result types. *)
 let meta_write t b data =
-  if t.readonly then Error Errno.EROFS
-  else begin
-    Record.write t.jrnl b data;
-    Ok ()
-  end
+  Record.write t.jrnl b data;
+  Ok ()
 
 let checkpoint t = Record.checkpoint t.jrnl
 
@@ -792,7 +788,6 @@ let mount_impl dev =
           ~geo:(jgeo dev.Dev.num_blocks) ~txid;
       free_blocks;
       free_inodes;
-      readonly = false;
     }
 
 (* ---- classifier ------------------------------------------------------ *)
@@ -976,9 +971,8 @@ module Store = struct
 
   let dev t = t.dev
   let klog t = t.klog
-  let is_readonly t = t.readonly
+  let is_readonly _ = false
   let root = root_ino
-  let writable t = if t.readonly then Error Errno.EROFS else Ok ()
   let read = read_inode
   let write = write_inode
 

@@ -743,7 +743,6 @@ module Store = struct
   let klog t = t.klog
   let is_readonly t = t.readonly
   let root = root_ino
-  let writable _ = Ok ()
   let read = read_record
   let write = write_record
 

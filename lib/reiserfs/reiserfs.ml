@@ -836,7 +836,6 @@ module Store = struct
   let klog t = t.klog
   let is_readonly _ = false
   let root = root_objid
-  let writable _ = Ok ()
   let read t o = read_stat t o
   let write = write_stat
 

@@ -32,7 +32,6 @@ module type STORE = sig
   val klog : t -> Klog.t
   val is_readonly : t -> bool
   val root : int
-  val writable : t -> (unit, Errno.t) result
   val read : t -> int -> (node, Errno.t) result
   val write : t -> int -> node -> (unit, Errno.t) result
   val attr : node -> attr
@@ -198,7 +197,6 @@ module Make (S : STORE) = struct
   (* The new object's times and the parent's mtime and ctime are one
      instant, taken once the store has found a free id. *)
   let create_node t path kind ~perms ~target =
-    let* () = S.writable t.st in
     let* dino, name = resolve_parent t path in
     let* dnode = S.read t.st dino in
     if (S.attr dnode).kind <> Some Fs.Directory then Error Errno.ENOTDIR
@@ -240,7 +238,6 @@ module Make (S : STORE) = struct
         Ok o
 
   let remove t path ~dir =
-    let* () = S.writable t.st in
     let* dino, name = resolve_parent t path in
     let* d = S.open_dir t.st dino in
     let* es = S.entries t.st d in
@@ -298,7 +295,6 @@ module Make (S : STORE) = struct
   let unlink t path = remove t path ~dir:false
 
   let link t existing newpath =
-    let* () = S.writable t.st in
     let* o, n, a = lookup t existing in
     if a.kind = Some Fs.Directory then Error Errno.EISDIR
     else
@@ -314,7 +310,6 @@ module Make (S : STORE) = struct
      entry moves, and a directory that changed parent takes its new
      [".."] and the two parents' link counts. *)
   let rename t src dst =
-    let* () = S.writable t.st in
     let* sdino, sname = resolve_parent t src in
     let* ses = entries t sdino in
     match List.assoc_opt sname ses with
@@ -369,7 +364,6 @@ module Make (S : STORE) = struct
           Ok out
 
   let write t fd ~off data =
-    let* () = S.writable t.st in
     let* f = Fdtable.find t.fds fd in
     if f.mode = Fs.Rd then Error Errno.EBADF
     else
@@ -383,7 +377,6 @@ module Make (S : STORE) = struct
       Ok len
 
   let truncate t path size =
-    let* () = S.writable t.st in
     let* o, n, a = lookup t path in
     if a.kind = Some Fs.Directory then Error Errno.EISDIR
     else
@@ -394,17 +387,14 @@ module Make (S : STORE) = struct
       late
 
   let chmod t path perms =
-    let* () = S.writable t.st in
     let* o, n, a = lookup t path in
     S.write t.st o (S.with_attr n { a with perms; ctime = now t })
 
   let chown t path uid gid =
-    let* () = S.writable t.st in
     let* o, n, a = lookup t path in
     S.write t.st o (S.with_attr n { a with uid; gid; ctime = now t })
 
   let utimes t path atime mtime =
-    let* () = S.writable t.st in
     let* o, n, a = lookup t path in
     S.write t.st o
       (S.with_attr n { a with atime = int_of_float atime; mtime = int_of_float mtime })

@@ -63,9 +63,6 @@ module type STORE = sig
   val root : int
   (** The root directory's object id. *)
 
-  val writable : t -> (unit, Errno.t) result
-  (** Checked before anything else by every update. *)
-
   val read : t -> int -> (node, Errno.t) result
   val write : t -> int -> node -> (unit, Errno.t) result
   val attr : node -> attr
