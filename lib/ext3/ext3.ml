@@ -904,6 +904,12 @@ let resolve_parent t path =
     let* dino = resolve t dir in
     Ok (dino, base)
 
+(* The ops that link, move or remove a name check that the parent inode
+   they read is a directory before they read its entries, as
+   [create_node] does. *)
+let parent_dir dinode =
+  if dinode.Inode.kind = Inode.Directory then Ok () else Error Errno.ENOTDIR
+
 (* ------------------------------------------------------------------ *)
 (* Freeing file contents (truncate / unlink)                           *)
 (* ------------------------------------------------------------------ *)
@@ -1515,6 +1521,7 @@ let op_link t existing linkpath =
         let* dino, name = resolve_parent t linkpath in
         let* () = VPath.validate_component name in
         let* dinode = read_inode t dino in
+        let* () = parent_dir dinode in
         match dir_lookup t dinode name with
         | Ok _ -> Error Errno.EEXIST
         | Error Errno.ENOENT ->
@@ -1646,6 +1653,7 @@ let remove_common t path ~dir =
       in
       let* dino, name = resolve_parent t path in
       let* dinode = read_inode t dino in
+      let* () = parent_dir dinode in
       let* ino = dir_lookup t dinode name in
       let* i = read_inode t ino in
       match (dir, i.Inode.kind) with
@@ -1706,10 +1714,12 @@ let op_rename t src dst =
   in_txn t (fun () ->
       let* sdino, sname = resolve_parent t src in
       let* sdinode = read_inode t sdino in
+      let* () = parent_dir sdinode in
       let* ino = dir_lookup t sdinode sname in
       let* ddino, dname = resolve_parent t dst in
       let* () = VPath.validate_component dname in
       let* ddinode = read_inode t ddino in
+      let* () = parent_dir ddinode in
       let* () =
         (* Replace an existing target if present (files only). *)
         match dir_lookup t ddinode dname with

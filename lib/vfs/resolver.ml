@@ -8,12 +8,15 @@ type ops = {
 
 let max_symlink_depth = 8
 
-let resolve ops ~root ~cwd ?(follow_last = true) path =
-  let rec walk dir components depth =
+(* The walk returns the object it ends on and, when it read it, its
+   kind. A path with no components reads none: it ends on [root] or
+   [cwd], and only directories become either. *)
+let walk ops ~root ~cwd ?(follow_last = true) path =
+  let rec go dir kind components depth =
     if depth > max_symlink_depth then Error Errno.ELOOP
     else
       match components with
-      | [] -> Ok dir
+      | [] -> Ok (dir, kind)
       | name :: rest -> (
           let* () = Path.validate_component name in
           let* dkind = ops.kind_of dir in
@@ -26,17 +29,25 @@ let resolve ops ~root ~cwd ?(follow_last = true) path =
               | Fs.Symlink when rest <> [] || follow_last ->
                   let* target = ops.readlink_of child in
                   let start = if Path.is_absolute target then root else dir in
-                  let* mid = walk start (Path.split target) (depth + 1) in
-                  walk mid rest (depth + 1)
-              | Fs.Regular | Fs.Directory | Fs.Symlink -> walk child rest depth))
+                  let* mid, mkind =
+                    go start None (Path.split target) (depth + 1)
+                  in
+                  go mid mkind rest (depth + 1)
+              | Fs.Regular | Fs.Directory | Fs.Symlink ->
+                  go child (Some ckind) rest depth))
   in
   let start = if Path.is_absolute path then root else cwd in
-  walk start (Path.split path) 0
+  go start None (Path.split path) 0
+
+let resolve ops ~root ~cwd ?follow_last path =
+  Result.map fst (walk ops ~root ~cwd ?follow_last path)
 
 let resolve_parent ops ~root ~cwd path =
   let dir, base = Path.dirname_basename path in
   if base = "" then Error Errno.EINVAL
   else
     let* () = Path.validate_component base in
-    let* dino = resolve ops ~root ~cwd dir in
-    Ok (dino, base)
+    match walk ops ~root ~cwd dir with
+    | Ok (_, Some (Fs.Regular | Fs.Symlink)) -> Error Errno.ENOTDIR
+    | Ok (dino, (Some Fs.Directory | None)) -> Ok (dino, base)
+    | Error e -> Error e

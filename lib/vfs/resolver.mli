@@ -19,4 +19,5 @@ val resolve :
 val resolve_parent :
   ops -> root:int -> cwd:int -> string -> (int * string, Errno.t) result
 (** Parent directory object and final component name. Validates the
-    component. *)
+    component, and returns [ENOTDIR] when the parent is not a
+    directory. *)

@@ -1,5 +1,6 @@
 (* Tests for the VFS support layer: paths, the generic resolver, fd
-   tables and the kernel log. *)
+   tables and the kernel log; and, on every brand, the POSIX rule for a
+   regular file named as a parent. *)
 
 module Path = Iron_vfs.Path
 module Resolver = Iron_vfs.Resolver
@@ -7,6 +8,7 @@ module Fdtable = Iron_vfs.Fdtable
 module Klog = Iron_vfs.Klog
 module Errno = Iron_vfs.Errno
 module Fs = Iron_vfs.Fs
+module Memdisk = Iron_disk.Memdisk
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -102,6 +104,15 @@ let test_resolve_parent () =
   check Alcotest.bool "relative" true (rp "sub/up" = Ok (5, "up"));
   check Alcotest.bool "root has no parent entry" true (rp "/" = Error Errno.EINVAL)
 
+(* The walk reads the parent's kind, through a symlink too; the root
+   is a parent with no component to read. *)
+let test_parent_not_dir () =
+  let rp p = Resolver.resolve_parent toy ~root:1 ~cwd:2 p in
+  check Alcotest.bool "file" true (rp "/dir/file/x" = Error Errno.ENOTDIR);
+  check Alcotest.bool "link to a file" true
+    (rp "/link/x" = Error Errno.ENOTDIR);
+  check Alcotest.bool "in root" true (rp "/x" = Ok (1, "x"))
+
 (* --- Fdtable -------------------------------------------------------------- *)
 
 let test_fdtable () =
@@ -146,6 +157,61 @@ let test_klog_panic_raises_and_logs () =
      check Alcotest.string "message" "fs: going down: 42" msg);
   check Alcotest.int "logged before raising" 1 (List.length (Klog.errors k))
 
+(* --- A regular file as a parent --------------------------------------- *)
+
+let brands =
+  [
+    Iron_ext3.Ext3.std; Iron_ext3.Modes.writeback; Iron_ext3.Modes.data;
+    Iron_ext3.Ext3.ixt3; Iron_reiserfs.Reiserfs.brand; Iron_jfs.Jfs.brand;
+    Iron_ntfs.Ntfs.brand;
+  ]
+
+let must what = function
+  | Ok v -> v
+  | Error e -> Alcotest.failf "%s: %s" what (Errno.to_string e)
+
+(* A regular file [/f] holds no names: a link, rename or removal that
+   names one under it fails with ENOTDIR, before it can read [/f]'s
+   bytes as a directory, and leaves [/a] and [/f] as they were, across
+   a remount too. *)
+let test_file_parent brand () =
+  let disk =
+    Memdisk.create
+      ~params:{ Memdisk.default_params with Memdisk.num_blocks = 2048 }
+      ()
+  in
+  Memdisk.set_time_model disk false;
+  let dev = Memdisk.dev disk in
+  must "mkfs" (Fs.mkfs brand dev);
+  let (Fs.Boxed ((module F), t)) = must "mount" (Fs.mount brand dev) in
+  let bytes = Bytes.init 100 (fun i -> Char.chr (Char.code 'a' + (i mod 26))) in
+  let fd = must "creat /f" (F.creat t "/f") in
+  check Alcotest.int "wrote /f" 100 (must "write /f" (F.write t fd ~off:0 bytes));
+  must "close /f" (F.close t fd);
+  must "close /a" (F.close t (must "creat /a" (F.creat t "/a")));
+  let enotdir what r =
+    check Alcotest.string what "ENOTDIR"
+      (match r with Ok () -> "ok" | Error e -> Errno.to_string e)
+  in
+  enotdir "link /a /f/x" (F.link t "/a" "/f/x");
+  enotdir "rename /a /f/y" (F.rename t "/a" "/f/y");
+  enotdir "rename /f/x /y" (F.rename t "/f/x" "/y");
+  enotdir "unlink /f/x" (F.unlink t "/f/x");
+  enotdir "rmdir /f/x" (F.rmdir t "/f/x");
+  let intact (type s) (module F : Fs.S with type t = s) (t : s) when_ =
+    let a = must "stat /a" (F.stat t "/a") in
+    check Alcotest.(pair int int) ("/a " ^ when_) (1, 0) (a.Fs.st_links, a.st_size);
+    let fd = must "open /f" (F.open_ t "/f" Fs.Rd) in
+    check Alcotest.string ("/f " ^ when_) (Bytes.to_string bytes)
+      (Bytes.to_string (must "read /f" (F.read t fd ~off:0 ~len:200)));
+    must "close /f" (F.close t fd)
+  in
+  intact (module F) t "live";
+  must "unmount" (F.unmount t);
+  let (Fs.Boxed ((module F), t)) = must "remount" (Fs.mount brand dev) in
+  intact (module F) t "after remount";
+  must "unmount" (F.unmount t)
+
 let suites =
   [
     ( "vfs.path",
@@ -161,6 +227,7 @@ let suites =
         Alcotest.test_case "symlinks" `Quick test_resolver_symlinks;
         Alcotest.test_case "ENOTDIR" `Quick test_resolver_enotdir;
         Alcotest.test_case "resolve parent" `Quick test_resolve_parent;
+        Alcotest.test_case "parent not a directory" `Quick test_parent_not_dir;
       ] );
     ( "vfs.fdtable",
       [
@@ -172,4 +239,11 @@ let suites =
         Alcotest.test_case "capture" `Quick test_klog_capture;
         Alcotest.test_case "panic" `Quick test_klog_panic_raises_and_logs;
       ] );
+    ( "vfs.file-parent",
+      List.map
+        (fun brand ->
+          Alcotest.test_case
+            (Fs.brand_name brand ^ ": ENOTDIR under a regular file")
+            `Quick (test_file_parent brand))
+        brands );
   ]
