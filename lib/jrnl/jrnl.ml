@@ -162,7 +162,8 @@ let stage t b data =
   (* The one invariant every journal keeps: it never journals its own
      region. *)
   if in_region t.cfg.geo b then
-    Klog.error t.cfg.klog t.cfg.policy.tag "refusing to journal journal block %d" b
+    Klog.error t.cfg.klog t.cfg.policy.tag
+      "refusing to journal journal block %d" b
   else begin
     (match Hashtbl.find_opt t.txn b with
     | Some old ->
@@ -211,7 +212,8 @@ let revoke t b =
 let write_data t b data =
   match t.cfg.policy.mode with
   | Ordered | Tc_checksummed -> (
-      Prov.with_txn ~txn:t.jseq ~policy:(mode_label t.cfg.policy.mode) @@ fun () ->
+      Prov.with_txn ~txn:t.jseq ~policy:(mode_label t.cfg.policy.mode)
+      @@ fun () ->
       Prov.with_role "data" @@ fun () ->
       match Bcache.write t.cfg.cache b data with Ok () -> true | Error _ -> false)
   | Writeback ->
@@ -267,7 +269,8 @@ let write_jsuper t =
    DZero on writes. *)
 let checkpoint t =
   Obs.span_a ~subsystem:"jrnl" "checkpoint" @@ fun () ->
-  Prov.with_txn ~txn:t.jseq ~policy:(mode_label t.cfg.policy.mode) @@ fun () ->
+  Prov.with_txn ~txn:t.jseq ~policy:(mode_label t.cfg.policy.mode)
+  @@ fun () ->
   Prov.with_role "checkpoint" @@ fun () ->
   (* Elevator order: writeback sweeps the disk in one direction, as the
      kernel's flusher would, instead of seeking in insertion order. *)
@@ -298,7 +301,8 @@ let commit t =
   else if aborted t then Error Errno.EROFS
   else
     Obs.span_a ~subsystem:"jrnl" "commit" @@ fun () ->
-    Prov.with_txn ~txn:t.jseq ~policy:(mode_label t.cfg.policy.mode) @@ fun () ->
+    Prov.with_txn ~txn:t.jseq ~policy:(mode_label t.cfg.policy.mode)
+    @@ fun () ->
     begin
     let tc = t.cfg.policy.mode = Tc_checksummed in
     let fmt = t.cfg.policy.format in
@@ -324,7 +328,8 @@ let commit t =
          journaled blocks into a 255-block log. Every block goes home,
          the unjournaled ones included, and a barrier makes them
          durable before commit returns, as at checkpoint. *)
-      Klog.warn t.cfg.klog t.cfg.policy.tag "transaction larger than journal; direct flush";
+      Klog.warn t.cfg.klog t.cfg.policy.tag
+        "transaction larger than journal; direct flush";
       Prov.with_role "direct" (fun () ->
           List.iter
             (fun b ->

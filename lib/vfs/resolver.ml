@@ -47,7 +47,7 @@ let resolve_parent ops ~root ~cwd path =
   if base = "" then Error Errno.EINVAL
   else
     let* () = Path.validate_component base in
-    match walk ops ~root ~cwd dir with
-    | Ok (_, Some (Fs.Regular | Fs.Symlink)) -> Error Errno.ENOTDIR
-    | Ok (dino, (Some Fs.Directory | None)) -> Ok (dino, base)
-    | Error e -> Error e
+    let* dino, kind = walk ops ~root ~cwd dir in
+    match kind with
+    | Some (Fs.Regular | Fs.Symlink) -> Error Errno.ENOTDIR
+    | Some Fs.Directory | None -> Ok (dino, base)

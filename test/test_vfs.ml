@@ -182,35 +182,38 @@ let test_file_parent brand () =
   in
   Memdisk.set_time_model disk false;
   let dev = Memdisk.dev disk in
-  must "mkfs" (Fs.mkfs brand dev);
-  let (Fs.Boxed ((module F), t)) = must "mount" (Fs.mount brand dev) in
   let bytes = Bytes.init 100 (fun i -> Char.chr (Char.code 'a' + (i mod 26))) in
-  let fd = must "creat /f" (F.creat t "/f") in
-  check Alcotest.int "wrote /f" 100 (must "write /f" (F.write t fd ~off:0 bytes));
-  must "close /f" (F.close t fd);
-  must "close /a" (F.close t (must "creat /a" (F.creat t "/a")));
-  let enotdir what r =
-    check Alcotest.string what "ENOTDIR"
-      (match r with Ok () -> "ok" | Error e -> Errno.to_string e)
-  in
-  enotdir "link /a /f/x" (F.link t "/a" "/f/x");
-  enotdir "rename /a /f/y" (F.rename t "/a" "/f/y");
-  enotdir "rename /f/x /y" (F.rename t "/f/x" "/y");
-  enotdir "unlink /f/x" (F.unlink t "/f/x");
-  enotdir "rmdir /f/x" (F.rmdir t "/f/x");
-  let intact (type s) (module F : Fs.S with type t = s) (t : s) when_ =
+  (* Both files as they were, then unmount. *)
+  let intact (Fs.Boxed ((module F), t)) when_ =
     let a = must "stat /a" (F.stat t "/a") in
-    check Alcotest.(pair int int) ("/a " ^ when_) (1, 0) (a.Fs.st_links, a.st_size);
+    check
+      Alcotest.(pair int int)
+      ("/a " ^ when_) (1, 0) (a.Fs.st_links, a.st_size);
     let fd = must "open /f" (F.open_ t "/f" Fs.Rd) in
     check Alcotest.string ("/f " ^ when_) (Bytes.to_string bytes)
       (Bytes.to_string (must "read /f" (F.read t fd ~off:0 ~len:200)));
-    must "close /f" (F.close t fd)
+    must "close /f" (F.close t fd);
+    must "unmount" (F.unmount t)
   in
-  intact (module F) t "live";
-  must "unmount" (F.unmount t);
-  let (Fs.Boxed ((module F), t)) = must "remount" (Fs.mount brand dev) in
-  intact (module F) t "after remount";
-  must "unmount" (F.unmount t)
+  must "mkfs" (Fs.mkfs brand dev);
+  let fs = must "mount" (Fs.mount brand dev) in
+  (let (Fs.Boxed ((module F), t)) = fs in
+   let fd = must "creat /f" (F.creat t "/f") in
+   check Alcotest.int "wrote /f" 100
+     (must "write /f" (F.write t fd ~off:0 bytes));
+   must "close /f" (F.close t fd);
+   must "close /a" (F.close t (must "creat /a" (F.creat t "/a")));
+   let enotdir what r =
+     check Alcotest.string what "ENOTDIR"
+       (match r with Ok () -> "ok" | Error e -> Errno.to_string e)
+   in
+   enotdir "link /a /f/x" (F.link t "/a" "/f/x");
+   enotdir "rename /a /f/y" (F.rename t "/a" "/f/y");
+   enotdir "rename /f/x /y" (F.rename t "/f/x" "/y");
+   enotdir "unlink /f/x" (F.unlink t "/f/x");
+   enotdir "rmdir /f/x" (F.rmdir t "/f/x"));
+  intact fs "live";
+  intact (must "remount" (Fs.mount brand dev)) "after remount"
 
 let suites =
   [
