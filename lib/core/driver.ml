@@ -18,7 +18,7 @@
    - dry traces are frozen into arrays with a precomputed
      (direction, block type) -> target block index, so target lookup
      is O(1) and jobs without a target are resolved at spec time and
-     never enter the worker pool;
+     never enter the pool;
    - each worker domain keeps one scratch device and (in the
      unobserved case) one injector, reused across jobs;
    - reads below the block cache go through the zero-copy
@@ -60,16 +60,12 @@ type stats = {
   wall_s : float;
 }
 
-(* Campaign observability, split along the determinism boundary:
-   [metrics]/[spans] are keyed on simulated time and merged in spec
-   order, so they are byte-stable across worker counts; [exec] holds
-   wall-clock executor telemetry (pool queue/run histograms) and is
-   the one part allowed to vary run to run. *)
+(* Campaign observability: keyed on simulated time and merged in spec
+   order, so byte-stable across worker counts. *)
 type observed = {
   metrics : Obs.snapshot;
   spans : Obs.span list;
   spans_dropped : int;
-  exec : Obs.snapshot;
 }
 
 type report = {
@@ -637,115 +633,74 @@ let aggregate (c : Experiment.t) ~workers ~scheduled ~wall_s cells =
 (* The campaign                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Spec-time pruning: resolve every job's target through the index and
-   only send the armed ones to the pool. [stitch] re-slots pool
-   results against the full spec, substituting [skip] for the pruned
-   jobs — output order stays spec order by construction. *)
-let partition_targets prepared (c : Experiment.t) =
-  let tagged =
-    List.map (fun job -> (job, target_for prepared job)) c.Experiment.jobs
-  in
-  let armed =
-    List.filter_map
-      (fun (job, t) -> Option.map (fun target -> (job, target)) t)
-      tagged
-  in
-  (tagged, armed)
-
+(* Spec-time pruning: only the jobs whose target resolves through the
+   index go to the pool. [stitch] re-slots the pool's results against
+   the full spec and runs [skip] on the pruned jobs in between, so the
+   output order is spec order by construction. *)
 let stitch tagged ran ~skip =
   let rec go tagged ran =
     match tagged with
     | [] ->
         assert (ran = []);
         []
-    | (job, None) :: rest -> skip job :: go rest ran
-    | (_, Some _) :: rest -> (
+    | (job, false) :: rest -> skip job :: go rest ran
+    | (_, true) :: rest -> (
         match ran with
-        | cell :: more -> cell :: go rest more
+        | r :: more -> r :: go rest more
         | [] -> assert false)
   in
   go tagged ran
 
 let run ?(jobs = 1) ?(observe = false) (c : Experiment.t) =
   let t0 = Unix.gettimeofday () in
-  if not observe then begin
-    let prepared = prepare c in
-    let tagged, armed = partition_targets prepared c in
-    let ran =
-      Iron_util.Pool.map_jobs ~jobs
-        (fun (job, target) -> run_armed prepared c job ~target)
-        armed
-    in
-    let cells = stitch tagged ran ~skip:(fun _ -> empty_cell) in
-    let wall_s = Unix.gettimeofday () -. t0 in
-    aggregate c ~workers:(max 1 jobs) ~scheduled:(List.length armed) ~wall_s
-      cells
-  end
-  else begin
-    (* Observed campaign. Each job gets a private context created and
-       snapshotted inside the job function, so metrics and spans are a
-       pure function of the job spec; the aggregator merges them in
-       spec order (the pool slots results by index, and pruned jobs
-       are re-slotted by [stitch]), which keeps the exported
-       observables independent of [-j]. Executor telemetry
-       (wall-clock pool waits) goes to a separate shared context that
-       is deliberately kept out of the deterministic snapshot. *)
-    let prep_obs = Obs.create () in
-    let prepared = prepare ~obs:prep_obs c in
-    let prep_snap = Obs.snapshot prep_obs in
-    let prep_spans = Obs.with_tid 0 (Obs.spans prep_obs) in
-    let exec_obs = Obs.create () in
-    let on_job ~queue_ms ~run_ms =
-      Obs.incr exec_obs "pool.job";
-      Obs.observe exec_obs "pool.job.queue_ms" queue_ms;
-      Obs.observe exec_obs "pool.job.run_ms" run_ms
-    in
-    (* Pruned jobs still get their per-job context and [driver.job]
-       span (run_job resolves to the same no-target path), so the
-       deterministic exports are byte-identical to an unpruned run;
-       they just never occupy a pool slot. *)
-    let observed_job job =
+  let prep_obs = if observe then Some (Obs.create ()) else None in
+  let prepared = prepare ?obs:prep_obs c in
+  (* An observed job gets a private context, created and snapshotted
+     inside the job, so its metrics and spans are a pure function of
+     its spec; they are merged below in spec order, which keeps the
+     exports independent of [-j]. Pruned jobs still get their context
+     and [driver.job] span, so the exports equal an unpruned run's. *)
+  let job j =
+    if not observe then (run_job prepared c j, None)
+    else begin
       let obs = Obs.create () in
-      let cell = run_job ~obs prepared c job in
-      let snap = Obs.snapshot obs in
-      let spans = Obs.spans obs in
-      let dropped = Obs.spans_dropped obs in
+      let cell = run_job ~obs prepared c j in
+      let o = (Obs.snapshot obs, Obs.spans obs, Obs.spans_dropped obs) in
       Obs.release obs;
-      (cell, snap, spans, dropped)
-    in
-    let tagged, armed = partition_targets prepared c in
-    let ran =
-      Iron_util.Pool.map_jobs ~on_job ~jobs
-        (fun (job, _target) -> observed_job job)
-        armed
-    in
-    let results = stitch tagged ran ~skip:observed_job in
-    let wall_s = Unix.gettimeofday () -. t0 in
-    let cells = List.map (fun (cell, _, _, _) -> cell) results in
-    let metrics =
-      Obs.merge (prep_snap :: List.map (fun (_, snap, _, _) -> snap) results)
-    in
-    let spans =
-      prep_spans
-      @ List.concat
-          (List.mapi
-             (fun i (_, _, spans, _) -> Obs.with_tid (i + 1) spans)
-             results)
-    in
-    let spans_dropped =
-      Obs.spans_dropped prep_obs
-      + List.fold_left (fun n (_, _, _, d) -> n + d) 0 results
-    in
-    let report =
-      aggregate c ~workers:(max 1 jobs) ~scheduled:(List.length armed) ~wall_s
-        cells
-    in
-    {
-      report with
-      observed =
-        Some { metrics; spans; spans_dropped; exec = Obs.snapshot exec_obs };
-    }
-  end
+      (cell, Some o)
+    end
+  in
+  let tagged =
+    List.map (fun j -> (j, target_for prepared j <> None)) c.Experiment.jobs
+  in
+  let armed =
+    List.filter_map (fun (j, a) -> if a then Some j else None) tagged
+  in
+  let ran = Iron_util.Pool.map_jobs ~jobs job armed in
+  let results = stitch tagged ran ~skip:job in
+  let wall_s = Unix.gettimeofday () -. t0 in
+  let report =
+    aggregate c ~workers:(max 1 jobs) ~scheduled:(List.length armed) ~wall_s
+      (List.map fst results)
+  in
+  match prep_obs with
+  | None -> report
+  | Some prep_obs ->
+      let per_job = List.filter_map snd results in
+      let metrics =
+        Obs.merge
+          (Obs.snapshot prep_obs :: List.map (fun (m, _, _) -> m) per_job)
+      in
+      let spans =
+        Obs.with_tid 0 (Obs.spans prep_obs)
+        @ List.concat
+            (List.mapi (fun i (_, s, _) -> Obs.with_tid (i + 1) s) per_job)
+      in
+      let spans_dropped =
+        List.fold_left (fun n (_, _, d) -> n + d) (Obs.spans_dropped prep_obs)
+          per_job
+      in
+      { report with observed = Some { metrics; spans; spans_dropped } }
 
 let fingerprint ?faults ?workloads ?block_types ?num_blocks ?persistence ?seed
     ?jobs ?observe brand =

@@ -8,10 +8,10 @@
       (its own {!Iron_disk.Memdisk} device restored onto a shared
       frozen image — restore is O(dirty blocks), not O(disk) — its own
       injector, its own file-system instance) and yields one {!cell};
-      jobs with a resolved target are scheduled on a fixed-size
-      {!Iron_util.Pool} of OCaml 5 domains, and jobs whose dry trace
-      shows no candidate block are resolved at spec time without
-      touching the pool;
+      jobs with a resolved target are fanned out over OCaml 5 domains
+      by {!Iron_util.Pool.map_jobs}, and jobs whose dry trace shows no
+      candidate block are resolved at spec time without touching the
+      pool;
     + {b aggregator} — observations are folded back into the
       Figure-2/3 matrices and counters in spec order.
 
@@ -56,12 +56,14 @@ type stats = {
   jobs_applicable : int;  (** jobs with a candidate target block *)
   jobs_fired : int;  (** jobs whose armed fault actually triggered *)
   faults_fired : int;  (** total trigger count across all jobs *)
-  workers : int;  (** worker domains used ([-j]) *)
+  workers : int;
+      (** the [~jobs] asked for, floored at 1; {!Iron_util.Pool.map_jobs}
+          clamps the domains that run them *)
   wall_s : float;  (** campaign wall-clock, including preparation *)
 }
 
-(** Campaign observability (present when run with [~observe:true]),
-    split along the determinism boundary. *)
+(** Campaign observability (present when run with [~observe:true]).
+    Every field is byte-identical for any [-j]. *)
 type observed = {
   metrics : Iron_obs.Obs.snapshot;
       (** preparation + per-job registries, merged in spec order —
@@ -76,10 +78,6 @@ type observed = {
           every job), summed in spec order — byte-identical for any
           [-j]. [0] means {!field-spans} is complete; exporters emit a
           trailing meta record otherwise. *)
-  exec : Iron_obs.Obs.snapshot;
-      (** wall-clock executor telemetry ([pool.job.queue_ms] /
-          [pool.job.run_ms] histograms) — {e not} deterministic, and
-          deliberately kept out of [metrics] *)
 }
 
 type report = {
@@ -89,16 +87,6 @@ type report = {
   stats : stats;  (** aggregator-sourced campaign counters *)
   observed : observed option;  (** [None] unless [~observe:true] *)
 }
-
-val run : ?jobs:int -> ?observe:bool -> Experiment.t -> report
-(** Execute a planned campaign. [~jobs] (default 1) is the worker
-    count; [jobs <= 1] runs sequentially in the calling domain.
-    Workloads are looked up by column, so the plan must use columns
-    from {!Workload.all}. With [~observe:true] (default false) every
-    phase runs under an observability context — the device stack is
-    wrapped in {!Iron_disk.Dev.observe}, the injector double-emits its
-    I/O trace, and journal/scrub spans are captured — and the report
-    carries an {!observed} record. *)
 
 val fingerprint :
   ?faults:Taxonomy.fault_kind list ->
@@ -111,13 +99,19 @@ val fingerprint :
   ?observe:bool ->
   Iron_vfs.Fs.brand ->
   report
-(** [Experiment.plan] + {!run}: the full campaign (defaults: all fault
-    kinds, all twenty workloads, all of the brand's block types, a
-    2048-block volume, sticky faults, seed {!Experiment.default_seed},
-    one worker). Pass [~persistence:(Transient 1)] to measure
-    tolerance of transient faults (§5.6: "retry is underutilized") —
-    a fault that clears on the second attempt is absorbed exactly by
-    the file systems that retry. *)
+(** Plan a campaign with {!Experiment.plan} and run it (defaults: all
+    fault kinds, all twenty workloads, all of the brand's block types,
+    a 2048-block volume, sticky faults, seed {!Experiment.default_seed},
+    one job at a time). [~jobs] is passed to {!Iron_util.Pool.map_jobs};
+    [jobs <= 1] runs every job in the calling domain. Pass
+    [~persistence:(Transient 1)] to measure tolerance of transient
+    faults (§5.6: "retry is underutilized") — a fault that clears on
+    the second attempt is absorbed exactly by the file systems that
+    retry. With [~observe:true] (default false) every phase runs under
+    an observability context — the device stack is wrapped in
+    {!Iron_disk.Dev.observe}, the injector double-emits its I/O trace,
+    and journal/scrub spans are captured — and the report carries an
+    {!observed} record. *)
 
 val pp_stats : Format.formatter -> stats -> unit
 (** One line of campaign counters, for [-v] output. *)

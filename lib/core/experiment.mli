@@ -9,7 +9,7 @@
     {!job} descriptions. Enumeration is total and pure: it never
     touches a device, so the full plan (including jobs that will turn
     out to have no candidate target block) exists before anything
-    runs. The executor ({!Driver.run}) runs each job against a private
+    runs. The executor ({!Driver}) runs each job against a private
     device stack; the aggregator folds the observations back into the
     Figure-2/3 matrices in spec order, which is what makes the output
     byte-identical regardless of worker count or completion order. *)
