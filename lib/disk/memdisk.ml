@@ -115,7 +115,14 @@ let own t b =
 
 let in_range t b = b >= 0 && b < num_blocks t
 
+let check_range fn t b =
+  if not (in_range t b) then
+    invalid_arg
+      (Printf.sprintf "Memdisk.%s: block %d outside the %d-block volume" fn b
+         (num_blocks t))
+
 let peek t b =
+  check_range "peek" t b;
   let s = slot t b in
   if s <> clean then Bigstore.copy_out t.slab s
   else Bytes.copy (image_block t.base b)
@@ -174,6 +181,7 @@ let set_time_model t on = Model.set_timed t.model on
 (* A partial write: a fresh slot is seeded from the image first, so the
    block's tail (and nothing of a recycled slot's last owner) survives. *)
 let poke t b data =
+  check_range "poke" t b;
   let s = slot t b in
   let s =
     if s <> clean then s

@@ -88,6 +88,10 @@ val set_time_model : t -> bool -> unit
 
 val peek : t -> int -> bytes
 val poke : t -> int -> bytes -> unit
+(** [peek] copies block [b] out; [poke] overwrites its head with the
+    given bytes, keeping the rest of the block. Both raise
+    [Invalid_argument] naming the block and the volume size when [b] is
+    outside the volume. *)
 
 val snapshot : t -> image
 (** Freeze the current state: O(dirty) byte work plus one pointer-array

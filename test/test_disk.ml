@@ -33,6 +33,22 @@ let test_out_of_range () =
   | Error Dev.Enxio -> ()
   | Ok _ | Error Dev.Eio -> Alcotest.fail "expected ENXIO"
 
+(* Raw access outside the volume is a caller's bug: it raises, naming
+   the block and the volume size, instead of reading another chunk's
+   zeroes or indexing past the overlay. *)
+let test_raw_access_out_of_range () =
+  let d, dev = make () in
+  List.iter
+    (fun b ->
+      let msg fn =
+        Printf.sprintf "Memdisk.%s: block %d outside the 64-block volume" fn b
+      in
+      Alcotest.check_raises (msg "peek") (Invalid_argument (msg "peek"))
+        (fun () -> ignore (Memdisk.peek d b));
+      Alcotest.check_raises (msg "poke") (Invalid_argument (msg "poke"))
+        (fun () -> Memdisk.poke d b (block dev 'p')))
+    [ -1; 64 ]
+
 let test_wrong_size_write () =
   let _, dev = make () in
   match dev.Dev.write 0 (Bytes.create 7) with
@@ -354,6 +370,8 @@ let suites =
         Alcotest.test_case "snapshot/restore" `Quick test_snapshot_restore;
         Alcotest.test_case "time model toggle" `Quick test_time_model_toggle;
         qtest prop_disk_holds_data;
+        Alcotest.test_case "raw access out of range" `Quick
+          test_raw_access_out_of_range;
       ] );
     ( "disk.bcache",
       [
