@@ -18,7 +18,6 @@ type t = {
 let create ?(capacity = 256) device =
   { device; capacity; table = Hashtbl.create 64; order = Queue.create (); hits = 0; misses = 0 }
 
-let dev t = t.device
 
 (* Buffer ownership: once a cache buffer is filled, nothing writes to it
    again, and nothing hands it back to the arena — eviction, replacement
@@ -85,7 +84,6 @@ let write t b data =
   insert t b (Arena.copy (arena t) data);
   t.device.Dev.write b data
 
-let sync t = t.device.Dev.sync ()
 let invalidate t b = Hashtbl.remove t.table b
 
 let invalidate_all t =

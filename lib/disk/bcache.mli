@@ -16,9 +16,6 @@ type t
 val create : ?capacity:int -> Dev.t -> t
 (** Default capacity: 256 blocks. *)
 
-val dev : t -> Dev.t
-(** The underlying device, for uncached access. *)
-
 val borrow : t -> int -> (bytes, Dev.error) result
 (** The cached buffer itself, filled from the device on a miss (one
     cache-buffer allocation, none on a hit). It is read-only: the caller
@@ -38,7 +35,6 @@ val digest : t -> int -> bytes -> Iron_util.Sha1.t option
     [None]. Counts no hit or miss. *)
 
 val write : t -> int -> bytes -> (unit, Dev.error) result
-val sync : t -> (unit, Dev.error) result
 val invalidate : t -> int -> unit
 val invalidate_all : t -> unit
 

@@ -50,7 +50,6 @@ let create ~slot_size =
     alive_bits = Bytes.create 0;
   }
 
-let slot_size t = t.slot_size
 let live t = t.live
 
 let is_live t s =

@@ -19,8 +19,6 @@ val create : slot_size:int -> t
     chunks of 256 slots as allocation demands; chunks are never
     released or moved. *)
 
-val slot_size : t -> int
-
 val alloc : t -> int
 (** A fresh slot handle with unspecified contents. *)
 
@@ -30,14 +28,14 @@ val free : t -> int -> unit
 
 val read_into : t -> int -> bytes -> unit
 (** [read_into t s buf] copies the whole slot into [buf], which must
-    be exactly [slot_size t] long. *)
+    be exactly one slot long. *)
 
 val copy_out : t -> int -> bytes
 (** The slot's contents as fresh [bytes]. *)
 
 val write : t -> int -> bytes -> unit
 (** [write t s buf] overwrites the whole slot from [buf], which must
-    be exactly [slot_size t] long. *)
+    be exactly one slot long. *)
 
 val write_sub : t -> int -> bytes -> int -> unit
 (** [write_sub t s buf len] overwrites the first [len] bytes of the

@@ -12,7 +12,6 @@ type t = {
   now : unit -> float;
 }
 
-let in_range t b = b >= 0 && b < t.num_blocks
 
 let read_exn t b =
   match t.read b with

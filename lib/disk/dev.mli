@@ -42,8 +42,6 @@ type t = {
   now : unit -> float;  (** simulated time, milliseconds *)
 }
 
-val in_range : t -> int -> bool
-
 val read_exn : t -> int -> bytes
 (** Convenience for setup and test code; raises [Failure] on error. *)
 

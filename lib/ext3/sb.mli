@@ -19,8 +19,6 @@ type t = {
   features : int;  (** bit 0 Mc, 1 Dc, 2 Mr, 3 Dp, 4 Tc *)
 }
 
-val magic : int
-
 val encode : t -> bytes -> unit
 (** Serializes into the beginning of a block-sized buffer. *)
 

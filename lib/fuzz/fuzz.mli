@@ -79,10 +79,6 @@ val minimize : repro:(Gen.workload -> bool) -> Gen.workload -> Gen.workload
     removal still satisfies [repro]. The result is [repro]-positive
     whenever the input was and no single-op removal survives. *)
 
-val count : report -> string -> int
-(** Violations of one kind (by {!Iron_crash.Explore.kind_to_string}
-    name). *)
-
 val pp_report : Format.formatter -> report -> unit
 (** Byte-stable summary: one header line (grep-able
     ["<fs>: fuzz ... -> N violations ..."]), the corpus digest, then

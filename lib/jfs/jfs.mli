@@ -11,5 +11,4 @@
 
 val brand : Iron_vfs.Fs.brand
 
-val block_types : string list
 val classify : (int -> bytes) -> int -> string

@@ -13,5 +13,4 @@ val log_format : Iron_jrnl.Jrec.format
 (** The logfile's descriptor and commit magic numbers; the log has no
     revoke blocks and no superblock. *)
 
-val block_types : string list
 val classify : (int -> bytes) -> int -> string

@@ -1,7 +1,7 @@
 (* The observability context: per-domain metric cells merged at
-   snapshot (the same discipline as the Pool executor: shared state is
-   either immutable or owned by exactly one domain, and rendezvous
-   happens under a lock), one mutex-guarded span ring, one clock.
+   snapshot (shared state is either immutable or owned by exactly one
+   domain, and rendezvous happens under a lock), one mutex-guarded
+   span ring, one clock.
 
    Nothing here reads wall-clock time: all timestamps come from the
    installed simulated clock, which is what keeps snapshots and traces
@@ -56,7 +56,6 @@ let create () =
   }
 
 let set_clock t f = t.clock <- f
-let now t = t.clock ()
 
 (* ------------------------------------------------------------------ *)
 (* Per-domain stores                                                   *)

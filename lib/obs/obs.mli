@@ -54,9 +54,6 @@ val set_clock : t -> (unit -> float) -> unit
     calls this from {!Iron_disk.Dev.observe}, so spans opened above the
     device inherit its clock. Defaults to a constant [0.0]. *)
 
-val now : t -> float
-(** Current simulated time, per the installed clock. *)
-
 val release : t -> unit
 (** Drop the calling domain's per-domain cells for this context. Call
     after the final {!snapshot} when contexts are created per job, so

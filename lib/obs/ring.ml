@@ -19,7 +19,6 @@ let push t x =
   t.next <- (t.next + 1) mod t.cap
 
 let length t = t.len
-let capacity t = t.cap
 let dropped t = t.dropped
 
 (* O(live items), not O(capacity): the fingerprinting executor clears a
@@ -42,5 +41,3 @@ let to_list t =
       match t.slots.((start + i) mod t.cap) with
       | Some x -> x
       | None -> assert false)
-
-let iter f t = List.iter f (to_list t)

@@ -24,8 +24,6 @@ val push : 'a t -> 'a -> unit
 val length : 'a t -> int
 (** Items currently held, [<= capacity]. *)
 
-val capacity : 'a t -> int
-
 val dropped : 'a t -> int
 (** Items evicted since creation (or the last {!clear}). [0] means
     {!to_list} is the complete history. *)
@@ -36,5 +34,3 @@ val clear : 'a t -> unit
 val to_list : 'a t -> 'a list
 (** Held items, oldest first. *)
 
-val iter : ('a -> unit) -> 'a t -> unit
-(** [iter f t] applies [f] to each held item, oldest first. *)

@@ -11,6 +11,5 @@ val brand : Iron_vfs.Fs.brand
 val journal_format : Iron_jrnl.Jrec.format
 (** The journal's magic numbers; its log has no revoke blocks. *)
 
-val block_types : string list
 val classify : (int -> bytes) -> int -> string
 (** Exposed for tests and the scrubbing/space tooling. *)

@@ -1161,6 +1161,11 @@ let load path =
 
 let default_timing_tol = 0.5
 
+(* Bench metrics compared exactly: state/violation/Tc counts, forensics
+   chain/culprit/probe counts, job counts, and the traffic simulator's
+   simulated-time metrics. Everything else in a bench record
+   (wall-clock, per-cycle microseconds, allocation bytes, speedups) is
+   a timing-class metric compared under tolerance. *)
 let is_exact_metric name =
   let suffix s = String.length name >= String.length s
     && String.sub name (String.length name - String.length s) (String.length s) = s

@@ -301,15 +301,6 @@ type item = {
   fresh : string;  (** rendered fresh-side value *)
 }
 
-val is_exact_metric : string -> bool
-(** Bench metrics compared exactly: state/violation/Tc counts,
-    forensics chain/culprit/probe counts, job counts, and the traffic
-    simulator's simulated-time metrics (ops, ops/sim-sec, latency
-    quantiles, touched-footprint counts). Everything
-    else in a bench record (wall-clock, per-cycle microseconds,
-    allocation bytes, speedups) is a timing-class metric compared
-    under tolerance. *)
-
 val default_timing_tol : float
 (** [0.5]: a timing metric may drift ±50% relative to golden before it
     counts as a regression. *)
@@ -329,7 +320,6 @@ val check_thresholds : thresholds -> bench -> item list
     violation: a threshold that silently stops measuring anything is a
     broken gate. *)
 
-val pp_item : Format.formatter -> item -> unit
 val pp_items : Format.formatter -> item list -> unit
 (** Human-readable cell-level report, one [path: golden ... | fresh ...]
     block per item. *)

@@ -40,7 +40,6 @@ let create ~n ~theta =
   { cum; theta_milli = q * 250 }
 
 let theta_milli t = t.theta_milli
-let size t = Array.length t.cum
 
 let sample t prng =
   let n = Array.length t.cum in

@@ -24,4 +24,3 @@ val theta_milli : t -> int
 (** The quantized exponent in thousandths (e.g. [750] for 0.75) — what
     reports echo. *)
 
-val size : t -> int

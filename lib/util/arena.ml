@@ -27,8 +27,6 @@ let create size =
   if size <= 0 then invalid_arg "Arena.block: size must be positive";
   { size; free = []; nfree = 0 }
 
-let size t = t.size
-
 let get t =
   match t.free with
   | b :: rest ->

@@ -10,18 +10,16 @@
 
 type t
 
-val size : t -> int
-
 val get : t -> bytes
-(** A [size t]-byte buffer with unspecified contents — the caller must
-    overwrite it fully (or use {!get_zeroed} / {!copy}). *)
+(** A buffer of the pool's size with unspecified contents — the caller
+    must overwrite it fully (or use {!get_zeroed} / {!copy}). *)
 
 val get_zeroed : t -> bytes
 (** Like {!get} but zero-filled, as [Bytes.make size '\000']. *)
 
 val copy : t -> bytes -> bytes
 (** [copy t data] is [Bytes.copy data] drawing the result from the pool
-    when [data] is exactly [size t] long (fresh allocation otherwise). *)
+    when [data] is exactly the pool's size (fresh allocation otherwise). *)
 
 val put : t -> bytes -> unit
 (** Return a buffer to the pool. Buffers of the wrong size, or arriving

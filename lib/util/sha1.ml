@@ -105,5 +105,3 @@ let of_raw s =
   s
 
 let equal = String.equal
-let compare = String.compare
-let pp fmt d = Format.pp_print_string fmt (to_hex d)

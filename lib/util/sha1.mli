@@ -20,8 +20,6 @@ val of_raw : string -> t
 (** Inverse of {!to_raw}. Raises [Invalid_argument] if not 20 bytes. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit
 
 (** Incremental interface. *)
 type ctx

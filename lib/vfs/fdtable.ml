@@ -20,4 +20,3 @@ let close t fd =
   end
   else Error Errno.EBADF
 
-let iter t f = Hashtbl.iter (fun fd v -> f fd v) t.table

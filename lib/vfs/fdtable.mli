@@ -9,4 +9,3 @@ val find : 'a t -> Fs.fd -> ('a, Errno.t) result
 (** [Error EBADF] for unknown descriptors. *)
 
 val close : 'a t -> Fs.fd -> (unit, Errno.t) result
-val iter : 'a t -> (Fs.fd -> 'a -> unit) -> unit

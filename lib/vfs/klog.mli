@@ -31,7 +31,6 @@ val create : ?clock:(unit -> float) -> unit -> t
 (** [create ~clock ()] stamps each entry with [clock ()]; pass the
     device's [Dev.now]. Default clock: constantly [0.0]. *)
 
-val log : t -> level -> string -> ('a, Format.formatter, unit, unit) format4 -> 'a
 val info : t -> string -> ('a, Format.formatter, unit, unit) format4 -> 'a
 val warn : t -> string -> ('a, Format.formatter, unit, unit) format4 -> 'a
 val error : t -> string -> ('a, Format.formatter, unit, unit) format4 -> 'a

@@ -11,8 +11,6 @@ type ops = {
   readlink_of : int -> (string, Errno.t) result;
 }
 
-val max_symlink_depth : int
-
 val resolve :
   ops -> root:int -> cwd:int -> ?follow_last:bool -> string -> (int, Errno.t) result
 
