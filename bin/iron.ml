@@ -51,9 +51,11 @@ let jobs_arg =
   Arg.(value
        & opt int (Iron_util.Pool.default_jobs ())
        & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:"Number of worker domains for independent experiments \
-                 (default: the runtime's recommended domain count). The \
-                 output is byte-identical for any value.")
+           ~doc:"Number of domains that run independent experiments, the \
+                 caller included, clamped to one fewer than the runtime's \
+                 recommended domain count and at least 1 (default: the \
+                 recommended count). The output is byte-identical for any \
+                 value.")
 
 let seed_arg =
   Arg.(value
