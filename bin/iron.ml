@@ -221,25 +221,21 @@ let summary_cmd =
 let bench_cmd =
   let run jobs trace metrics =
     let observe = trace <> None || metrics <> None in
-    if not observe then
-      Format.printf "%a@." Iron_workloads.Table6.pp
-        (Iron_workloads.Table6.compute ~jobs ())
-    else begin
-      let obs = Iron_obs.Obs.create () in
-      let table = Iron_workloads.Table6.compute ~obs ~jobs () in
-      Format.printf "%a@." Iron_workloads.Table6.pp table;
-      (match trace with
-      | None -> ()
-      | Some path ->
-          (* Span order is only meaningful at -j 1; see Table6.compute. *)
-          write_output path
-            (Iron_obs.Obs.chrome_trace [ ("bench", Iron_obs.Obs.spans obs) ]));
-      match metrics with
-      | None -> ()
-      | Some path ->
-          write_output path
-            (Iron_obs.Obs.jsonl_of_snapshot (Iron_obs.Obs.snapshot obs))
-    end
+    let table = Iron_workloads.Table6.compute ~observe ~jobs () in
+    Format.printf "%a@." Iron_workloads.Table6.pp table;
+    match table.Iron_workloads.Table6.observed with
+    | None -> ()
+    | Some o ->
+        Option.iter
+          (fun path ->
+            write_output path
+              (Iron_obs.Obs.chrome_trace
+                 ~dropped:[ ("bench", o.spans_dropped) ]
+                 [ ("bench", o.spans) ]))
+          trace;
+        Option.iter
+          (fun path -> write_output path (Iron_obs.Obs.jsonl_of_snapshot o.metrics))
+          metrics
   in
   Cmd.v
     (Cmd.info "bench"

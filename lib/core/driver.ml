@@ -62,7 +62,7 @@ type stats = {
 
 (* Campaign observability: keyed on simulated time and merged in spec
    order, so byte-stable across worker counts. *)
-type observed = {
+type observed = Obs.recording = {
   metrics : Obs.snapshot;
   spans : Obs.span list;
   spans_dropped : int;
@@ -90,6 +90,16 @@ type observation = {
 (* Executor: running one workload against a (possibly faulty) device   *)
 (* ------------------------------------------------------------------ *)
 
+let mount_failed ?(panicked = false) e =
+  {
+    api = Error e;
+    panicked;
+    readonly = false;
+    mount_failed = true;
+    klog = [];
+    verify_failed = false;
+  }
+
 (* [arm] is invoked at the start of the fault window; the injector's
    trace is cleared there too, so the trace covers exactly the window. *)
 let run_workload brand inj dev (w : Workload.t) ~arm =
@@ -104,15 +114,7 @@ let run_workload brand inj dev (w : Workload.t) ~arm =
   match w.Workload.kind with
   | Workload.Ops -> (
       match Fs.mount brand dev with
-      | Error e ->
-          {
-            api = Error e;
-            panicked = false;
-            readonly = false;
-            mount_failed = true;
-            klog = [];
-            verify_failed = false;
-          }
+      | Error e -> mount_failed e
       | Ok boxed ->
           arm ();
           Fault.clear_trace inj;
@@ -147,15 +149,7 @@ let run_workload brand inj dev (w : Workload.t) ~arm =
           })
   | Workload.Umount_op -> (
       match Fs.mount brand dev with
-      | Error e ->
-          {
-            api = Error e;
-            panicked = false;
-            readonly = false;
-            mount_failed = true;
-            klog = [];
-            verify_failed = false;
-          }
+      | Error e -> mount_failed e
       | Ok (Fs.Boxed ((module F), t) as boxed) ->
           let _pre, _ = catch_panic (fun () -> w.Workload.run boxed) in
           arm ();
@@ -186,15 +180,7 @@ let run_workload brand inj dev (w : Workload.t) ~arm =
           in
           quiet_unmount boxed;
           obs
-      | Error e, panicked ->
-          {
-            api = Error e;
-            panicked;
-            readonly = false;
-            mount_failed = true;
-            klog = [];
-            verify_failed = false;
-          }
+      | Error e, panicked -> mount_failed ~panicked e
       | Ok (`Mounted _), true -> assert false)
 
 (* ------------------------------------------------------------------ *)
@@ -386,11 +372,8 @@ let prepare_uncached ?obs (c : Experiment.t) =
       | Ok () -> () (* instance abandoned: this is the crash *)
       | Error e -> failwith ("fingerprint: crash prep failed: " ^ Errno.to_string e)));
   let crash = Memdisk.snapshot disk in
-  let image_for_kind (w : Workload.t) =
-    match w.Workload.kind with
-    | Workload.Recovery_op -> crash
-    | Workload.Ops | Workload.Mount_op | Workload.Umount_op -> base
-  in
+  (* The dry runs below fill [dry] in place. *)
+  let prepared = { base; crash; dry = Hashtbl.create 32 } in
   (* Pre-workload labels depend only on the starting image, which is
      the same [base] (or [crash]) for every column: freeze each image's
      oracle once instead of rebuilding it per dry run. *)
@@ -403,11 +386,10 @@ let prepare_uncached ?obs (c : Experiment.t) =
   let crash_labels = if crash == base then base_labels else labels_of_image crash in
   (* Dry runs: learn, per workload, the labelled I/O trace; freeze it
      and index the fault targets. *)
-  let dry = Hashtbl.create 32 in
   List.iter
     (fun col ->
       let w = Workload.find col in
-      let img = image_for_kind w in
+      let img = image_for prepared w in
       let pre = if img == crash then crash_labels else base_labels in
       Memdisk.restore disk img;
       Fault.disarm_all inj;
@@ -434,9 +416,9 @@ let prepare_uncached ?obs (c : Experiment.t) =
           if not (Hashtbl.mem targets key) then
             Hashtbl.add targets key e.Fault.block)
         trace;
-      Hashtbl.replace dry col { trace; labels; targets })
+      Hashtbl.replace prepared.dry col { trace; labels; targets })
     c.Experiment.cols;
-  { base; crash; dry }
+  prepared
 
 (* Campaigns on the same brand and geometry share one [prepared]: the
    images and dry traces are a pure function of (brand, num_blocks,
@@ -661,14 +643,9 @@ let run ?(jobs = 1) ?(observe = false) (c : Experiment.t) =
      exports independent of [-j]. Pruned jobs still get their context
      and [driver.job] span, so the exports equal an unpruned run's. *)
   let job j =
-    if not observe then (run_job prepared c j, None)
-    else begin
-      let obs = Obs.create () in
-      let cell = run_job ~obs prepared c j in
-      let o = (Obs.snapshot obs, Obs.spans obs, Obs.spans_dropped obs) in
-      Obs.release obs;
-      (cell, Some o)
-    end
+    let obs = if observe then Some (Obs.create ()) else None in
+    let cell = run_job ?obs prepared c j in
+    (cell, Option.map Obs.finish obs)
   in
   let tagged =
     List.map (fun j -> (j, target_for prepared j <> None)) c.Experiment.jobs
@@ -686,21 +663,9 @@ let run ?(jobs = 1) ?(observe = false) (c : Experiment.t) =
   match prep_obs with
   | None -> report
   | Some prep_obs ->
+      (* The preparation on lane 0, each job on lane [index + 1]. *)
       let per_job = List.filter_map snd results in
-      let metrics =
-        Obs.merge
-          (Obs.snapshot prep_obs :: List.map (fun (m, _, _) -> m) per_job)
-      in
-      let spans =
-        Obs.with_tid 0 (Obs.spans prep_obs)
-        @ List.concat
-            (List.mapi (fun i (_, s, _) -> Obs.with_tid (i + 1) s) per_job)
-      in
-      let spans_dropped =
-        List.fold_left (fun n (_, _, d) -> n + d) (Obs.spans_dropped prep_obs)
-          per_job
-      in
-      { report with observed = Some { metrics; spans; spans_dropped } }
+      { report with observed = Some (Obs.lanes (Obs.finish prep_obs :: per_job)) }
 
 let fingerprint ?faults ?workloads ?block_types ?num_blocks ?persistence ?seed
     ?jobs ?observe brand =

@@ -64,7 +64,7 @@ type stats = {
 
 (** Campaign observability (present when run with [~observe:true]).
     Every field is byte-identical for any [-j]. *)
-type observed = {
+type observed = Iron_obs.Obs.recording = {
   metrics : Iron_obs.Obs.snapshot;
       (** preparation + per-job registries, merged in spec order —
           byte-identical for any [-j] *)

@@ -52,19 +52,7 @@ let create ~slot_size =
 
 let live t = t.live
 
-let is_live t s =
-  s >= 0
-  && s < t.capacity
-  (* in range ⇒ the bitmap index is valid, so the unsafe get is safe *)
-  && Char.code (Bytes.unsafe_get t.alive_bits (s lsr 3)) land (1 lsl (s land 7))
-     <> 0
-
-let set_live t s on =
-  let i = s lsr 3 in
-  let bit = 1 lsl (s land 7) in
-  let c = Char.code (Bytes.get t.alive_bits i) in
-  Bytes.set t.alive_bits i
-    (Char.chr (if on then c lor bit else c land lnot bit))
+let is_live t s = s >= 0 && s < t.capacity && Iron_util.Bitmap.get t.alive_bits s
 
 let grow t =
   let chunk =
@@ -92,7 +80,7 @@ let alloc t =
         t.next_fresh <- s + 1;
         s
   in
-  set_live t s true;
+  Iron_util.Bitmap.set t.alive_bits s true;
   t.live <- t.live + 1;
   s
 
@@ -106,7 +94,7 @@ let check t s op =
 
 let free t s =
   check t s "free";
-  set_live t s false;
+  Iron_util.Bitmap.set t.alive_bits s false;
   t.live <- t.live - 1;
   t.free <- s :: t.free
 

@@ -5,6 +5,9 @@ module Errno = Iron_vfs.Errno
 module Klog = Iron_vfs.Klog
 module Fs = Iron_vfs.Fs
 module VPath = Iron_vfs.Path
+module Resolver = Iron_vfs.Resolver
+module Fdtable = Iron_vfs.Fdtable
+module Posix = Iron_vfs.Posix
 module Obs = Iron_obs.Obs
 module Jrnl = Iron_jrnl.Jrnl
 module Jrec = Iron_jrnl.Jrec
@@ -48,8 +51,7 @@ type state = {
      live in the shared engine, built from the profile's policy *)
   jrnl : Jrnl.t;
   (* process state *)
-  fds : (int, fdesc) Hashtbl.t;
-  mutable next_fd : int;
+  fds : fdesc Fdtable.t;
   mutable cwd : int;
   mutable root : int;
   (* "Checksums are very small and can be cached for read
@@ -315,27 +317,6 @@ let write_inode t ino inode =
 (* Allocation                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* A byte of set bits is stepped over whole. *)
-let find_clear_bit buf limit =
-  let rec go i =
-    if i >= limit then None
-    else
-      let byte = Char.code (Bytes.get buf (i / 8)) in
-      if byte = 0xFF && i land 7 = 0 then go (i + 8)
-      else if byte land (1 lsl (i mod 8)) = 0 then Some i
-      else go (i + 1)
-  in
-  go 0
-
-let set_bit buf i on =
-  let byte = Char.code (Bytes.get buf (i / 8)) in
-  let byte' =
-    if on then byte lor (1 lsl (i mod 8)) else byte land lnot (1 lsl (i mod 8))
-  in
-  Bytes.set buf (i / 8) (Char.chr (byte' land 0xFF))
-
-let test_bit buf i = Char.code (Bytes.get buf (i / 8)) land (1 lsl (i mod 8)) <> 0
-
 (* Allocation reads inside a transaction abort the journal on failure,
    matching ext3's behaviour for metadata read errors in write paths. *)
 let txn_meta_read t cls b =
@@ -355,11 +336,11 @@ let alloc_block t ~goal_group =
       let g = (goal_group + k) mod lay.Layout.ngroups in
       let bb = t.gd_bitmap.(g) in
       let* bitmap = txn_meta_read t BBitmap bb in
-      match find_clear_bit bitmap per with
+      match Bitmap.find_clear bitmap per with
       | None -> try_group (k + 1)
       | Some i ->
           let buf = Bytes.copy bitmap in
-          set_bit buf i true;
+          Bitmap.set buf i true;
           let* () = meta_write t BBitmap bb buf in
           t.free_blocks <- t.free_blocks - 1;
           Ok (Layout.data_start lay g + i)
@@ -393,8 +374,8 @@ let rec free_block t b =
         let i = b - ds in
         let bb = t.gd_bitmap.(g) in
         let* buf = owned (txn_meta_read t BBitmap bb) in
-        if test_bit buf i then begin
-          set_bit buf i false;
+        if Bitmap.get buf i then begin
+          Bitmap.set buf i false;
           let* () = meta_write t BBitmap bb buf in
           t.free_blocks <- t.free_blocks + 1;
           Ok ()
@@ -409,11 +390,11 @@ let alloc_inode t ~goal_group =
       let g = (goal_group + k) mod lay.Layout.ngroups in
       let ib = t.gd_ibitmap.(g) in
       let* bitmap = txn_meta_read t IBitmap ib in
-      match find_clear_bit bitmap lay.Layout.inodes_per_group with
+      match Bitmap.find_clear bitmap lay.Layout.inodes_per_group with
       | None -> try_group (k + 1)
       | Some i ->
           let buf = Bytes.copy bitmap in
-          set_bit buf i true;
+          Bitmap.set buf i true;
           let* () = meta_write t IBitmap ib buf in
           t.free_inodes <- t.free_inodes - 1;
           Ok ((g * lay.Layout.inodes_per_group) + i + 1)
@@ -426,7 +407,7 @@ let free_inode t ino =
   let i = (ino - 1) mod lay.Layout.inodes_per_group in
   let ib = t.gd_ibitmap.(g) in
   let* buf = owned (txn_meta_read t IBitmap ib) in
-  set_bit buf i false;
+  Bitmap.set buf i false;
   let* () = meta_write t IBitmap ib buf in
   t.free_inodes <- t.free_inodes + 1;
   Ok ()
@@ -435,9 +416,7 @@ let free_inode t ino =
 (* Block mapping (direct / indirect / double / triple)                 *)
 (* ------------------------------------------------------------------ *)
 
-let read_ptr_block t b =
-  let* buf = meta_read t Indirect b in
-  Ok buf
+let read_ptr_block t b = meta_read t Indirect b
 
 let get_ptr buf i = Codec.read_u32 buf (i * 4)
 let put_ptr buf i v = Codec.write_u32 buf (i * 4) v
@@ -858,51 +837,39 @@ let dir_is_empty t inode =
 (* Path resolution                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let max_symlink_depth = 8
-
-let rec resolve_from t dir_ino components ~follow_last ~depth =
-  if depth > max_symlink_depth then Error Errno.ELOOP
-  else
-    match components with
-    | [] -> Ok dir_ino
-    | name :: rest -> (
-        let* () = VPath.validate_component name in
-        let* dinode = read_inode t dir_ino in
-        match dinode.Inode.kind with
-        | Inode.Directory -> (
-            let* child = dir_lookup t dinode name in
-            let* cinode = read_inode t child in
-            match cinode.Inode.kind with
-            | Inode.Symlink when rest <> [] || follow_last ->
-                let target = cinode.Inode.symlink_target in
-                let start = if VPath.is_absolute target then t.root else dir_ino in
-                let* mid =
-                  resolve_from t start (VPath.split target) ~follow_last:true
-                    ~depth:(depth + 1)
-                in
-                resolve_from t mid rest ~follow_last ~depth:(depth + 1)
-            | Inode.Free ->
-                Klog.error t.klog "ext3" "directory entry references free inode %d"
-                  child;
-                Error Errno.EIO
-            | Inode.Regular | Inode.Directory | Inode.Symlink ->
-                resolve_from t child rest ~follow_last ~depth)
-        | Inode.Regular | Inode.Symlink -> Error Errno.ENOTDIR
+(* The shared walk over ext3's inodes and directory blocks. A free
+   inode read as the directory to search is logged as one the walk hit,
+   and one a name led to as one a directory entry references. *)
+let walk_ops t =
+  {
+    Resolver.node = read_inode t;
+    kind =
+      (fun ~child ino i ->
+        match i.Inode.kind with
+        | Inode.Regular -> Ok Fs.Regular
+        | Inode.Directory -> Ok Fs.Directory
+        | Inode.Symlink -> Ok Fs.Symlink
         | Inode.Free ->
-            Klog.error t.klog "ext3" "path walk hit free inode %d" dir_ino;
-            Error Errno.EIO)
+            if child then
+              Klog.error t.klog "ext3" "directory entry references free inode %d" ino
+            else Klog.error t.klog "ext3" "path walk hit free inode %d" ino;
+            Error Errno.EIO);
+    target = (fun i -> i.Inode.symlink_target);
+    lookup = (fun _ i name -> dir_lookup t i name);
+  }
 
-let resolve t ?(follow_last = true) path =
-  let start = if VPath.is_absolute path then t.root else t.cwd in
-  resolve_from t start (VPath.split path) ~follow_last ~depth:0
+let resolve t ?follow_last path =
+  Resolver.resolve (walk_ops t) ~root:t.root ~cwd:t.cwd ?follow_last path
 
-(* Resolve the parent directory of [path]; returns (parent_ino, name). *)
+(* The parent directory of [path] and the final name, validated. *)
 let resolve_parent t path =
-  let dir, base = VPath.dirname_basename path in
-  if base = "" then Error Errno.EINVAL
-  else
-    let* dino = resolve t dir in
-    Ok (dino, base)
+  Resolver.resolve_parent (walk_ops t) ~root:t.root ~cwd:t.cwd path
+
+(* The object [path] names, and its inode. *)
+let lookup t ?follow_last path =
+  let* ino = resolve t ?follow_last path in
+  let* i = read_inode t ino in
+  Ok (ino, i)
 
 (* The ops that link, move or remove a name check that the parent inode
    they read is a directory before they read its entries, as
@@ -1308,8 +1275,7 @@ let mount_impl profile dev =
               journaled = (fun b -> b < lay.Layout.replica_start);
             }
             ~seq:jseq;
-        fds = Hashtbl.create 16;
-        next_fd = 3;
+        fds = Fdtable.create ();
         cwd = Layout.root_ino;
         root = Layout.root_ino;
         cksums = Hashtbl.create 256;
@@ -1390,33 +1356,23 @@ let op_access t path =
   let* _ino = resolve t path in
   Ok ()
 
-let op_chdir t path =
-  let* ino = resolve t path in
-  let* i = read_inode t ino in
-  match i.Inode.kind with
-  | Inode.Directory ->
-      t.cwd <- ino;
-      Ok ()
-  | Inode.Regular | Inode.Symlink | Inode.Free -> Error Errno.ENOTDIR
+let enter t path set =
+  let* ino, i = lookup t path in
+  if i.Inode.kind = Inode.Directory then Ok (set ino) else Error Errno.ENOTDIR
+
+let op_chdir t path = enter t path (fun ino -> t.cwd <- ino)
 
 let op_chroot t path =
-  let* ino = resolve t path in
-  let* i = read_inode t ino in
-  match i.Inode.kind with
-  | Inode.Directory ->
+  enter t path (fun ino ->
       t.root <- ino;
-      t.cwd <- ino;
-      Ok ()
-  | Inode.Regular | Inode.Symlink | Inode.Free -> Error Errno.ENOTDIR
+      t.cwd <- ino)
 
 let op_stat t path =
-  let* ino = resolve t path in
-  let* i = read_inode t ino in
+  let* ino, i = lookup t path in
   Ok (stat_of_inode ino i)
 
 let op_lstat t path =
-  let* ino = resolve t ~follow_last:false path in
-  let* i = read_inode t ino in
+  let* ino, i = lookup t ~follow_last:false path in
   Ok (stat_of_inode ino i)
 
 let op_statfs t =
@@ -1430,8 +1386,7 @@ let op_statfs t =
     }
 
 let op_open t path mode =
-  let* ino = resolve t path in
-  let* i = read_inode t ino in
+  let* ino, i = lookup t path in
   match i.Inode.kind with
   | Inode.Directory when mode <> Fs.Rd -> Error Errno.EISDIR
   | Inode.Free ->
@@ -1442,26 +1397,15 @@ let op_open t path mode =
         Klog.error t.klog "ext3" "inode %d has impossible size %d" ino i.Inode.size;
         Error Errno.EUCLEAN
       end
-      else begin
-        let fd = t.next_fd in
-        t.next_fd <- fd + 1;
-        Hashtbl.replace t.fds fd { fd_ino = ino; fd_mode = mode };
-        Ok fd
-      end
+      else Ok (Fdtable.alloc t.fds { fd_ino = ino; fd_mode = mode })
 
-let op_close t fd =
-  if Hashtbl.mem t.fds fd then begin
-    Hashtbl.remove t.fds fd;
-    Ok ()
-  end
-  else Error Errno.EBADF
+let op_close t fd = Fdtable.close t.fds fd
 
 (* Create a fresh inode linked under [path]; shared by creat / mkdir /
    symlink. *)
 let create_node t path kind ~perms ~target =
   in_txn t (fun () ->
       let* dino, name = resolve_parent t path in
-      let* () = VPath.validate_component name in
       let* dinode = read_inode t dino in
       if dinode.Inode.kind <> Inode.Directory then Error Errno.ENOTDIR
       else
@@ -1499,10 +1443,7 @@ let create_node t path kind ~perms ~target =
 
 let op_creat t path =
   let* ino = create_node t path Inode.Regular ~perms:0o644 ~target:"" in
-  let fd = t.next_fd in
-  t.next_fd <- fd + 1;
-  Hashtbl.replace t.fds fd { fd_ino = ino; fd_mode = Fs.Rdwr };
-  Ok fd
+  Ok (Fdtable.alloc t.fds { fd_ino = ino; fd_mode = Fs.Rdwr })
 
 let op_mkdir t path =
   let* _ino = create_node t path Inode.Directory ~perms:0o755 ~target:"" in
@@ -1514,12 +1455,10 @@ let op_symlink t target linkpath =
 
 let op_link t existing linkpath =
   in_txn t (fun () ->
-      let* ino = resolve t existing in
-      let* i = read_inode t ino in
+      let* ino, i = lookup t existing in
       if i.Inode.kind = Inode.Directory then Error Errno.EISDIR
       else
         let* dino, name = resolve_parent t linkpath in
-        let* () = VPath.validate_component name in
         let* dinode = read_inode t dino in
         let* () = parent_dir dinode in
         match dir_lookup t dinode name with
@@ -1531,86 +1470,62 @@ let op_link t existing linkpath =
         | Error e -> Error e)
 
 let op_readlink t path =
-  let* ino = resolve t ~follow_last:false path in
-  let* i = read_inode t ino in
+  let* _, i = lookup t ~follow_last:false path in
   match i.Inode.kind with
   | Inode.Symlink -> Ok i.Inode.symlink_target
   | Inode.Regular | Inode.Directory | Inode.Free -> Error Errno.EINVAL
 
 let op_getdirentries t path =
-  let* ino = resolve t path in
-  let* i = read_inode t ino in
+  let* _, i = lookup t path in
   if i.Inode.kind <> Inode.Directory then Error Errno.ENOTDIR
   else
     let* blocks = dir_blocks t i in
     Ok (List.concat_map (fun (_, _, es) -> es) blocks)
 
 let op_read t fd ~off ~len =
-  match Hashtbl.find_opt t.fds fd with
-  | None -> Error Errno.EBADF
-  | Some { fd_ino; _ } ->
-      let* i = read_inode t fd_ino in
-      let bs = bsize t in
-      let len = max 0 (min len (i.Inode.size - off)) in
-      if len = 0 then Ok Bytes.empty
-      else begin
-        let out = Bytes.create len in
-        let rec fill pos =
-          if pos >= len then Ok ()
-          else
-            let fblock = (off + pos) / bs in
-            let boff = (off + pos) mod bs in
-            let n = min (bs - boff) (len - pos) in
-            let* data = data_read_block t i fblock in
-            Bytes.blit data boff out pos n;
-            fill (pos + n)
-        in
-        let* () = fill 0 in
-        Ok out
-      end
+  let* { fd_ino; _ } = Fdtable.find t.fds fd in
+  let* i = read_inode t fd_ino in
+  let len = max 0 (min len (i.Inode.size - off)) in
+  if len = 0 then Ok Bytes.empty
+  else
+    let out = Bytes.create len in
+    let* () =
+      Posix.each_block ~bs:(bsize t) ~off ~len (fun fblock boff pos n ->
+          let* data = data_read_block t i fblock in
+          Bytes.blit data boff out pos n;
+          Ok ())
+    in
+    Ok out
 
 let op_write t fd ~off data =
-  match Hashtbl.find_opt t.fds fd with
-  | None -> Error Errno.EBADF
-  | Some { fd_ino; fd_mode } ->
-      if fd_mode = Fs.Rd then Error Errno.EBADF
-      else
-        in_txn t (fun () ->
-            let* i0 = read_inode t fd_ino in
-            let bs = bsize t in
-            let len = Bytes.length data in
-            let inode = ref i0 in
-            let rec put pos =
-              if pos >= len then Ok ()
-              else
-                let fblock = (off + pos) / bs in
-                let boff = (off + pos) mod bs in
-                let n = min (bs - boff) (len - pos) in
-                let* buf =
-                  if boff = 0 && n = bs then Ok (Bytes.sub data pos n)
-                  else
-                    (* Read-modify-write for partial blocks. *)
-                    let* old = owned (data_read_block t !inode fblock) in
-                    Bytes.blit data pos old boff n;
-                    Ok old
-                in
-                let* inode' = data_write_block t fd_ino !inode fblock buf in
-                inode := inode';
-                put (pos + n)
-            in
-            let* () = put 0 in
-            let time = now_seconds t in
-            let size = max i0.Inode.size (off + len) in
-            let* () =
-              write_inode t fd_ino
-                { !inode with Inode.size; mtime = time; ctime = time }
-            in
-            Ok len)
+  let* { fd_ino; fd_mode } = Fdtable.find t.fds fd in
+  if fd_mode = Fs.Rd then Error Errno.EBADF
+  else
+    in_txn t (fun () ->
+        let* i0 = read_inode t fd_ino in
+        let bs = bsize t in
+        let len = Bytes.length data in
+        let inode = ref i0 in
+        let* () =
+          Posix.each_block ~bs ~off ~len (fun fblock boff pos n ->
+              let* buf =
+                Posix.patch ~bs data ~boff ~pos ~n (fun () ->
+                    owned (data_read_block t !inode fblock))
+              in
+              let* inode' = data_write_block t fd_ino !inode fblock buf in
+              inode := inode';
+              Ok ())
+        in
+        let time = now_seconds t in
+        let size = max i0.Inode.size (off + len) in
+        let* () =
+          write_inode t fd_ino { !inode with Inode.size; mtime = time; ctime = time }
+        in
+        Ok len)
 
 let op_truncate t path size =
   in_txn t (fun () ->
-      let* ino = resolve t path in
-      let* i = read_inode t ino in
+      let* ino, i = lookup t path in
       if i.Inode.kind = Inode.Directory then Error Errno.EISDIR
       else if size > Inode.max_file_blocks t.lay * bsize t then Error Errno.EFBIG
       else begin
@@ -1717,7 +1632,6 @@ let op_rename t src dst =
       let* () = parent_dir sdinode in
       let* ino = dir_lookup t sdinode sname in
       let* ddino, dname = resolve_parent t dst in
-      let* () = VPath.validate_component dname in
       let* ddinode = read_inode t ddino in
       let* () = parent_dir ddinode in
       let* () =
@@ -1770,8 +1684,7 @@ let op_rename t src dst =
 
 let update_inode_meta t path f =
   in_txn t (fun () ->
-      let* ino = resolve t path in
-      let* i = read_inode t ino in
+      let* ino, i = lookup t path in
       write_inode t ino (f i))
 
 let op_chmod t path perms =
@@ -1792,7 +1705,8 @@ let op_utimes t path atime mtime =
    distinction matters to fault injection: checkpoint writes are where
    stock ext3 loses write errors. *)
 let op_fsync t fd =
-  if Hashtbl.mem t.fds fd then commit t else Error Errno.EBADF
+  let* _ = Fdtable.find t.fds fd in
+  commit t
 
 let op_sync t =
   let* () = commit t in

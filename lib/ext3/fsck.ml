@@ -25,13 +25,6 @@ let pp_report fmt r =
     Format.fprintf fmt "fsck: %s@." (if r.clean then "clean" else "errors found")
   end
 
-let bit_get buf i = Char.code (Bytes.get buf (i / 8)) land (1 lsl (i mod 8)) <> 0
-
-let bit_set buf i on =
-  let v = Char.code (Bytes.get buf (i / 8)) in
-  let v' = if on then v lor (1 lsl (i mod 8)) else v land lnot (1 lsl (i mod 8)) in
-  Bytes.set buf (i / 8) (Char.chr (v' land 0xFF))
-
 let run ?(repair = false) dev =
   (* Every block fsck reads lands in a buffer from the calling domain's
      block arena, and all of them go back when the run ends: nothing
@@ -111,7 +104,7 @@ let run ?(repair = false) dev =
     (g * 64 * iwords) + (ino - 1 - (g * ipg))
   in
   (* Inode 1 is never a file but always counts as in use. *)
-  bit_set live_bits (live_bit 1) true;
+  Bitmap.set live_bits (live_bit 1) true;
   let ref_ino ino =
     Hashtbl.replace dir_refs ino
       (1 + Option.value ~default:0 (Hashtbl.find_opt dir_refs ino))
@@ -127,7 +120,7 @@ let run ?(repair = false) dev =
       match Layout.group_of_block lay b with
       | Some g ->
           let i = b - Layout.data_start lay g in
-          if i >= 0 then bit_set reach_bits ((g * 64 * dwords) + i) true
+          if i >= 0 then Bitmap.set reach_bits ((g * 64 * dwords) + i) true
       | None -> ()
     end
     else if b <> 0 then
@@ -144,7 +137,7 @@ let run ?(repair = false) dev =
   let max_blocks = Inode.max_file_blocks lay in
   let check_inode ino (i : Inode.t) =
     Hashtbl.replace live ino i;
-    bit_set live_bits (live_bit ino) true;
+    Bitmap.set live_bits (live_bit ino) true;
     match i.Inode.kind with
     | Inode.Free | Inode.Symlink -> ()
     | Inode.Regular | Inode.Directory ->
@@ -263,9 +256,9 @@ let run ?(repair = false) dev =
             for j = 0 to 63 do
               if Int64.logand (Int64.shift_right_logical d j) 1L <> 0L then begin
                 let i = (w * 64) + j in
-                let marked = bit_get buf i in
+                let marked = Bitmap.get buf i in
                 if finding i marked && repair then begin
-                  bit_set buf i (not marked);
+                  Bitmap.set buf i (not marked);
                   dirty := true
                 end
               end

@@ -69,21 +69,9 @@ let free_inode_slot =
     target = "";
   }
 
-let kind_code = function
-  | None -> 0
-  | Some Fs.Regular -> 1
-  | Some Fs.Directory -> 2
-  | Some Fs.Symlink -> 3
-
-let kind_of_code = function
-  | 1 -> Some Fs.Regular
-  | 2 -> Some Fs.Directory
-  | 3 -> Some Fs.Symlink
-  | _ -> None
-
 let encode_inode i buf off =
   let w = Codec.writer ~pos:off buf in
-  Codec.put_u8 w (kind_code i.kind);
+  Codec.put_u8 w (Posix.kind_code i.kind);
   Codec.put_u8 w 0;
   Codec.put_u16 w i.links;
   Codec.put_u16 w i.uid;
@@ -104,7 +92,7 @@ let encode_inode i buf off =
 
 let decode_inode buf off =
   let r = Codec.reader ~pos:off buf in
-  let kind = kind_of_code (Codec.get_u8 r) in
+  let kind = Posix.kind_of_code (Codec.get_u8 r) in
   let _ = Codec.get_u8 r in
   let links = Codec.get_u16 r in
   let uid = Codec.get_u16 r in
@@ -123,7 +111,7 @@ let decode_inode buf off =
   in
   { kind; links; uid; gid; perms; size; atime; mtime; ctime; direct; xtree; target }
 
-(* ---- xtree and directory block codecs ------------------------------- *)
+(* ---- xtree codec --------------------------------------------------- *)
 
 (* An xtree node: level (1 = pointers to data, 2 = pointers to level-1
    nodes) and an entry count that JFS sanity-checks against the cap. *)
@@ -141,36 +129,6 @@ let decode_xtree buf =
     let level = Codec.get_u16 r in
     if n > xtree_cap || level < 1 || level > 2 then None
     else Some (level, Array.init n (fun _ -> Codec.get_u32 r))
-  with Codec.Decode_error _ -> None
-
-let encode_dir entries buf =
-  Bytes.fill buf 0 (Bytes.length buf) '\000';
-  let w = Codec.writer buf in
-  Codec.put_u16 w (List.length entries);
-  List.iter
-    (fun (name, ino) ->
-      Codec.put_u32 w ino;
-      Codec.put_u16 w (String.length name);
-      Codec.put_string w name)
-    entries
-
-let decode_dir buf =
-  try
-    let r = Codec.reader buf in
-    let n = Codec.get_u16 r in
-    if n > dir_entry_cap then None
-    else
-      let rec go k acc =
-        if k = 0 then Some (List.rev acc)
-        else
-          let ino = Codec.get_u32 r in
-          let len = Codec.get_u16 r in
-          if len > Codec.remaining r then None
-          else
-            let name = Codec.get_string r len in
-            go (k - 1) ((name, ino) :: acc)
-      in
-      go n []
   with Codec.Decode_error _ -> None
 
 (* ---- super / aggregate / maps --------------------------------------- *)
@@ -302,13 +260,6 @@ let commit t =
 
 (* ---- allocation ------------------------------------------------------ *)
 
-let bit_get buf i = Char.code (Bytes.get buf (i / 8)) land (1 lsl (i mod 8)) <> 0
-
-let bit_set buf i on =
-  let v = Char.code (Bytes.get buf (i / 8)) in
-  let v' = if on then v lor (1 lsl (i mod 8)) else v land lnot (1 lsl (i mod 8)) in
-  Bytes.set buf (i / 8) (Char.chr (v' land 0xFF))
-
 (* A failed read of the block or inode allocation maps crashes the
    system (§5.3). *)
 let read_map t b what =
@@ -318,21 +269,17 @@ let read_map t b what =
 
 let alloc_block t =
   let* buf = read_map t bmap_block "block allocation map" in
-  let limit = min (t.bs * 8) t.num_blocks in
-  let rec find i =
-    if i >= limit then Error Errno.ENOSPC
-    else if (not (bit_get buf i)) && i >= first_data then Ok i
-    else find (i + 1)
-  in
-  let* b = find 0 in
-  let buf = Bytes.copy buf in
-  bit_set buf b true;
-  let* () = meta_write t bmap_block buf in
-  t.free_blocks <- t.free_blocks - 1;
-  let cnt = zero_block t in
-  encode_counted t.free_blocks cnt;
-  let* () = meta_write t bmap_desc_block cnt in
-  Ok b
+  match Bitmap.find_clear ~from:first_data buf (min (t.bs * 8) t.num_blocks) with
+  | None -> Error Errno.ENOSPC
+  | Some b ->
+      let buf = Bytes.copy buf in
+      Bitmap.set buf b true;
+      let* () = meta_write t bmap_block buf in
+      t.free_blocks <- t.free_blocks - 1;
+      let cnt = zero_block t in
+      encode_counted t.free_blocks cnt;
+      let* () = meta_write t bmap_desc_block cnt in
+      Ok b
 
 (* A freed block's overlay page goes with it, or its next owner would
    read the old page and the checkpoint would write it over the new
@@ -341,10 +288,10 @@ let free_block t b =
   if b < first_data || b >= t.num_blocks then Ok ()
   else begin
     let* buf = read_map t bmap_block "block allocation map" in
-    if bit_get buf b then begin
+    if Bitmap.get buf b then begin
       Record.forget t.jrnl b;
       let buf = Bytes.copy buf in
-      bit_set buf b false;
+      Bitmap.set buf b false;
       let* () = meta_write t bmap_block buf in
       t.free_blocks <- t.free_blocks + 1;
       let cnt = zero_block t in
@@ -358,24 +305,21 @@ let total_inodes = itable_blocks * (4096 / inode_size)
 
 let alloc_inode t =
   let* buf = read_map t imap_block "inode allocation map" in
-  let rec find i =
-    if i >= total_inodes then Error Errno.ENOSPC
-    else if not (bit_get buf i) then Ok i
-    else find (i + 1)
-  in
-  let* i = find 0 in
-  let buf = Bytes.copy buf in
-  bit_set buf i true;
-  let* () = meta_write t imap_block buf in
-  t.free_inodes <- t.free_inodes - 1;
-  let cnt = zero_block t in
-  encode_counted t.free_inodes cnt;
-  let* () = meta_write t imap_cntl_block cnt in
-  Ok (i + 1)
+  match Bitmap.find_clear buf total_inodes with
+  | None -> Error Errno.ENOSPC
+  | Some i ->
+      let buf = Bytes.copy buf in
+      Bitmap.set buf i true;
+      let* () = meta_write t imap_block buf in
+      t.free_inodes <- t.free_inodes - 1;
+      let cnt = zero_block t in
+      encode_counted t.free_inodes cnt;
+      let* () = meta_write t imap_cntl_block cnt in
+      Ok (i + 1)
 
 let free_inode t ino =
   let* buf = owned (read_map t imap_block "inode allocation map") in
-  bit_set buf (ino - 1) false;
+  Bitmap.set buf (ino - 1) false;
   let* () = meta_write t imap_block buf in
   t.free_inodes <- t.free_inodes + 1;
   let cnt = zero_block t in
@@ -600,7 +544,7 @@ let dir_blocks t inode =
       if b = 0 || b >= t.num_blocks then go (i + 1) acc
       else
         let* buf = meta_read t b in
-        match decode_dir buf with
+        match Posix.decode_entries ~cap:dir_entry_cap buf with
         | Some entries -> go (i + 1) ((i, b, entries) :: acc)
         | None ->
             (* Directory sanity check: entry count out of range. *)
@@ -620,14 +564,14 @@ let dir_add t dino dinode name ino =
         let n = (dinode.size + t.bs - 1) / t.bs in
         let* b, dinode = bmap_alloc t dino dinode n in
         let buf = Bytes.make t.bs '\000' in
-        encode_dir [ (name, ino) ] buf;
+        Posix.encode_entries [ (name, ino) ] buf;
         let* () = meta_write t b buf in
         write_inode t dino { dinode with size = (n + 1) * t.bs }
     | (_, b, entries) :: rest ->
         if List.length entries >= dir_entry_cap then place rest
         else begin
           let buf = Bytes.make t.bs '\000' in
-          encode_dir (entries @ [ (name, ino) ]) buf;
+          Posix.encode_entries (entries @ [ (name, ino) ]) buf;
           meta_write t b buf
         end
   in
@@ -640,7 +584,7 @@ let dir_remove t dinode name =
     | (_, b, entries) :: rest ->
         if List.mem_assoc name entries then begin
           let buf = Bytes.make t.bs '\000' in
-          encode_dir (List.remove_assoc name entries) buf;
+          Posix.encode_entries (List.remove_assoc name entries) buf;
           meta_write t b buf
         end
         else go rest
@@ -666,7 +610,7 @@ let mkfs_impl dev =
   (* Root directory: inode 2 with one dir block. *)
   let root_block = first_data in
   let dirbuf = Bytes.make bs '\000' in
-  encode_dir [ (".", root_ino); ("..", root_ino) ] dirbuf;
+  Posix.encode_entries [ (".", root_ino); ("..", root_ino) ] dirbuf;
   let* () = wr root_block dirbuf in
   let it = Bytes.make bs '\000' in
   let root =
@@ -684,12 +628,12 @@ let mkfs_impl dev =
   (* Maps: everything before first_data plus the root block is in use. *)
   let bm = Bytes.make bs '\000' in
   for b = 0 to root_block do
-    bit_set bm b true
+    Bitmap.set bm b true
   done;
   let* () = wr bmap_block bm in
   let im = Bytes.make bs '\000' in
-  bit_set im 0 true;
-  bit_set im 1 true;
+  Bitmap.set im 0 true;
+  Bitmap.set im 1 true;
   let* () = wr imap_block im in
   let free_blocks = num_blocks - root_block - 1 in
   let cnt = Bytes.make bs '\000' in
@@ -1019,7 +963,7 @@ module Store = struct
     match blocks with
     | (_, b, entries) :: _ ->
         let buf = Bytes.make t.bs '\000' in
-        encode_dir
+        Posix.encode_entries
           (List.map (fun (n, e) -> if n = ".." then (n, parent) else (n, e)) entries)
           buf;
         meta_write t b buf
@@ -1034,7 +978,7 @@ module Store = struct
       else begin
         let* b, node = bmap_alloc t ino node 0 in
         let buf = Bytes.make t.bs '\000' in
-        encode_dir [ (".", ino); ("..", parent) ] buf;
+        Posix.encode_entries [ (".", ino); ("..", parent) ] buf;
         let* () = meta_write t b buf in
         Ok { node with size = t.bs }
       end

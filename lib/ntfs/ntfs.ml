@@ -24,6 +24,7 @@ let first_data = mft_start + mft_blocks
 let boot_magic = 0x4E544653 (* "NTFS" *)
 let file_magic = 0x46494C45 (* "FILE" *)
 let indx_magic = 0x494E4458 (* "INDX" *)
+let index_entry_cap = 500
 
 let root_ino = 2
 let record_size = 1024
@@ -62,23 +63,11 @@ let free_record =
     target = "";
   }
 
-let kind_code = function
-  | None -> 0
-  | Some Fs.Regular -> 1
-  | Some Fs.Directory -> 2
-  | Some Fs.Symlink -> 3
-
-let kind_of_code = function
-  | 1 -> Some Fs.Regular
-  | 2 -> Some Fs.Directory
-  | 3 -> Some Fs.Symlink
-  | _ -> None
-
 let encode_record rec_ buf off =
   Bytes.fill buf off record_size '\000';
   let w = Codec.writer ~pos:off buf in
   Codec.put_u32 w file_magic;
-  Codec.put_u8 w (kind_code rec_.kind);
+  Codec.put_u8 w (Posix.kind_code rec_.kind);
   Codec.put_u8 w 0;
   Codec.put_u16 w rec_.links;
   Codec.put_u16 w rec_.perms;
@@ -105,7 +94,7 @@ let decode_record buf off =
     if magic = 0 then Some free_record
     else if magic <> file_magic then None
     else
-      let kind = kind_of_code (Codec.get_u8 r) in
+      let kind = Posix.kind_of_code (Codec.get_u8 r) in
       let _ = Codec.get_u8 r in
       let links = Codec.get_u16 r in
       let perms = Codec.get_u16 r in
@@ -121,41 +110,6 @@ let decode_record buf off =
         else ""
       in
       Some { kind; links; perms; size; atime; mtime; ctime; runs; target }
-  with Codec.Decode_error _ -> None
-
-(* ---- index (directory) block codec ----------------------------------- *)
-
-let encode_index entries buf =
-  Bytes.fill buf 0 (Bytes.length buf) '\000';
-  let w = Codec.writer buf in
-  Codec.put_u32 w indx_magic;
-  Codec.put_u16 w (List.length entries);
-  List.iter
-    (fun (name, ino) ->
-      Codec.put_u32 w ino;
-      Codec.put_u16 w (String.length name);
-      Codec.put_string w name)
-    entries
-
-let decode_index buf =
-  try
-    let r = Codec.reader buf in
-    if Codec.get_u32 r <> indx_magic then None
-    else
-      let n = Codec.get_u16 r in
-      if n > 500 then None
-      else
-        let rec go k acc =
-          if k = 0 then Some (List.rev acc)
-          else
-            let ino = Codec.get_u32 r in
-            let len = Codec.get_u16 r in
-            if len > Codec.remaining r then None
-            else
-              let name = Codec.get_string r len in
-              go (k - 1) ((name, ino) :: acc)
-        in
-        go n []
   with Codec.Decode_error _ -> None
 
 (* ---- state ------------------------------------------------------------ *)
@@ -321,33 +275,22 @@ let commit t =
 
 (* ---- allocation -------------------------------------------------------- *)
 
-let bit_get buf i = Char.code (Bytes.get buf (i / 8)) land (1 lsl (i mod 8)) <> 0
-
-let bit_set buf i on =
-  let v = Char.code (Bytes.get buf (i / 8)) in
-  let v' = if on then v lor (1 lsl (i mod 8)) else v land lnot (1 lsl (i mod 8)) in
-  Bytes.set buf (i / 8) (Char.chr (v' land 0xFF))
-
 let alloc_block t =
   let* buf = retried_read t volume_bitmap_block in
-  let limit = min (t.bs * 8) t.num_blocks in
-  let rec find i =
-    if i >= limit then Error Errno.ENOSPC
-    else if (not (bit_get buf i)) && i >= first_data then Ok i
-    else find (i + 1)
-  in
-  let* b = find 0 in
-  let buf = Bytes.copy buf in
-  bit_set buf b true;
-  let* () = meta_write t volume_bitmap_block buf in
-  t.free_blocks <- t.free_blocks - 1;
-  Ok b
+  match Bitmap.find_clear ~from:first_data buf (min (t.bs * 8) t.num_blocks) with
+  | None -> Error Errno.ENOSPC
+  | Some b ->
+      let buf = Bytes.copy buf in
+      Bitmap.set buf b true;
+      let* () = meta_write t volume_bitmap_block buf in
+      t.free_blocks <- t.free_blocks - 1;
+      Ok b
 
 let free_block t b =
   if b < first_data || b >= t.num_blocks then Ok ()
   else
     let* buf = retried_read t volume_bitmap_block in
-    if bit_get buf b then begin
+    if Bitmap.get buf b then begin
       (* The freed block's staged image goes with it, or its next owner
          would read the old owner's bytes and the checkpoint would write
          them over the new owner's. *)
@@ -356,7 +299,7 @@ let free_block t b =
         t.txn_order <- List.filter (( <> ) b) t.txn_order
       end;
       let buf = Bytes.copy buf in
-      bit_set buf b false;
+      Bitmap.set buf b false;
       let* () = meta_write t volume_bitmap_block buf in
       t.free_blocks <- t.free_blocks + 1;
       Ok ()
@@ -365,20 +308,17 @@ let free_block t b =
 
 let alloc_record t =
   let* buf = retried_read t mft_bitmap_block in
-  let rec find i =
-    if i >= total_records then Error Errno.ENOSPC
-    else if not (bit_get buf i) then Ok i
-    else find (i + 1)
-  in
-  let* i = find 0 in
-  let buf = Bytes.copy buf in
-  bit_set buf i true;
-  let* () = meta_write t mft_bitmap_block buf in
-  Ok (i + 1)
+  match Bitmap.find_clear buf total_records with
+  | None -> Error Errno.ENOSPC
+  | Some i ->
+      let buf = Bytes.copy buf in
+      Bitmap.set buf i true;
+      let* () = meta_write t mft_bitmap_block buf in
+      Ok (i + 1)
 
 let free_record_slot t ino =
   let* buf = owned (retried_read t mft_bitmap_block) in
-  bit_set buf (ino - 1) false;
+  Bitmap.set buf (ino - 1) false;
   meta_write t mft_bitmap_block buf
 
 (* ---- MFT access -------------------------------------------------------- *)
@@ -453,7 +393,7 @@ let dir_blocks t r =
       if b = 0 || b >= t.num_blocks then go (i + 1) acc
       else
         let* buf = retried_read t b in
-        match decode_index buf with
+        match Posix.decode_entries ~magic:indx_magic ~cap:index_entry_cap buf with
         | Some entries -> go (i + 1) ((i, b, entries) :: acc)
         | None ->
             Klog.error t.klog "ntfs" "index block %d failed its magic check" b;
@@ -480,13 +420,13 @@ let dir_add t dino dr name ino =
           Ok (dr', b)
         in
         let buf = Bytes.make t.bs '\000' in
-        encode_index [ (name, ino) ] buf;
+        Posix.encode_entries ~magic:indx_magic [ (name, ino) ] buf;
         meta_write t dr'.runs.(n) buf
     | (_, b, entries) :: rest ->
         if List.length entries >= 120 then place rest
         else begin
           let buf = Bytes.make t.bs '\000' in
-          encode_index (entries @ [ (name, ino) ]) buf;
+          Posix.encode_entries ~magic:indx_magic (entries @ [ (name, ino) ]) buf;
           meta_write t b buf
         end
   in
@@ -499,7 +439,7 @@ let dir_remove t dr name =
     | (_, b, entries) :: rest ->
         if List.mem_assoc name entries then begin
           let buf = Bytes.make t.bs '\000' in
-          encode_index (List.remove_assoc name entries) buf;
+          Posix.encode_entries ~magic:indx_magic (List.remove_assoc name entries) buf;
           meta_write t b buf
         end
         else go rest
@@ -522,7 +462,7 @@ let mkfs_impl dev =
   (* Root directory. *)
   let root_block = first_data in
   let idx = Bytes.make bs '\000' in
-  encode_index [ (".", root_ino); ("..", root_ino) ] idx;
+  Posix.encode_entries ~magic:indx_magic [ (".", root_ino); ("..", root_ino) ] idx;
   let* () = wr root_block idx in
   let mft = Bytes.make bs '\000' in
   let root =
@@ -540,12 +480,12 @@ let mkfs_impl dev =
   encode_record { free_record with kind = Some Fs.Regular; links = 1 } mft 0;
   let* () = wr mft_start mft in
   let mb = Bytes.make bs '\000' in
-  bit_set mb 0 true;
-  bit_set mb 1 true;
+  Bitmap.set mb 0 true;
+  Bitmap.set mb 1 true;
   let* () = wr mft_bitmap_block mb in
   let vb = Bytes.make bs '\000' in
   for b = 0 to root_block do
-    bit_set vb b true
+    Bitmap.set vb b true
   done;
   let* () = wr volume_bitmap_block vb in
   match dev.Dev.sync () with Ok () -> Ok () | Error _ -> Error Errno.EIO
@@ -789,7 +729,7 @@ module Store = struct
     match blocks with
     | (_, b, entries) :: _ ->
         let buf = Bytes.make t.bs '\000' in
-        encode_index
+        Posix.encode_entries ~magic:indx_magic
           (List.map (fun (n, e) -> if n = ".." then (n, parent) else (n, e)) entries)
           buf;
         meta_write t b buf
@@ -806,7 +746,7 @@ module Store = struct
         let runs = Array.copy node.runs in
         runs.(0) <- b;
         let buf = Bytes.make t.bs '\000' in
-        encode_index [ (".", ino); ("..", parent) ] buf;
+        Posix.encode_entries ~magic:indx_magic [ (".", ino); ("..", parent) ] buf;
         let* () = meta_write t b buf in
         Ok { node with runs; size = t.bs }
       end

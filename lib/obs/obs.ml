@@ -269,6 +269,20 @@ let merge snaps =
   List.iter (List.iter (fun (path, v) -> fold_into acc path v)) snaps;
   sorted_of_table acc
 
+type recording = { metrics : snapshot; spans : span list; spans_dropped : int }
+
+let finish t =
+  let r = { metrics = snapshot t; spans = spans t; spans_dropped = spans_dropped t } in
+  release t;
+  r
+
+let lanes rs =
+  {
+    metrics = merge (List.map (fun r -> r.metrics) rs);
+    spans = List.concat (List.mapi (fun i r -> with_tid i r.spans) rs);
+    spans_dropped = List.fold_left (fun n r -> n + r.spans_dropped) 0 rs;
+  }
+
 (* ------------------------------------------------------------------ *)
 (* Exporters                                                           *)
 (* ------------------------------------------------------------------ *)

@@ -165,6 +165,26 @@ val merge : snapshot list -> snapshot
     @raise Invalid_argument when one path carries two different metric
     kinds or histograms with different bucket layouts. *)
 
+(** {2 One context per job}
+
+    A campaign of independent jobs observes each in a context of its
+    own, created and read inside the job, so what a job records is a
+    pure function of the job, whichever domain ran it. *)
+
+type recording = {
+  metrics : snapshot;
+  spans : span list;
+  spans_dropped : int;  (** spans the ring evicted *)
+}
+
+val finish : t -> recording
+(** What [t] recorded; then {!release}s it. Call once, after the work. *)
+
+val lanes : recording list -> recording
+(** The recordings in list order: metrics {!merge}d, the [i]th one's
+    spans on lane [i] ({!with_tid}), evictions summed. Byte-identical
+    for any order the jobs ran in. *)
+
 (** {1 Exporters} *)
 
 val pp_snapshot : Format.formatter -> snapshot -> unit

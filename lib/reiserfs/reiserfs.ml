@@ -125,13 +125,6 @@ let meta_write t b data =
 
 (* ---- allocation ----------------------------------------------------- *)
 
-let bit_get buf i = Char.code (Bytes.get buf (i / 8)) land (1 lsl (i mod 8)) <> 0
-
-let bit_set buf i on =
-  let v = Char.code (Bytes.get buf (i / 8)) in
-  let v' = if on then v lor (1 lsl (i mod 8)) else v land lnot (1 lsl (i mod 8)) in
-  Bytes.set buf (i / 8) (Char.chr (v' land 0xFF))
-
 let alloc_block t =
   let per = t.bs * 8 in
   let rec try_map m =
@@ -140,17 +133,12 @@ let alloc_block t =
       let bb = t.super.bitmap_start + m in
       let* buf = block_read_raw t bb in
       let base = m * per in
-      let limit = min per (t.super.num_blocks - base) in
-      let rec find i =
-        if i >= limit then None
-        else if not (bit_get buf i) && base + i >= t.super.first_data then Some i
-        else find (i + 1)
-      in
-      match find 0 with
+      let from = max 0 (t.super.first_data - base) in
+      match Bitmap.find_clear ~from buf (min per (t.super.num_blocks - base)) with
       | None -> try_map (m + 1)
       | Some i ->
           let buf = Bytes.copy buf in
-          bit_set buf i true;
+          Bitmap.set buf i true;
           let* () = meta_write t bb buf in
           t.super.free_blocks <- t.super.free_blocks - 1;
           Ok (base + i)
@@ -163,13 +151,13 @@ let free_block t b =
     let per = t.bs * 8 in
     let bb = t.super.bitmap_start + (b / per) in
     let* buf = block_read_raw t bb in
-    if bit_get buf (b mod per) then begin
+    if Bitmap.get buf (b mod per) then begin
       (* The freed block's images go with it, or its next owner would
          read the old owner's bytes and the checkpoint would write them
          over the new owner's. *)
       Jrnl.forget t.jrnl b;
       let buf = Bytes.copy buf in
-      bit_set buf (b mod per) false;
+      Bitmap.set buf (b mod per) false;
       let* () = meta_write t bb buf in
       t.super.free_blocks <- t.super.free_blocks + 1;
       Ok ()
@@ -552,7 +540,7 @@ let mkfs_impl dev =
      other bitmap blocks already read as zero. *)
   let bm = Bytes.make bs '\000' in
   for b = 0 to root_block do
-    if b / per = 0 then bit_set bm b true
+    if b / per = 0 then Bitmap.set bm b true
   done;
   let* () = wr bitmap_start bm in
   (* Journal header. *)

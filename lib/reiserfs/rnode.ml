@@ -1,5 +1,6 @@
 open Iron_util
 module Fs = Iron_vfs.Fs
+module Posix = Iron_vfs.Posix
 
 type item_kind = Stat | Dirent | Direct | Indirect
 
@@ -77,17 +78,9 @@ let get_key r =
   | Some kind -> Some { objid; kind; offset }
   | None -> None
 
-let fs_kind_code = function Fs.Regular -> 1 | Fs.Directory -> 2 | Fs.Symlink -> 3
-
-let fs_kind_of_code = function
-  | 1 -> Some Fs.Regular
-  | 2 -> Some Fs.Directory
-  | 3 -> Some Fs.Symlink
-  | _ -> None
-
 let encode_body w = function
   | Stat_body s ->
-      Codec.put_u8 w (fs_kind_code s.sk);
+      Codec.put_u8 w (Posix.kind_code (Some s.sk));
       Codec.put_u16 w s.links;
       Codec.put_u16 w s.uid;
       Codec.put_u16 w s.gid;
@@ -98,14 +91,7 @@ let encode_body w = function
       Codec.put_u32 w s.ctime;
       Codec.put_u16 w (String.length s.target);
       Codec.put_string w s.target
-  | Dirent_body entries ->
-      Codec.put_u16 w (List.length entries);
-      List.iter
-        (fun (name, objid) ->
-          Codec.put_u32 w objid;
-          Codec.put_u16 w (String.length name);
-          Codec.put_string w name)
-        entries
+  | Dirent_body entries -> Posix.put_entries w entries
   | Direct_body tail ->
       Codec.put_u16 w (String.length tail);
       Codec.put_string w tail
@@ -141,22 +127,8 @@ let decode_body kind r =
         Option.map
           (fun sk ->
             Stat_body { sk; links; uid; gid; perms; size; atime; mtime; ctime; target })
-          (fs_kind_of_code code)
-  | Dirent ->
-      let count = Codec.get_u16 r in
-      if count > 4096 then None
-      else
-        let rec go n acc =
-          if n = 0 then Some (Dirent_body (List.rev acc))
-          else
-            let objid = Codec.get_u32 r in
-            let nlen = Codec.get_u16 r in
-            if nlen > Codec.remaining r then None
-            else
-              let name = Codec.get_string r nlen in
-              go (n - 1) ((name, objid) :: acc)
-        in
-        go count []
+          (Posix.kind_of_code code)
+  | Dirent -> Option.map (fun es -> Dirent_body es) (Posix.get_entries ~cap:4096 r)
   | Direct ->
       let len = Codec.get_u16 r in
       if len > max_direct_bytes || len > Codec.remaining r then None

@@ -1,3 +1,5 @@
+module Codec = Iron_util.Codec
+
 let ( let* ) = Result.bind
 
 type attr = {
@@ -53,6 +55,57 @@ module type STORE = sig
     t -> int -> node -> int -> (node * (unit, Errno.t) result, Errno.t) result
 end
 
+let kind_code = function
+  | None -> 0
+  | Some Fs.Regular -> 1
+  | Some Fs.Directory -> 2
+  | Some Fs.Symlink -> 3
+
+let kind_of_code = function
+  | 1 -> Some Fs.Regular
+  | 2 -> Some Fs.Directory
+  | 3 -> Some Fs.Symlink
+  | _ -> None
+
+let put_entries w entries =
+  Codec.put_u16 w (List.length entries);
+  List.iter
+    (fun (name, o) ->
+      Codec.put_u32 w o;
+      Codec.put_u16 w (String.length name);
+      Codec.put_string w name)
+    entries
+
+let get_entries ~cap r =
+  let n = Codec.get_u16 r in
+  if n > cap then None
+  else
+    let rec go k acc =
+      if k = 0 then Some (List.rev acc)
+      else
+        let o = Codec.get_u32 r in
+        let len = Codec.get_u16 r in
+        if len > Codec.remaining r then None
+        else
+          let name = Codec.get_string r len in
+          go (k - 1) ((name, o) :: acc)
+    in
+    go n []
+
+let encode_entries ?magic entries buf =
+  Bytes.fill buf 0 (Bytes.length buf) '\000';
+  let w = Codec.writer buf in
+  Option.iter (Codec.put_u32 w) magic;
+  put_entries w entries
+
+let decode_entries ?magic ~cap buf =
+  try
+    let r = Codec.reader buf in
+    match magic with
+    | Some m when Codec.get_u32 r <> m -> None
+    | Some _ | None -> get_entries ~cap r
+  with Codec.Decode_error _ -> None
+
 let each_block ~bs ~off ~len f =
   let rec go pos =
     if pos >= len then Ok ()
@@ -81,7 +134,7 @@ module Make (S : STORE) = struct
 
   type t = {
     st : S.t;
-    ops : Resolver.ops;
+    ops : S.node Resolver.ops;
     fds : fdesc Fdtable.t;
     mutable cwd : int;
     mutable root : int;
@@ -89,26 +142,22 @@ module Make (S : STORE) = struct
 
   let mkfs = S.mkfs
 
-  let kind_of st o =
-    let* n = S.read st o in
-    match (S.attr n).kind with Some k -> Ok k | None -> Error Errno.EIO
-
   let mount dev =
     let* st = S.mount dev in
     let ops =
       {
-        Resolver.lookup =
-          (fun dir name ->
+        Resolver.node = S.read st;
+        kind =
+          (fun ~child:_ _ n ->
+            match (S.attr n).kind with Some k -> Ok k | None -> Error Errno.EIO);
+        target = (fun n -> (S.attr n).target);
+        lookup =
+          (fun dir _ name ->
             let* d = S.open_dir st dir in
             let* es = S.entries st d in
             match List.assoc_opt name es with
             | Some o -> Ok o
             | None -> Error Errno.ENOENT);
-        kind_of = kind_of st;
-        readlink_of =
-          (fun o ->
-            let* n = S.read st o in
-            Ok (S.attr n).target);
       }
     in
     Ok { st; ops; fds = Fdtable.create (); cwd = S.root; root = S.root }

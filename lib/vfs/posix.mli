@@ -13,9 +13,10 @@
     Every read, write and failure decision stays in the store, which
     the layer calls in one fixed order per op; it never asks which
     brand it serves. reiserfs, jfs and ntfs are built on it. The ext3
-    family keeps its own op layer: its ops run inside a transaction
-    under the stock-or-fixed switches, with their own descriptor
-    table. *)
+    family keeps its own op layer, whose ops each run inside a
+    transaction under the stock-or-fixed switches, but shares this
+    one's parts: the path walk ({!Resolver}), the descriptor table
+    ({!Fdtable}) and the block loop ({!each_block}, {!patch}). *)
 
 type attr = {
   kind : Fs.kind option;  (** [None]: a free slot *)
@@ -115,6 +116,32 @@ end
 module Make (S : STORE) : Fs.S
 
 (** {2 Helpers for stores} *)
+
+val kind_code : Fs.kind option -> int
+(** The one-byte kind every store's node format carries: 0 for a free
+    slot, then regular, directory and symlink as 1, 2 and 3. *)
+
+val kind_of_code : int -> Fs.kind option
+(** Any code other than 1, 2 and 3 reads as a free slot. *)
+
+val put_entries : Iron_util.Codec.writer -> (string * int) list -> unit
+(** Directory entries as every store lays them out: a u16 count, then
+    per entry its u32 object id, u16 name length and name. *)
+
+val get_entries : cap:int -> Iron_util.Codec.reader -> (string * int) list option
+(** What {!put_entries} wrote, or [None] for a count above [cap] or a
+    name running past the buffer.
+    @raise Iron_util.Codec.Decode_error when an id or a length does. *)
+
+val encode_entries : ?magic:int -> (string * int) list -> bytes -> unit
+(** [encode_entries ?magic entries buf] zeroes [buf] and writes a
+    directory block: the u32 [magic] when given, then {!put_entries}. *)
+
+val decode_entries :
+  ?magic:int -> cap:int -> bytes -> (string * int) list option
+(** The entries {!encode_entries} wrote, or [None] when the block fails
+    a check: a magic other than [magic], a count above [cap], or an
+    entry running past the block. *)
 
 val each_block :
   bs:int -> off:int -> len:int -> (int -> int -> int -> int -> (unit, Errno.t) result) ->

@@ -1,3 +1,5 @@
+module Obs = Iron_obs.Obs
+
 type row = {
   index : int;
   label : string;
@@ -7,21 +9,24 @@ type row = {
 type table = {
   baselines : (string * float) list;
   rows : row list;
+  observed : Obs.recording option;
 }
 
-let time ?obs brand app =
+(* One run's simulated time and, observed, what its own context
+   recorded. *)
+let time ~observe brand app =
+  let obs = if observe then Some (Obs.create ()) else None in
   match Runner.run ?obs brand app with
-  | Ok r -> r.Runner.elapsed_ms
+  | Ok r -> (r.Runner.elapsed_ms, Option.map Obs.finish obs)
   | Error e ->
       failwith
         (Printf.sprintf "table6: %s failed: %s" app.Apps.name
            (Iron_vfs.Errno.to_string e))
 
-let compute ?obs ?(jobs = 1) () =
+let compute ?(observe = false) ?(jobs = 1) () =
   let baselines =
     List.map
-      (fun app ->
-        (app.Apps.name, time ?obs Iron_ext3.Ext3.std app))
+      (fun app -> (app.Apps.name, time ~observe Iron_ext3.Ext3.std app))
       Apps.all
   in
   (* The 32 variants are independent experiments (each [Runner.run]
@@ -31,18 +36,26 @@ let compute ?obs ?(jobs = 1) () =
   let rows =
     Iron_util.Pool.map_jobs ~jobs
       (fun (index, (profile, brand)) ->
+        let runs = List.map (fun app -> time ~observe brand app) Apps.all in
         let ratios =
-          List.map
-            (fun app ->
-              let base = List.assoc app.Apps.name baselines in
-              (app.Apps.name, time ?obs brand app /. base))
-            Apps.all
+          List.map2
+            (fun (name, (base, _)) (ms, _) -> (name, ms /. base))
+            baselines runs
         in
         (* Paper row order counts feature bits upward with Tc fastest. *)
-        { index; label = Iron_ext3.Profile.variant_label profile; ratios })
+        ( { index; label = Iron_ext3.Profile.variant_label profile; ratios },
+          List.filter_map snd runs ))
       (List.mapi (fun i v -> (i, v)) Iron_ixt3.Ixt3.all_variants)
   in
-  { baselines; rows }
+  (* Runs in table order: the baselines, then each row's four. *)
+  let runs =
+    List.filter_map (fun (_, (_, o)) -> o) baselines @ List.concat_map snd rows
+  in
+  {
+    baselines = List.map (fun (name, (ms, _)) -> (name, ms)) baselines;
+    rows = List.map fst rows;
+    observed = (if observe then Some (Obs.lanes runs) else None);
+  }
 
 let pp fmt t =
   Format.fprintf fmt

@@ -10,19 +10,22 @@ type row = {
 type table = {
   baselines : (string * float) list;  (** workload -> ext3 ms *)
   rows : row list;
+  observed : Iron_obs.Obs.recording option;
+      (** with [~observe:true]: every run's {!Iron_obs.Obs.lanes} *)
 }
 
-val compute : ?obs:Iron_obs.Obs.t -> ?jobs:int -> unit -> table
+val compute : ?observe:bool -> ?jobs:int -> unit -> table
 (** Runs 4 workloads x (1 baseline + 32 variants), each a
     {!Runner.run} at its default seed (42). Deterministic: the
     table is byte-identical for any [jobs] (default 1); the 32 variant
     rows fan out over an {!Iron_util.Pool} of worker domains.
 
-    [~obs] is shared by every run (the context is domain-safe). The
-    metric {e sums} in its snapshot stay byte-identical for any [jobs]
-    — the same total work is metered — but with [jobs > 1] spans from
-    concurrent runs interleave in the shared ring, so exporters should
-    rely on the snapshot, not the span order. *)
+    With [~observe:true] each of the 132 runs records into a context
+    of its own, so the device clock a run installs times only its own
+    spans. The runs count in table order — the four baselines, then
+    each row's four — which sets the metrics' merge order and each
+    run's span lane, so [observed] too is byte-identical for any
+    [jobs]. *)
 
 val pp : Format.formatter -> table -> unit
 (** Paper-style rendering: slowdowns over 10% marked with [*],

@@ -1,7 +1,8 @@
 (* The offline checker as it stood before pass 1 walked each inode-table
    block once, decoding only live slots, and read into arena buffers.
-   Kept verbatim below this header as the reference that the
-   differential tests in test_fsck.ml hold [Iron_ext3.Fsck] to. *)
+   Kept verbatim below this header, save that its bitmap bits go
+   through [Iron_util.Bitmap], as the reference that the differential
+   tests in test_fsck.ml hold [Iron_ext3.Fsck] to. *)
 
 open Iron_ext3
 
@@ -31,13 +32,6 @@ let pp_report fmt r =
       r.findings;
     Format.fprintf fmt "fsck: %s@." (if r.clean then "clean" else "errors found")
   end
-
-let bit_get buf i = Char.code (Bytes.get buf (i / 8)) land (1 lsl (i mod 8)) <> 0
-
-let bit_set buf i on =
-  let v = Char.code (Bytes.get buf (i / 8)) in
-  let v' = if on then v lor (1 lsl (i mod 8)) else v land lnot (1 lsl (i mod 8)) in
-  Bytes.set buf (i / 8) (Char.chr (v' land 0xFF))
 
 let run ?(repair = false) dev =
   let* lay =
@@ -96,7 +90,7 @@ let run ?(repair = false) dev =
           note `Error false "block %d claimed by both %s and %s" b prior what
       | None -> ());
       Hashtbl.replace reachable b what;
-      bit_set reach_bits b true
+      Bitmap.set reach_bits b true
     end
     else if b <> 0 then note `Error false "%s points at impossible block %d" what b
   in
@@ -184,19 +178,19 @@ let run ?(repair = false) dev =
         let dirty = ref false in
         for i = 0 to Layout.data_blocks_per_group lay - 1 do
           let b = Layout.data_start lay g + i in
-          let marked = bit_get buf i in
-          let used = bit_get reach_bits b in
+          let marked = Bitmap.get buf i in
+          let used = Bitmap.get reach_bits b in
           if marked && not used then begin
             note `Warning repair "block %d marked allocated but unreachable (leak)" b;
             if repair then begin
-              bit_set buf i false;
+              Bitmap.set buf i false;
               dirty := true
             end
           end
           else if used && not marked then begin
             note `Error repair "block %d in use but free in the bitmap" b;
             if repair then begin
-              bit_set buf i true;
+              Bitmap.set buf i true;
               dirty := true
             end
           end
@@ -209,19 +203,19 @@ let run ?(repair = false) dev =
         let dirty = ref false in
         for i = 0 to lay.Layout.inodes_per_group - 1 do
           let ino = (g * lay.Layout.inodes_per_group) + i + 1 in
-          let marked = bit_get buf i in
+          let marked = Bitmap.get buf i in
           let used = ino = 1 || Hashtbl.mem live ino in
           if marked && not used then begin
             note `Warning repair "inode %d marked allocated but free" ino;
             if repair then begin
-              bit_set buf i false;
+              Bitmap.set buf i false;
               dirty := true
             end
           end
           else if used && ino > 1 && not marked then begin
             note `Error repair "inode %d live but free in the inode bitmap" ino;
             if repair then begin
-              bit_set buf i true;
+              Bitmap.set buf i true;
               dirty := true
             end
           end

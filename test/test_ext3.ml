@@ -431,6 +431,34 @@ let test_truncate_swallows_read_errors () =
   let logs = Klog.errors (F.klog t) in
   check Alcotest.bool "error was logged though" true (logs <> [])
 
+(* The path walk logs a free inode one of two ways: read as the
+   directory to search, it is the walk's own start (the root here);
+   read as the child a name leads to, it is an entry's target. *)
+let test_free_inode_klog () =
+  let walk_hits_free ~root =
+    let d, inj, (Fs.Boxed ((module F), t) as fs) = fresh () in
+    mkfile fs "/f" "x";
+    let ino = if root then Layout.root_ino else (ok (F.stat t "/f")).Fs.st_ino in
+    ok (F.unmount t);
+    let blk, off = Layout.inode_location (Ext3.layout_of_dev (Fault.dev inj)) ino in
+    let buf = Memdisk.peek d blk in
+    Bytes.set buf off '\000' (* the kind byte: free *);
+    Memdisk.poke d blk buf;
+    let (Fs.Boxed ((module F), t)) = ok (Fs.mount Ext3.std (Fault.dev inj)) in
+    expect_err Errno.EIO (F.stat t "/f");
+    (ino, List.map (fun e -> e.Klog.message) (Klog.errors (F.klog t)))
+  in
+  check
+    Alcotest.(list string)
+    "free root" [ "path walk hit free inode 2" ]
+    (snd (walk_hits_free ~root:true));
+  let ino, lines = walk_hits_free ~root:false in
+  check
+    Alcotest.(list string)
+    "entry naming a freed inode"
+    [ Printf.sprintf "directory entry references free inode %d" ino ]
+    lines
+
 (* --- property tests: model-based ops sequence ------------------------ *)
 
 (* A tiny in-memory reference model: path -> content. *)
@@ -537,6 +565,8 @@ let suites =
           test_linkcount_corruption_panics_stock;
         Alcotest.test_case "truncate swallows read errors" `Quick
           test_truncate_swallows_read_errors;
+        Alcotest.test_case "free inodes in the path walk" `Quick
+          test_free_inode_klog;
       ] );
     ( "ext3.props",
       [ qtest prop_model_random_ops; qtest prop_remount_preserves_files ] );

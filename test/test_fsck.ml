@@ -9,6 +9,7 @@ module Inode = Iron_ext3.Inode
 module Fault = Iron_fault.Fault
 module Codec = Iron_util.Codec
 module Prng = Iron_util.Prng
+module Bitmap = Iron_util.Bitmap
 
 let check = Alcotest.check
 
@@ -359,8 +360,7 @@ let corrupt_field rng lay cls buf =
         else lay.Layout.inodes_per_group
       in
       let i = Prng.int rng bits in
-      let v = Char.code (Bytes.get buf (i / 8)) lxor (1 lsl (i mod 8)) in
-      Bytes.set buf (i / 8) (Char.chr v)
+      Bitmap.set buf i (not (Bitmap.get buf i))
   | "indirect" ->
       Codec.write_u32 buf (4 * Prng.int rng lay.Layout.ptrs_per_block) (any_value rng lay)
   | "dir" -> (
@@ -462,13 +462,13 @@ let test_differential_read_faults () =
 
 let flip_bit d b i =
   let buf = Memdisk.peek d b in
-  Bytes.set buf (i / 8) (Char.chr (Char.code (Bytes.get buf (i / 8)) lxor (1 lsl (i mod 8))));
+  Bitmap.set buf i (not (Bitmap.get buf i));
   Memdisk.poke d b buf
 
 let set_bits_from d b first =
   let buf = Memdisk.peek d b in
   for i = first to (Bytes.length buf * 8) - 1 do
-    Bytes.set buf (i / 8) (Char.chr (Char.code (Bytes.get buf (i / 8)) lor (1 lsl (i mod 8))))
+    Bitmap.set buf i true
   done;
   Memdisk.poke d b buf
 
@@ -527,9 +527,8 @@ let test_directed_word_edges () =
       let g = lay.Layout.ngroups - 1 in
       let shadow = Layout.data_start lay g + dbits - 1 in
       Memdisk.restore d image;
-      check Alcotest.int (name ^ ": shadow block free") 0
-        (Char.code (Bytes.get (Memdisk.peek d (Layout.bitmap_block lay g)) ((dbits - 1) / 8))
-        land (1 lsl ((dbits - 1) mod 8)));
+      check Alcotest.bool (name ^ ": shadow block free") false
+        (Bitmap.get (Memdisk.peek d (Layout.bitmap_block lay g)) (dbits - 1));
       let slots = lay.Layout.block_size / 4 in
       let last = (lay.Layout.rmap_blocks * slots) - 1 in
       let slot_value k =

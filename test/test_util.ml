@@ -1,4 +1,5 @@
-(* Unit and property tests for iron_util: codecs, CRC32, SHA-1, PRNG. *)
+(* Unit and property tests for iron_util: codecs, bitmaps, CRC32, SHA-1,
+   PRNG. *)
 
 open Iron_util
 
@@ -196,6 +197,56 @@ let test_prng_shuffle_permutes () =
   Array.sort compare sorted;
   check Alcotest.(array int) "is a permutation" (Array.init 50 Fun.id) sorted
 
+(* --- Bitmap ---------------------------------------------------------- *)
+
+(* Buffers of up to 8 bytes where about half the bytes are 0xFF, so the
+   whole-byte step is taken often, and bounds anywhere in or past the
+   buffer's bits: [from] and [limit] need not be multiples of 8, and
+   [from >= limit] is common. *)
+let bitmap_case =
+  let open QCheck.Gen in
+  let byte = oneof [ return '\xFF'; return '\xFF'; char; return '\000' ] in
+  bytes_size ~gen:byte (int_range 1 8) >>= fun buf ->
+  let bits = 8 * Bytes.length buf in
+  map2 (fun from limit -> (buf, from, limit)) (int_range 0 bits) (int_range 0 bits)
+
+let show_bitmap_case (buf, from, limit) =
+  Printf.sprintf "buf=%S from=%d limit=%d" (Bytes.to_string buf) from limit
+
+let prop_bitmap_find_clear =
+  QCheck.Test.make ~name:"find_clear is the first clear bit in [from, limit)"
+    ~count:2000
+    (QCheck.make ~print:show_bitmap_case bitmap_case)
+    (fun (buf, from, limit) ->
+      let rec scan i =
+        if i >= limit then None
+        else if Char.code (Bytes.get buf (i / 8)) land (1 lsl (i mod 8)) = 0 then Some i
+        else scan (i + 1)
+      in
+      Bitmap.find_clear ~from buf limit = scan from)
+
+let prop_bitmap_set_get =
+  QCheck.Test.make ~name:"set then get round-trips and leaves other bits"
+    ~count:500
+    (QCheck.make ~print:show_bitmap_case bitmap_case)
+    (fun (buf, i, _) ->
+      let i = min i ((8 * Bytes.length buf) - 1) in
+      List.for_all
+        (fun on ->
+          let b = Bytes.copy buf in
+          Bitmap.set b i on;
+          Bitmap.get b i = on
+          && List.for_all
+               (fun j -> j = i || Bitmap.get b j = Bitmap.get buf j)
+               (List.init (8 * Bytes.length buf) Fun.id))
+        [ true; false ])
+
+let test_bitmap_defaults () =
+  let buf = Bytes.of_string "\xFF\xFF\x7F" in
+  check Alcotest.(option int) "from 0" (Some 23) (Bitmap.find_clear buf 24);
+  check Alcotest.(option int) "limit before it" None (Bitmap.find_clear buf 23);
+  check Alcotest.(option int) "full" None (Bitmap.find_clear ~from:3 buf 16)
+
 let suites =
   [
     ( "util.codec",
@@ -205,6 +256,12 @@ let suites =
         Alcotest.test_case "write overrun" `Quick test_codec_write_overrun;
         qtest prop_codec_u32_roundtrip;
         qtest prop_codec_u64_roundtrip;
+      ] );
+    ( "util.bitmap",
+      [
+        Alcotest.test_case "edges" `Quick test_bitmap_defaults;
+        qtest prop_bitmap_find_clear;
+        qtest prop_bitmap_set_get;
       ] );
     ( "util.crc32",
       [

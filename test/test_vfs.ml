@@ -1,9 +1,11 @@
-(* Tests for the VFS support layer: paths, the generic resolver, fd
-   tables and the kernel log; and, on every brand, the POSIX rule for a
-   regular file named as a parent. *)
+(* Tests for the VFS support layer: paths, the generic resolver, the
+   stores' entry codec, fd tables and the kernel log; and, on every
+   brand, the POSIX rules for a regular file named as a parent, an
+   overlong final name and a symlink inside a path. *)
 
 module Path = Iron_vfs.Path
 module Resolver = Iron_vfs.Resolver
+module Posix = Iron_vfs.Posix
 module Fdtable = Iron_vfs.Fdtable
 module Klog = Iron_vfs.Klog
 module Errno = Iron_vfs.Errno
@@ -51,32 +53,37 @@ let prop_join_split =
 (* --- Resolver ------------------------------------------------------------ *)
 
 (* A toy object store: 1=/ 2=/dir 3=/dir/file 4=/link->/dir/file
-   5=/dir/sub 6=/abs-loop->/abs-loop *)
+   5=/dir/sub 6=/abs-loop->/abs-loop 7=/l2->dir 8=/l1->l2. A node is
+   its kind and target; [reads] lists the objects read, newest first. *)
+let reads = ref []
+
 let toy =
   {
-    Resolver.lookup =
-      (fun dir name ->
+    Resolver.node =
+      (fun o ->
+        reads := o :: !reads;
+        match o with
+        | 1 | 2 | 5 -> Ok (Fs.Directory, "")
+        | 3 -> Ok (Fs.Regular, "")
+        | 4 -> Ok (Fs.Symlink, "/dir/file")
+        | 6 -> Ok (Fs.Symlink, "/loop")
+        | 7 -> Ok (Fs.Symlink, "dir")
+        | 8 -> Ok (Fs.Symlink, "l2")
+        | _ -> Error Errno.EIO);
+    kind = (fun ~child:_ _ (k, _) -> Ok k);
+    target = snd;
+    lookup =
+      (fun dir _ name ->
         match (dir, name) with
         | 1, "dir" -> Ok 2
         | 1, "link" -> Ok 4
         | 1, "loop" -> Ok 6
+        | 1, "l2" -> Ok 7
+        | 1, "l1" -> Ok 8
         | 2, "file" -> Ok 3
         | 2, "sub" -> Ok 5
         | 5, "up" -> Ok 2
         | _ -> Error Errno.ENOENT);
-    kind_of =
-      (fun o ->
-        match o with
-        | 1 | 2 | 5 -> Ok Fs.Directory
-        | 3 -> Ok Fs.Regular
-        | 4 | 6 -> Ok Fs.Symlink
-        | _ -> Error Errno.EIO);
-    readlink_of =
-      (fun o ->
-        match o with
-        | 4 -> Ok "/dir/file"
-        | 6 -> Ok "/loop"
-        | _ -> Error Errno.EINVAL);
   }
 
 let resolve ?follow_last p = Resolver.resolve toy ~root:1 ~cwd:2 ?follow_last p
@@ -87,11 +94,31 @@ let test_resolver_basics () =
   check Alcotest.int "root" 1 (Result.get_ok (resolve "/"));
   check Alcotest.int "nested" 5 (Result.get_ok (resolve "/dir/sub"))
 
+(* A symlink inside a path is followed to the end of its target, even
+   when the path's own last name is not followed. *)
 let test_resolver_symlinks () =
   check Alcotest.int "followed" 3 (Result.get_ok (resolve "/link"));
   check Alcotest.int "not followed" 4
     (Result.get_ok (resolve ~follow_last:false "/link"));
-  check Alcotest.bool "loop detected" true (resolve "/loop" = Error Errno.ELOOP)
+  check Alcotest.bool "loop detected" true (resolve "/loop" = Error Errno.ELOOP);
+  check Alcotest.int "chain followed" 2 (Result.get_ok (resolve "/l1"));
+  check Alcotest.int "chain not followed" 8
+    (Result.get_ok (resolve ~follow_last:false "/l1"));
+  check Alcotest.int "inner chain followed" 3
+    (Result.get_ok (resolve ~follow_last:false "/l1/file"))
+
+(* Per component the walk reads the directory, then the child the name
+   leads to, once each: nothing else re-reads either, and a followed
+   symlink's target comes from the node already read. *)
+let test_resolver_reads () =
+  let reads_of p =
+    reads := [];
+    ignore (resolve p);
+    List.rev !reads
+  in
+  check Alcotest.(list int) "/dir/file" [ 1; 2; 2; 3 ] (reads_of "/dir/file");
+  check Alcotest.(list int) "/link" [ 1; 4; 1; 2; 2; 3 ] (reads_of "/link");
+  check Alcotest.(list int) "no component" [] (reads_of "/")
 
 let test_resolver_enotdir () =
   check Alcotest.bool "file as dir" true
@@ -112,6 +139,35 @@ let test_parent_not_dir () =
   check Alcotest.bool "link to a file" true
     (rp "/link/x" = Error Errno.ENOTDIR);
   check Alcotest.bool "in root" true (rp "/x" = Ok (1, "x"))
+
+(* --- Entry codec ------------------------------------------------------------ *)
+
+let entries = [ (".", 2); ("..", 2); ("a-file", 12); (String.make 40 'n', 13) ]
+
+let test_entries_roundtrip () =
+  let t = Alcotest.(option (list (pair string int))) in
+  let buf = Bytes.make 512 '\xAA' in
+  Posix.encode_entries entries buf;
+  check t "plain" (Some entries) (Posix.decode_entries ~cap:4 buf);
+  Posix.encode_entries ~magic:0x494E4458 entries buf;
+  check t "with magic" (Some entries)
+    (Posix.decode_entries ~magic:0x494E4458 ~cap:10 buf);
+  Posix.encode_entries [] buf;
+  check t "empty" (Some []) (Posix.decode_entries ~cap:0 buf)
+
+let test_entries_rejects () =
+  let t = Alcotest.(option (list (pair string int))) in
+  let buf = Bytes.make 512 '\000' in
+  Posix.encode_entries ~magic:0x494E4458 entries buf;
+  check t "wrong magic" None (Posix.decode_entries ~magic:0x46494C45 ~cap:10 buf);
+  Posix.encode_entries entries buf;
+  check t "count above cap" None (Posix.decode_entries ~cap:3 buf);
+  (* The last name's length field claims more bytes than the block
+     holds after it. *)
+  let small = Bytes.make 64 '\000' in
+  Posix.encode_entries [ ("x", 5) ] small;
+  Bytes.set_uint16_le small 6 100;
+  check t "name past the block" None (Posix.decode_entries ~cap:4 small)
 
 (* --- Fdtable -------------------------------------------------------------- *)
 
@@ -170,11 +226,12 @@ let must what = function
   | Ok v -> v
   | Error e -> Alcotest.failf "%s: %s" what (Errno.to_string e)
 
-(* A regular file [/f] holds no names: a link, rename or removal that
-   names one under it fails with ENOTDIR, before it can read [/f]'s
-   bytes as a directory, and leaves [/a] and [/f] as they were, across
-   a remount too. *)
-let test_file_parent brand () =
+let fails what expected r =
+  check Alcotest.string what expected
+    (match r with Ok _ -> "ok" | Error e -> Errno.to_string e)
+
+(* A fresh volume of [brand]: its device, and the mounted file system. *)
+let fresh brand =
   let disk =
     Memdisk.create
       ~params:{ Memdisk.default_params with Memdisk.num_blocks = 2048 }
@@ -182,6 +239,15 @@ let test_file_parent brand () =
   in
   Memdisk.set_time_model disk false;
   let dev = Memdisk.dev disk in
+  must "mkfs" (Fs.mkfs brand dev);
+  (dev, must "mount" (Fs.mount brand dev))
+
+(* A regular file [/f] holds no names: a link, rename or removal that
+   names one under it fails with ENOTDIR, before it can read [/f]'s
+   bytes as a directory, and leaves [/a] and [/f] as they were, across
+   a remount too. *)
+let test_file_parent brand () =
+  let dev, fs = fresh brand in
   let bytes = Bytes.init 100 (fun i -> Char.chr (Char.code 'a' + (i mod 26))) in
   (* Both files as they were, then unmount. *)
   let intact (Fs.Boxed ((module F), t)) when_ =
@@ -195,18 +261,13 @@ let test_file_parent brand () =
     must "close /f" (F.close t fd);
     must "unmount" (F.unmount t)
   in
-  must "mkfs" (Fs.mkfs brand dev);
-  let fs = must "mount" (Fs.mount brand dev) in
   (let (Fs.Boxed ((module F), t)) = fs in
    let fd = must "creat /f" (F.creat t "/f") in
    check Alcotest.int "wrote /f" 100
      (must "write /f" (F.write t fd ~off:0 bytes));
    must "close /f" (F.close t fd);
    must "close /a" (F.close t (must "creat /a" (F.creat t "/a")));
-   let enotdir what r =
-     check Alcotest.string what "ENOTDIR"
-       (match r with Ok () -> "ok" | Error e -> Errno.to_string e)
-   in
+   let enotdir what r = fails what "ENOTDIR" r in
    enotdir "link /a /f/x" (F.link t "/a" "/f/x");
    enotdir "rename /a /f/y" (F.rename t "/a" "/f/y");
    enotdir "rename /f/x /y" (F.rename t "/f/x" "/y");
@@ -214,6 +275,40 @@ let test_file_parent brand () =
    enotdir "rmdir /f/x" (F.rmdir t "/f/x"));
   intact fs "live";
   intact (must "remount" (Fs.mount brand dev)) "after remount"
+
+(* The final name is checked before the walk reads a thing, under a
+   missing directory too, and for a name an op would look up to remove
+   or move: over 255 bytes it is ENAMETOOLONG, with a NUL in it
+   EINVAL. *)
+let test_final_name brand () =
+  let _, Fs.Boxed ((module F), t) = fresh brand in
+  let long = String.make 256 'n' in
+  fails "unlink" "ENAMETOOLONG" (F.unlink t ("/" ^ long));
+  fails "rmdir" "ENAMETOOLONG" (F.rmdir t ("/" ^ long));
+  fails "rename's source" "ENAMETOOLONG" (F.rename t ("/" ^ long) "/x");
+  fails "creat under a missing directory" "ENAMETOOLONG"
+    (F.creat t ("/missing/" ^ long));
+  fails "unlink a NUL name" "EINVAL" (F.unlink t "/a\000b")
+
+(* A symlink inside a path resolves to the end of its target, however
+   the path's own last name is treated: lstat and readlink walk through
+   [/l1 -> l2 -> d] to [/d/f]. *)
+let test_inner_symlink brand () =
+  let _, Fs.Boxed ((module F), t) = fresh brand in
+  must "mkdir /d" (F.mkdir t "/d");
+  must "close /d/f" (F.close t (must "creat /d/f" (F.creat t "/d/f")));
+  must "symlink /l2" (F.symlink t "d" "/l2");
+  must "symlink /l1" (F.symlink t "l2" "/l1");
+  let ino = (must "stat /d/f" (F.stat t "/d/f")).Fs.st_ino in
+  check Alcotest.int "lstat /l1/f" ino (must "lstat /l1/f" (F.lstat t "/l1/f")).Fs.st_ino;
+  fails "readlink /l1/f" "EINVAL" (F.readlink t "/l1/f");
+  check Alcotest.string "readlink /l1" "l2" (must "readlink /l1" (F.readlink t "/l1"))
+
+let per_brand name test =
+  List.map
+    (fun brand ->
+      Alcotest.test_case (Fs.brand_name brand ^ ": " ^ name) `Quick (test brand))
+    brands
 
 let suites =
   [
@@ -229,8 +324,15 @@ let suites =
         Alcotest.test_case "basics" `Quick test_resolver_basics;
         Alcotest.test_case "symlinks" `Quick test_resolver_symlinks;
         Alcotest.test_case "ENOTDIR" `Quick test_resolver_enotdir;
+        Alcotest.test_case "one read per object per component" `Quick
+          test_resolver_reads;
         Alcotest.test_case "resolve parent" `Quick test_resolve_parent;
         Alcotest.test_case "parent not a directory" `Quick test_parent_not_dir;
+      ] );
+    ( "vfs.entries",
+      [
+        Alcotest.test_case "roundtrip" `Quick test_entries_roundtrip;
+        Alcotest.test_case "rejects" `Quick test_entries_rejects;
       ] );
     ( "vfs.fdtable",
       [
@@ -242,11 +344,7 @@ let suites =
         Alcotest.test_case "capture" `Quick test_klog_capture;
         Alcotest.test_case "panic" `Quick test_klog_panic_raises_and_logs;
       ] );
-    ( "vfs.file-parent",
-      List.map
-        (fun brand ->
-          Alcotest.test_case
-            (Fs.brand_name brand ^ ": ENOTDIR under a regular file")
-            `Quick (test_file_parent brand))
-        brands );
+    ("vfs.file-parent", per_brand "ENOTDIR under a regular file" test_file_parent);
+    ("vfs.final-name", per_brand "checked before the walk" test_final_name);
+    ("vfs.inner-symlink", per_brand "followed through lstat" test_inner_symlink);
   ]
