@@ -14,7 +14,8 @@
    fuzz    - B3 workload-fuzzing campaign: throughput + peak log residency
    scrub   - §3.2: eager (scrubbing) vs lazy latent-error discovery
    obs-overhead - cost of the observability layer on a campaign (off vs on)
-   read-alloc - allocation per read: Dev.read vs Dev.read_into, fault-free
+   read-alloc - allocation per read: Dev.read vs Dev.read_into, fault-free;
+             major-heap words per ext3 and ixt3 block overwrite + fsync
    micro   - Bechamel microbenchmarks of the hot primitives
 
    Run with no arguments for everything, or name the experiments.
@@ -361,6 +362,42 @@ let stash name v =
 let bench_params seed =
   { Memdisk.default_params with Memdisk.num_blocks = 2048; seed }
 
+(* Words allocated straight on the major heap (major words less the
+   promoted ones) per one-block overwrite plus fsync of a file on a
+   fresh volume. It runs on a domain of its own, whose arena starts
+   empty whatever ran before, and the warm-up fills the log, the cache
+   and the arena, so what is left is each write's own 4 KiB blocks: a
+   copy that does not come from the arena shows here. *)
+let overwrite_words brand =
+  Domain.join @@ Domain.spawn @@ fun () ->
+  let disk = Memdisk.create ~params:(bench_params 7) () in
+  Memdisk.set_time_model disk false;
+  let dev = Memdisk.dev disk in
+  let ok what = function
+    | Ok v -> v
+    | Error e -> failwith (what ^ ": " ^ Iron_vfs.Errno.to_string e)
+  in
+  ok "mkfs" (Fs.mkfs brand dev);
+  let (Fs.Boxed ((module F), t)) = ok "mount" (Fs.mount brand dev) in
+  let fd = ok "creat" (F.creat t "/f") in
+  let data = Bytes.make dev.Iron_disk.Dev.block_size 'w' in
+  let step () =
+    ignore (ok "write" (F.write t fd ~off:0 data));
+    ok "fsync" (F.fsync t fd)
+  in
+  for _ = 1 to 500 do
+    step ()
+  done;
+  let n = 2_000 in
+  Gc.full_major ();
+  let _, p0, m0 = Gc.counters () in
+  for _ = 1 to n do
+    step ()
+  done;
+  let _, p1, m1 = Gc.counters () in
+  ok "unmount" (F.unmount t);
+  (m1 -. p1 -. (m0 -. p0)) /. float_of_int n
+
 let read_alloc () =
   hr "Per-read allocation on the fault-free path";
   Printf.printf
@@ -393,7 +430,18 @@ let read_alloc () =
   let ri =
     run "read_into" (fun b -> ignore (dev.Iron_disk.Dev.read_into b buf))
   in
-  Printf.printf "\nread_into allocates %.0f bytes/read (read: %.0f)\n" ri r
+  Printf.printf "\nread_into allocates %.0f bytes/read (read: %.0f)\n" ri r;
+  Printf.printf
+    "\nOne-block overwrite plus fsync of a mounted file system, after a\n\
+     warm-up: words allocated straight on the major heap per write.\n\n";
+  List.iter
+    (fun (name, brand) ->
+      let per = overwrite_words brand in
+      Printf.printf "%-10s %10.1f major words/write\n" name per;
+      stash
+        ("bench.read_alloc." ^ name ^ ".major_words_per_write")
+        (int_of_float per))
+    [ ("ext3", Iron_ext3.Ext3.std); ("ixt3", Iron_ext3.Ext3.ixt3) ]
 
 (* --- crash-state exploration (6.1) ------------------------------------ *)
 

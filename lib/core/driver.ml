@@ -275,23 +275,26 @@ let infer fault (obs : observation) trace target =
 (* ------------------------------------------------------------------ *)
 
 (* Per workload column, the frozen outcome of one fault-free dry run:
-   the labelled I/O trace as a plain array, the block→type oracle as a
-   plain string array, and an index from (direction, block type) to
+   the labelled I/O trace as a plain array, the block→type oracle as
+   one byte per block, and an index from (direction, block type) to
    the first matching block — the job's fault target. None of it is
    mutated once [prepare] returns, which is what makes sharing it
    across worker domains safe. *)
 type dry = {
   trace : Fault.event array;
-  labels : string array;
+  labels : string;  (** block [b]'s label is [names.(Char.code labels.[b])] *)
   targets : (Fault.direction * string, int) Hashtbl.t;
 }
 
 (* [base]/[crash] are frozen images each job restores into its
    private scratch device; restoring one is O(blocks the previous job
-   dirtied), not O(volume size). *)
+   dirtied), not O(volume size). [names] holds every label the brand's
+   classifier gave a block of either image, before or after a dry run,
+   in the order first seen. *)
 type prepared = {
   base : Memdisk.image;
   crash : Memdisk.image;
+  names : string array;
   dry : (char, dry) Hashtbl.t;
 }
 
@@ -306,10 +309,10 @@ let fresh_disk ~num_blocks =
   Memdisk.set_time_model disk false;
   disk
 
-let image_for prepared (w : Workload.t) =
+let image_for ~base ~crash (w : Workload.t) =
   match w.Workload.kind with
-  | Workload.Recovery_op -> prepared.crash
-  | Workload.Ops | Workload.Mount_op | Workload.Umount_op -> prepared.base
+  | Workload.Recovery_op -> crash
+  | Workload.Ops | Workload.Mount_op | Workload.Umount_op -> base
 
 let want_dir = function
   | Taxonomy.Read_failure | Taxonomy.Corruption -> Fault.Read
@@ -372,24 +375,36 @@ let prepare_uncached ?obs (c : Experiment.t) =
       | Ok () -> () (* instance abandoned: this is the crash *)
       | Error e -> failwith ("fingerprint: crash prep failed: " ^ Errno.to_string e)));
   let crash = Memdisk.snapshot disk in
-  (* The dry runs below fill [dry] in place. *)
-  let prepared = { base; crash; dry = Hashtbl.create 32 } in
+  (* Every block's label is stored as one byte, its index in [names]:
+     a brand's classifier gives a few dozen labels at most. *)
+  let names = ref [||] and codes = Hashtbl.create 32 in
+  let code l =
+    match Hashtbl.find_opt codes l with
+    | Some c -> c
+    | None ->
+        let c = Array.length !names in
+        if c > 255 then failwith "fingerprint: more than 256 block labels";
+        Hashtbl.add codes l (Char.chr c);
+        names := Array.append !names [| l |];
+        Char.chr c
+  in
   (* Pre-workload labels depend only on the starting image, which is
      the same [base] (or [crash]) for every column: freeze each image's
      oracle once instead of rebuilding it per dry run. *)
   let labels_of_image img =
     Memdisk.restore disk img;
     let cls = F.classifier (Memdisk.peek disk) in
-    Array.init num_blocks cls
+    String.init num_blocks (fun b -> code (cls b))
   in
   let base_labels = labels_of_image base in
   let crash_labels = if crash == base then base_labels else labels_of_image crash in
   (* Dry runs: learn, per workload, the labelled I/O trace; freeze it
      and index the fault targets. *)
+  let dry = Hashtbl.create 32 in
   List.iter
     (fun col ->
       let w = Workload.find col in
-      let img = image_for prepared w in
+      let img = image_for ~base ~crash w in
       let pre = if img == crash then crash_labels else base_labels in
       Memdisk.restore disk img;
       Fault.disarm_all inj;
@@ -398,15 +413,18 @@ let prepare_uncached ?obs (c : Experiment.t) =
       let post = F.classifier (Memdisk.peek disk) in
       (* Freeze the combined oracle into a pure table. *)
       let labels =
-        Array.init num_blocks (fun b ->
+        String.init num_blocks (fun b ->
             let l = post b in
-            if l = "?" then pre.(b) else l)
+            if l = "?" then pre.[b] else code l)
       in
       let trace =
         Array.of_list
           (List.map
              (fun (e : Fault.event) ->
-               { e with Fault.label = labels.(e.Fault.block) })
+               {
+                 e with
+                 Fault.label = !names.(Char.code labels.[e.Fault.block]);
+               })
              (Fault.trace inj))
       in
       let targets = Hashtbl.create 64 in
@@ -416,9 +434,9 @@ let prepare_uncached ?obs (c : Experiment.t) =
           if not (Hashtbl.mem targets key) then
             Hashtbl.add targets key e.Fault.block)
         trace;
-      Hashtbl.replace prepared.dry col { trace; labels; targets })
+      Hashtbl.replace dry col { trace; labels; targets })
     c.Experiment.cols;
-  prepared
+  { base; crash; names = !names; dry }
 
 (* Campaigns on the same brand and geometry share one [prepared]: the
    images and dry traces are a pure function of (brand, num_blocks,
@@ -486,6 +504,7 @@ let run_armed ?obs prepared (c : Experiment.t) (job : Experiment.job) ~target =
   let (Fs.Brand (module F)) = c.Experiment.brand in
   let w = Workload.find job.Experiment.workload in
   let labels = (Hashtbl.find prepared.dry job.Experiment.workload).labels in
+  let names = prepared.names in
   let s = scratch ~num_blocks:c.Experiment.num_blocks in
   let disk = s.s_disk in
   (* Unobserved jobs reuse the scratch injector; an observed job needs
@@ -501,9 +520,11 @@ let run_armed ?obs prepared (c : Experiment.t) (job : Experiment.job) ~target =
         let inj = Fault.create ~obs:o (Memdisk.dev disk) in
         (inj, Iron_disk.Dev.observe o (Fault.dev inj))
   in
-  Memdisk.restore disk (image_for prepared w);
+  let img = image_for ~base:prepared.base ~crash:prepared.crash w in
+  Memdisk.restore disk img;
   Fault.set_classifier inj (fun b ->
-      if b >= 0 && b < Array.length labels then labels.(b) else "?");
+      if b >= 0 && b < String.length labels then names.(Char.code labels.[b])
+      else "?");
   let kind =
     match job.Experiment.fault with
     | Taxonomy.Read_failure -> Fault.Fail_read
@@ -530,7 +551,7 @@ let run_armed ?obs prepared (c : Experiment.t) (job : Experiment.job) ~target =
      no-op rebase instead of an O(dirty) teardown on its critical
      path. A wrong guess costs nothing: restore to a different image is
      the same O(dirty) work either way. *)
-  Memdisk.restore disk (image_for prepared w);
+  Memdisk.restore disk img;
   infer job.Experiment.fault obs_run ftrace target
 
 (* The public per-job entry: resolve the target through the index and

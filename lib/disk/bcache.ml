@@ -20,15 +20,15 @@ let create ?(capacity = 256) device =
 
 
 (* Buffer ownership: once a cache buffer is filled, nothing writes to it
-   again, and nothing hands it back to the arena — eviction, replacement
-   and [invalidate] simply drop it. That is what lets [borrow] return the
-   buffer itself: a borrower keeps valid, unchanging bytes for as long as
-   it holds them, whatever the cache does meanwhile. It is also why an
-   entry's digest stays exact for as long as the entry is current.
-   Buffers are drawn from the calling domain's block arena, which the
-   journal engine refills as its transaction images die; it is looked up
-   per call rather than stored so a cache created on one domain but used
-   on another (never happens today) stays safe. *)
+   again, and only [release], at the end of the mount, hands it back to
+   the arena — eviction, replacement and [invalidate] simply drop it.
+   That is what lets [borrow] return the buffer itself: a borrower keeps
+   valid, unchanging bytes until its mount ends, whatever the cache does
+   meanwhile. It is also why an entry's digest stays exact for as long
+   as the entry is current. Buffers are drawn from the calling domain's
+   block arena, which the journal engine refills as its images die; it
+   is looked up per call rather than stored so a cache created on one
+   domain but used on another (never happens today) stays safe. *)
 let arena t = Arena.block t.device.Dev.block_size
 
 let evict_if_full t =
@@ -89,6 +89,11 @@ let invalidate t b = Hashtbl.remove t.table b
 let invalidate_all t =
   Hashtbl.reset t.table;
   Queue.clear t.order
+
+let release t =
+  let a = arena t in
+  Hashtbl.iter (fun _ e -> Arena.put a e.data) t.table;
+  invalidate_all t
 
 let hits t = t.hits
 let misses t = t.misses

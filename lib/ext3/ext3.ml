@@ -39,7 +39,6 @@ type state = {
   lay : Layout.t;
   klog : Klog.t;
   cache : Bcache.t;
-  zeros : bytes; (* read-only, like every borrowed buffer: holes read as it *)
   mutable free_blocks : int;
   mutable free_inodes : int;
   (* group descriptor table, kept in memory as on real systems *)
@@ -51,6 +50,7 @@ type state = {
      live in the shared engine, built from the profile's policy *)
   jrnl : Jrnl.t;
   (* process state *)
+  walk : Inode.t Resolver.ops; (* the path walk's reads, built at mount *)
   fds : fdesc Fdtable.t;
   mutable cwd : int;
   mutable root : int;
@@ -61,7 +61,12 @@ type state = {
 
 let now_seconds t = int_of_float (t.dev.Dev.now () /. 1000.)
 let bsize t = t.lay.Layout.block_size
-let zero_block t = Bytes.make (bsize t) '\000'
+
+(* Every private block — a copy to modify, a fresh zero block — comes
+   from the calling domain's arena, and the journal adopts what it is
+   staged with, handing the buffer back when the image dies. *)
+let arena t = Arena.block (bsize t)
+let zero_block t = Arena.get_zeroed (arena t)
 
 let is_meta_cls = function
   | Gdesc | BBitmap | IBitmap | Itable | Dir | Indirect -> true
@@ -95,7 +100,7 @@ let policy_of_profile (p : Profile.t) =
    used up before the next journal operation, since staging, commit and
    revoke release staged images to the arena. Every site that modifies
    what it read, or holds it across journal work, takes a private copy
-   through [owned]. *)
+   through [owned]. Holes read as the shared {!Arena.zeros} block. *)
 let block_read_raw t b =
   match Jrnl.find t.jrnl b with
   | Some d -> Ok d
@@ -104,8 +109,10 @@ let block_read_raw t b =
       | Ok d -> Ok d
       | Error _ -> Error Errno.EIO)
 
-let owned r = Result.map Bytes.copy r
+let owned t r = Result.map (Arena.copy (arena t)) r
 
+(* The journal adopts [data]: the caller hands over a buffer it owns and
+   does not write it again. *)
 let txn_put t b data = Jrnl.stage t.jrnl b data
 
 (* The SHA-1 of [data], read from block [b]. A block's current image —
@@ -139,7 +146,7 @@ let written_digest t b data =
    correctness. *)
 let set_cksum t b data =
   let cb, off = Layout.cksum_location t.lay b in
-  match owned (block_read_raw t cb) with
+  match owned t (block_read_raw t cb) with
   | Error _ -> Klog.warn t.klog "ixt3" "cannot update checksum block %d" cb
   | Ok blk ->
       let d = Sha1.to_raw (written_digest t b data) in
@@ -179,7 +186,7 @@ let rmap_get t b =
 
 let rmap_set t b shadow =
   let rb, off = Layout.rmap_location t.lay b in
-  match owned (block_read_raw t rb) with
+  match owned t (block_read_raw t rb) with
   | Error _ -> Klog.warn t.klog "ixt3" "cannot update replica map block %d" rb
   | Ok buf ->
       Codec.write_u32 buf off shadow;
@@ -254,7 +261,11 @@ let is_dynamic_meta = function Dir | Indirect -> true
 
 (* Metadata write: into the running transaction, plus checksum and
    replica shadows when those features are on. Dynamic metadata gets a
-   mirror allocated (in a distant group) on first write. *)
+   mirror allocated (in a distant group) on first write. The primary
+   image adopts [data], a buffer the caller owns and never touches
+   again; nothing before the end of this function stages [b], so [data]
+   is still the current image when the checksum reads it and each
+   replica stages its own copy of it. *)
 let meta_write t cls b data =
   if readonly t then Error Errno.EROFS
   else begin
@@ -262,7 +273,7 @@ let meta_write t cls b data =
     if checksummed t cls then set_cksum t b data;
     (if t.profile.Profile.meta_replica then
        match Layout.replica_of t.lay b with
-       | Some r -> txn_put t r data
+       | Some r -> txn_put t r (Arena.copy (arena t) data)
        | None ->
            if is_dynamic_meta cls then begin
              let shadow =
@@ -275,7 +286,7 @@ let meta_write t cls b data =
                    | Error _ -> 0)
                | sb -> sb
              in
-             if shadow <> 0 then txn_put t shadow data
+             if shadow <> 0 then txn_put t shadow (Arena.copy (arena t) data)
            end);
     Ok ()
   end
@@ -309,7 +320,7 @@ let read_inode t ino =
 
 let write_inode t ino inode =
   let blk, off = Layout.inode_location t.lay ino in
-  let* buf = owned (meta_read t Itable blk) in
+  let* buf = owned t (meta_read t Itable blk) in
   Inode.encode t.lay inode buf off;
   meta_write t Itable blk buf
 
@@ -339,7 +350,7 @@ let alloc_block t ~goal_group =
       match Bitmap.find_clear bitmap per with
       | None -> try_group (k + 1)
       | Some i ->
-          let buf = Bytes.copy bitmap in
+          let buf = Arena.copy (arena t) bitmap in
           Bitmap.set buf i true;
           let* () = meta_write t BBitmap bb buf in
           t.free_blocks <- t.free_blocks - 1;
@@ -373,7 +384,7 @@ let rec free_block t b =
       else
         let i = b - ds in
         let bb = t.gd_bitmap.(g) in
-        let* buf = owned (txn_meta_read t BBitmap bb) in
+        let* buf = owned t (txn_meta_read t BBitmap bb) in
         if Bitmap.get buf i then begin
           Bitmap.set buf i false;
           let* () = meta_write t BBitmap bb buf in
@@ -393,7 +404,7 @@ let alloc_inode t ~goal_group =
       match Bitmap.find_clear bitmap lay.Layout.inodes_per_group with
       | None -> try_group (k + 1)
       | Some i ->
-          let buf = Bytes.copy bitmap in
+          let buf = Arena.copy (arena t) bitmap in
           Bitmap.set buf i true;
           let* () = meta_write t IBitmap ib buf in
           t.free_inodes <- t.free_inodes - 1;
@@ -406,7 +417,7 @@ let free_inode t ino =
   let g = Layout.group_of_inode lay ino in
   let i = (ino - 1) mod lay.Layout.inodes_per_group in
   let ib = t.gd_ibitmap.(g) in
-  let* buf = owned (txn_meta_read t IBitmap ib) in
+  let* buf = owned t (txn_meta_read t IBitmap ib) in
   Bitmap.set buf i false;
   let* () = meta_write t IBitmap ib buf in
   t.free_inodes <- t.free_inodes + 1;
@@ -484,7 +495,7 @@ let bmap_alloc t ino inode fblock =
     let cur = get_ptr ptrs i in
     if cur <> 0 then Ok (cur, false)
     else
-      let buf = Bytes.copy ptrs in
+      let buf = Arena.copy (arena t) ptrs in
       let* fresh = alloc_child () in
       put_ptr buf i fresh;
       let* () = meta_write t Indirect b buf in
@@ -550,7 +561,7 @@ let bmap_set t inode fblock newb =
   let lay = t.lay in
   let d = lay.Layout.direct_ptrs and p = lay.Layout.ptrs_per_block in
   let set_slot b i =
-    let* buf = owned (read_ptr_block t b) in
+    let* buf = owned t (read_ptr_block t b) in
     put_ptr buf i newb;
     let* () = meta_write t Indirect b buf in
     Ok inode
@@ -625,7 +636,7 @@ let reconstruct_from_parity t inode ~missing_fblock =
 (* Read file block [fblock]; holes read as zeroes. *)
 let data_read_block t inode fblock =
   let* b = bmap t inode fblock in
-  if b = 0 then Ok t.zeros
+  if b = 0 then Ok (Arena.zeros (bsize t))
   else if b >= t.lay.Layout.num_blocks then begin
     (* A garbage pointer (corrupted indirect block): the device refuses. *)
     Klog.error t.klog "ext3" "read of impossible block %d" b;
@@ -668,7 +679,7 @@ let data_write_block t ino inode fblock data =
          for a freshly allocated slot); if the read fails (or fails
          verification), reconstruct from the parity group. *)
       let* old =
-        if fresh then Ok t.zeros
+        if fresh then Ok (Arena.zeros (bsize t))
         else
         match block_read_raw t b with
         | Ok d when
@@ -686,7 +697,7 @@ let data_write_block t ino inode fblock data =
                 else Ok (zero_block t))
       in
       let pdata =
-        match owned (block_read_raw t inode.Inode.parity) with
+        match owned t (block_read_raw t inode.Inode.parity) with
         | Ok d -> d
         | Error _ -> zero_block t
       in
@@ -837,33 +848,27 @@ let dir_is_empty t inode =
 (* Path resolution                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* The shared walk over ext3's inodes and directory blocks. A free
-   inode read as the directory to search is logged as one the walk hit,
-   and one a name led to as one a directory entry references. *)
-let walk_ops t =
-  {
-    Resolver.node = read_inode t;
-    kind =
-      (fun ~child ino i ->
-        match i.Inode.kind with
-        | Inode.Regular -> Ok Fs.Regular
-        | Inode.Directory -> Ok Fs.Directory
-        | Inode.Symlink -> Ok Fs.Symlink
-        | Inode.Free ->
-            if child then
-              Klog.error t.klog "ext3" "directory entry references free inode %d" ino
-            else Klog.error t.klog "ext3" "path walk hit free inode %d" ino;
-            Error Errno.EIO);
-    target = (fun i -> i.Inode.symlink_target);
-    lookup = (fun _ i name -> dir_lookup t i name);
-  }
+(* The shared walk over ext3's inodes and directory blocks, built once
+   per mount ([mount_impl]'s [walk]). A free inode read as the
+   directory to search is logged as one the walk hit, and one a name
+   led to as one a directory entry references. *)
+let walk_kind t ~child ino i =
+  match i.Inode.kind with
+  | Inode.Regular -> Ok Fs.Regular
+  | Inode.Directory -> Ok Fs.Directory
+  | Inode.Symlink -> Ok Fs.Symlink
+  | Inode.Free ->
+      if child then
+        Klog.error t.klog "ext3" "directory entry references free inode %d" ino
+      else Klog.error t.klog "ext3" "path walk hit free inode %d" ino;
+      Error Errno.EIO
 
 let resolve t ?follow_last path =
-  Resolver.resolve (walk_ops t) ~root:t.root ~cwd:t.cwd ?follow_last path
+  Resolver.resolve t.walk ~root:t.root ~cwd:t.cwd ?follow_last path
 
 (* The parent directory of [path] and the final name, validated. *)
 let resolve_parent t path =
-  Resolver.resolve_parent (walk_ops t) ~root:t.root ~cwd:t.cwd path
+  Resolver.resolve_parent t.walk ~root:t.root ~cwd:t.cwd path
 
 (* The object [path] names, and its inode. *)
 let lookup t ?follow_last path =
@@ -916,7 +921,7 @@ let free_file_from t inode ~from =
       let span =
         match level with 1 -> 1 | 2 -> p | _ -> p * p
       in
-      (match owned (read_ptr_block t b) with
+      (match owned t (read_ptr_block t b) with
       | Error _ -> incr errors
       | Ok buf ->
           let cleared = ref false in
@@ -1250,14 +1255,13 @@ let mount_impl profile dev =
         in
         (Some shadow, Some (List.iter stream))
     in
-    let t =
+    let rec t =
       {
         profile;
         dev;
         lay;
         klog;
         cache;
-        zeros = Bytes.make lay.Layout.block_size '\000';
         free_blocks = !free_blocks;
         free_inodes = !free_inodes;
         gd_bitmap;
@@ -1275,6 +1279,13 @@ let mount_impl profile dev =
               journaled = (fun b -> b < lay.Layout.replica_start);
             }
             ~seq:jseq;
+        walk =
+          {
+            Resolver.node = (fun ino -> read_inode t ino);
+            kind = (fun ~child ino i -> walk_kind t ~child ino i);
+            target = (fun i -> i.Inode.symlink_target);
+            lookup = (fun _ i name -> dir_lookup t i name);
+          };
         fds = Fdtable.create ();
         cwd = Layout.root_ino;
         root = Layout.root_ino;
@@ -1303,8 +1314,7 @@ let guard_write t = if readonly t then Error Errno.EROFS else Ok ()
 (* Update group-descriptor free counts on disk lazily: we serialize the
    in-memory values wholesale whenever allocation state changed. *)
 let flush_gd t =
-  let bs = bsize t in
-  let gd = Bytes.make bs '\000' in
+  let gd = zero_block t in
   let w = Codec.writer gd in
   (* Recompute per-group splits approximately: totals are what matter
      for statfs; per-group counts are informational. *)
@@ -1510,7 +1520,7 @@ let op_write t fd ~off data =
           Posix.each_block ~bs ~off ~len (fun fblock boff pos n ->
               let* buf =
                 Posix.patch ~bs data ~boff ~pos ~n (fun () ->
-                    owned (data_read_block t !inode fblock))
+                    owned t (data_read_block t !inode fblock))
               in
               let* inode' = data_write_block t fd_ino !inode fblock buf in
               inode := inode';
@@ -1541,7 +1551,7 @@ let op_truncate t path size =
             let* b = bmap t i' fblock in
             if b = 0 then Ok i'
             else
-              let* old = owned (data_read_block t i' fblock) in
+              let* old = owned t (data_read_block t i' fblock) in
               Bytes.fill old (size mod bs) (bs - (size mod bs)) '\000';
               data_write_block t ino i' fblock old
         in
@@ -1713,7 +1723,7 @@ let op_sync t =
   checkpoint t;
   if Jrnl.aborted t.jrnl then Error Errno.EROFS else Ok ()
 
-let op_unmount t =
+let unmount_volume t =
   let* () = commit t in
   checkpoint t;
   if Jrnl.aborted t.jrnl then Error Errno.EROFS
@@ -1750,6 +1760,13 @@ let op_unmount t =
     ignore (t.dev.Dev.sync ());
     Ok ()
   end
+
+(* The mount ends here whatever unmount returns, so the cache's buffers
+   go back to the arena last of all. *)
+let op_unmount t =
+  let r = unmount_volume t in
+  Bcache.release t.cache;
+  r
 
 (* ------------------------------------------------------------------ *)
 (* Packaging as a Fs.brand                                             *)

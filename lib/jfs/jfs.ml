@@ -212,7 +212,6 @@ type state = {
   bs : int;
   klog : Klog.t;
   cache : Bcache.t;
-  zeros : bytes; (* read-only, like every borrowed buffer: holes read as it *)
   num_blocks : int;
   (* journal overlay and record emission live in the shared engine *)
   jrnl : Record.t;
@@ -227,11 +226,12 @@ let zero_block t = Bytes.make t.bs '\000'
 (* The generic file-system layer retries every failed metadata read a
    single time (§5.3). Reads borrow: they return the journal overlay's
    page or the cache's buffer itself, read-only. An overlay page stays
-   valid for as long as its reader holds it, just as a cache buffer
-   does: [Record.write] stores a fresh copy, which a later write
-   replaces and a checkpoint drops, and nothing writes an overlay page
-   in place or hands it to the arena. Every site that modifies what it
-   read takes a private copy through [owned]. *)
+   valid for as long as its reader holds it, and a cache buffer until
+   the mount ends: [Record.write] stores a fresh copy, which a later
+   write replaces and a checkpoint drops, and nothing writes an overlay
+   page in place or hands it to the arena. Every site that modifies what
+   it read takes a private copy through [owned]. Holes read as the
+   shared {!Arena.zeros} block. *)
 let meta_read t b =
   match Record.find t.jrnl b with
   | Some d -> Ok d
@@ -474,7 +474,7 @@ let bmap_alloc t ino inode fblock =
 
 let data_read_block t inode fblock =
   let* b = bmap t inode fblock in
-  if b = 0 then Ok t.zeros
+  if b = 0 then Ok (Arena.zeros t.bs)
   else if b >= t.num_blocks then begin
     Klog.error t.klog "jfs" "impossible block %d" b;
     Error Errno.EIO
@@ -725,7 +725,6 @@ let mount_impl dev =
       bs = dev.Dev.block_size;
       klog;
       cache;
-      zeros = Bytes.make dev.Dev.block_size '\000';
       num_blocks;
       jrnl =
         Record.create ~tag:"jfs" ~dev ~cache ~klog
@@ -897,10 +896,16 @@ module Store = struct
     checkpoint t;
     Ok ()
 
+  (* The mount ends here whatever unmount returns, so the cache's
+     buffers go back to the arena last of all. *)
   let unmount t =
-    let* () = sync t in
-    ignore (t.dev.Dev.sync ());
-    Ok ()
+    let r =
+      let* () = sync t in
+      ignore (t.dev.Dev.sync ());
+      Ok ()
+    in
+    Bcache.release t.cache;
+    r
 
   let fsync = commit
 

@@ -119,13 +119,16 @@ let abort t why =
 let aborted t = t.aborted
 
 (* Transaction images and commit scratch blocks cycle through the
-   calling domain's block arena: staged images are released when the
-   checkpoint empties the pending table, scratch (desc/revoke/commit/
-   jsuper) blocks right after the device write copies them out. Sound
-   because [find] hands out a read-only loan that its callers finish
-   with before the next stage, commit, checkpoint or revoke (copying
-   whatever they modify or keep), and the hooks ([post_commit],
-   [jsb_shadow]) write through the device, which also copies. *)
+   calling domain's block arena. An image's buffer has one owner, the
+   engine, from the stage that adopts it until the image dies: coalesced
+   under a newer stage, replaced in or emptied from the pending table by
+   a commit or checkpoint, flushed directly, revoked or forgotten; then
+   it goes back to the arena. Scratch (desc/revoke/commit/jsuper) blocks
+   go back right after the device write copies them out. Sound because
+   [find] hands out a read-only loan that its callers finish with before
+   the next stage, commit, checkpoint or revoke (copying whatever they
+   modify or keep), and the hooks ([post_commit], [jsb_shadow]) write
+   through the device, which also copies. *)
 let arena t = Arena.block t.cfg.dev.Dev.block_size
 let zero_block t = Arena.get_zeroed (arena t)
 let release t buf = Arena.put (arena t) buf
@@ -154,10 +157,13 @@ let digest t b buf =
           Some d)
   | Some _ | None -> None
 
-(* Stage one block into the open transaction. An overwrite of an
-   already-staged block is a coalesced journal write — the group-commit
-   win the counter makes visible: every stage since the last barrier
-   rides one descriptor/commit pair. *)
+(* Stage one block into the open transaction. The engine adopts [data]
+   as the staged image, with no copy: the caller hands over a buffer it
+   owns (best drawn from the arena, where the image's buffer goes when
+   it dies) and never touches it again. A refused buffer is dropped. An
+   overwrite of an already-staged block is a coalesced journal write —
+   the group-commit win the counter makes visible: every stage since the
+   last barrier rides one descriptor/commit pair. *)
 let stage t b data =
   (* The one invariant every journal keeps: it never journals its own
      region. *)
@@ -170,7 +176,7 @@ let stage t b data =
         Obs.incr_a "jrnl.group_commit.coalesced";
         release t old.data
     | None -> t.txn_order <- b :: t.txn_order);
-    Hashtbl.replace t.txn b (image (Arena.copy (arena t) data));
+    Hashtbl.replace t.txn b (image data);
     (* Replay skips a block revoked at this transaction or later, so a
        revoke queued earlier in this transaction would swallow the new
        image: the block is live again. *)
@@ -207,8 +213,9 @@ let revoke t b =
    the write to the next checkpoint: fsync makes the metadata durable
    but not the data, the paper's data-loss window. Data-journal stages
    the block into the transaction like metadata, so the data write can
-   no longer fail here at all. Returns [false] only on a device write
-   failure in the ordered modes. *)
+   no longer fail here at all. The caller keeps [data] in every mode, so
+   the journaled modes stage a copy. Returns [false] only on a device
+   write failure in the ordered modes. *)
 let write_data t b data =
   match t.cfg.policy.mode with
   | Ordered | Tc_checksummed -> (
@@ -223,7 +230,7 @@ let write_data t b data =
       Hashtbl.replace t.pending b (image (Arena.copy (arena t) data));
       true
   | Data_journal ->
-      stage t b data;
+      stage t b (Arena.copy (arena t) data);
       true
 
 (* ------------------------------------------------------------------ *)

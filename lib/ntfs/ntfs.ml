@@ -119,7 +119,6 @@ type state = {
   bs : int;
   klog : Klog.t;
   cache : Bcache.t;
-  zeros : bytes; (* read-only, like every borrowed buffer: holes read as it *)
   num_blocks : int;
   txn : (int, bytes) Hashtbl.t;
   mutable txn_order : int list;
@@ -136,11 +135,12 @@ let total_records = mft_blocks * records_per_block
 (* NTFS is the persistent one: reads are attempted up to seven times.
    Reads borrow: they return the transaction's image or the cache's
    buffer itself, read-only. A transaction image stays valid for as long
-   as its reader holds it, just as a cache buffer does: [meta_write]
-   stages a fresh copy, which a later stage replaces and a checkpoint
-   drops, and nothing writes a staged image in place or hands it to the
-   arena. Every site that modifies what it read takes a private copy
-   through [owned]. *)
+   as its reader holds it, and a cache buffer until the mount ends:
+   [meta_write] stages a fresh copy, which a later stage replaces and a
+   checkpoint drops, and nothing writes a staged image in place or hands
+   it to the arena. Every site that modifies what it read takes a
+   private copy through [owned]. Holes read as the shared {!Arena.zeros}
+   block. *)
 let retried_read t b =
   let rec attempt n =
     match
@@ -351,7 +351,7 @@ let data_read_block t r fblock =
   if fblock >= data_runs then Error Errno.EFBIG
   else begin
     let b = r.runs.(fblock) in
-    if b = 0 then Ok t.zeros
+    if b = 0 then Ok (Arena.zeros t.bs)
     else if b >= t.num_blocks then begin
       Klog.error t.klog "ntfs" "impossible cluster %d" b;
       Error Errno.EIO
@@ -573,7 +573,6 @@ let mount_impl dev =
       bs = dev.Dev.block_size;
       klog;
       cache = Bcache.create ~capacity:512 dev;
-      zeros = Bytes.make dev.Dev.block_size '\000';
       num_blocks;
       txn = Hashtbl.create 32;
       txn_order = [];
@@ -664,11 +663,17 @@ module Store = struct
   let sync = commit
   let fsync = commit
 
+  (* The mount ends here whatever unmount returns, so the cache's
+     buffers go back to the arena last of all. *)
   let unmount t =
-    let* () = commit t in
-    checkpoint t;
-    ignore (t.dev.Dev.sync ());
-    Ok ()
+    let r =
+      let* () = commit t in
+      checkpoint t;
+      ignore (t.dev.Dev.sync ());
+      Ok ()
+    in
+    Bcache.release t.cache;
+    r
 
   let statfs t =
     {

@@ -94,12 +94,15 @@ type state = {
   bs : int;
   klog : Klog.t;
   cache : Bcache.t;
-  zeros : bytes; (* read-only, like every borrowed buffer: holes read as it *)
   super : super;
   jrnl : Jrnl.t;
 }
 
-let zero_block t = Bytes.make t.bs '\000'
+(* Every private block — a copy to modify, a fresh zero block — comes
+   from the calling domain's arena, and the journal adopts what it is
+   staged with, handing the buffer back when the image dies. *)
+let arena t = Arena.block t.bs
+let zero_block t = Arena.get_zeroed (arena t)
 
 (* ---- block access with journal overlay ------------------------------ *)
 
@@ -108,7 +111,8 @@ let zero_block t = Bytes.make t.bs '\000'
    arena buffer, so the loan ends at the next stage, commit, checkpoint
    or forget, which may hand the buffer to another block: every reader
    decodes or copies what it needs first, and every site that modifies
-   what it read takes a private copy through [owned]. *)
+   what it read takes a private copy through [owned]. Holes read as the
+   shared {!Arena.zeros} block. *)
 let block_read_raw t b =
   match Jrnl.find t.jrnl b with
   | Some d -> Ok d
@@ -117,8 +121,10 @@ let block_read_raw t b =
       | Ok d -> Ok d
       | Error _ -> Error Errno.EIO)
 
-let owned r = Result.map Bytes.copy r
+let owned t r = Result.map (Arena.copy (arena t)) r
 
+(* The journal adopts [data]: the caller hands over a buffer it owns and
+   does not write it again. *)
 let meta_write t b data =
   Jrnl.stage t.jrnl b data;
   Ok ()
@@ -137,7 +143,7 @@ let alloc_block t =
       match Bitmap.find_clear ~from buf (min per (t.super.num_blocks - base)) with
       | None -> try_map (m + 1)
       | Some i ->
-          let buf = Bytes.copy buf in
+          let buf = Arena.copy (arena t) buf in
           Bitmap.set buf i true;
           let* () = meta_write t bb buf in
           t.super.free_blocks <- t.super.free_blocks - 1;
@@ -156,7 +162,7 @@ let free_block t b =
          read the old owner's bytes and the checkpoint would write them
          over the new owner's. *)
       Jrnl.forget t.jrnl b;
-      let buf = Bytes.copy buf in
+      let buf = Arena.copy (arena t) buf in
       Bitmap.set buf (b mod per) false;
       let* () = meta_write t bb buf in
       t.super.free_blocks <- t.super.free_blocks + 1;
@@ -166,7 +172,7 @@ let free_block t b =
   end
 
 let write_super t =
-  let buf = Bytes.make t.bs '\000' in
+  let buf = zero_block t in
   encode_super t.super buf;
   meta_write t super_block buf
 
@@ -410,7 +416,7 @@ let file_block_ptr t ?retry objid fblock =
 
 let data_read_block t objid fblock =
   let* ptr = file_block_ptr t objid fblock in
-  if ptr = 0 then Ok t.zeros
+  if ptr = 0 then Ok (Arena.zeros t.bs)
   else if ptr >= t.super.num_blocks then begin
     Klog.error t.klog "reiserfs" "impossible unformatted block %d" ptr;
     Error Errno.EIO
@@ -589,7 +595,6 @@ let mount_impl dev =
       bs = dev.Dev.block_size;
       klog;
       cache;
-      zeros = Bytes.make dev.Dev.block_size '\000';
       super;
       jrnl =
         Jrnl.create
@@ -631,7 +636,7 @@ let write_data t objid (s : Rnode.stat_body) ~off data =
       Posix.each_block ~bs:t.bs ~off ~len (fun fblock boff pos n ->
           let* buf =
             Posix.patch ~bs:t.bs data ~boff ~pos ~n (fun () ->
-                owned (data_read_block t objid fblock))
+                owned t (data_read_block t objid fblock))
           in
           data_write_block t objid fblock buf)
   in
@@ -656,7 +661,7 @@ let truncate t o (s : Rnode.stat_body) size =
         if size >= s.Rnode.size || size mod t.bs = 0 then Ok ()
         else
           let fblock = size / t.bs in
-          let* old = owned (data_read_block t o fblock) in
+          let* old = owned t (data_read_block t o fblock) in
           Bytes.fill old (size mod t.bs) (t.bs - (size mod t.bs)) '\000';
           data_write_block t o fblock old
   in
@@ -804,10 +809,16 @@ module Store = struct
     Jrnl.checkpoint t.jrnl;
     Ok ()
 
+  (* The mount ends here whatever unmount returns, so the cache's
+     buffers go back to the arena last of all. *)
   let unmount t =
-    let* () = sync t in
-    ignore (t.dev.Dev.sync ());
-    Ok ()
+    let r =
+      let* () = sync t in
+      ignore (t.dev.Dev.sync ());
+      Ok ()
+    in
+    Bcache.release t.cache;
+    r
 
   let fsync t = Jrnl.commit t.jrnl
 

@@ -72,3 +72,17 @@ let block size =
       let a = create size in
       Hashtbl.add tbl size a;
       a
+
+(* One zero block per size for the whole process. It is only ever read,
+   so domains share it. A domain that loses the race to publish a size
+   drops the block it made and takes the winner's. *)
+let zero_blocks : (int * bytes) list Atomic.t = Atomic.make []
+
+let rec zeros size =
+  let known = Atomic.get zero_blocks in
+  match List.assoc_opt size known with
+  | Some z -> z
+  | None ->
+      let z = Bytes.make size '\000' in
+      if Atomic.compare_and_set zero_blocks known ((size, z) :: known) then z
+      else zeros size

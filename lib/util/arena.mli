@@ -1,8 +1,12 @@
 (** Per-domain pool of fixed-size byte buffers.
 
-    Block-sized buffers (cache fills, journal images, scratch blocks)
-    dominate the executor's allocation profile; pooling them avoids the
-    major-heap churn of reallocating 4 KiB buffers per operation.
+    Block-sized buffers (cache fills, journal images, a file system's
+    private copies, scratch blocks) dominate the executor's allocation
+    profile; pooling them avoids the major-heap churn of reallocating
+    4 KiB buffers per operation. The calling domain's pool is the one
+    source and sink of block buffers on the hot paths: the journal
+    engine hands an image's buffer back when the image dies, and the
+    block cache hands back every buffer it holds when its mount ends.
 
     Pools are only caches: [put] is a promise that nothing aliases the
     buffer anymore, and forgetting to [put] merely costs a future
@@ -29,3 +33,8 @@ val put : t -> bytes -> unit
 val block : int -> t
 (** The calling domain's shared pool for [size]-byte buffers. Buffers
     must be returned on the same domain they were fetched from. *)
+
+val zeros : int -> bytes
+(** One all-zero block of [size] bytes, shared by every domain and
+    every mount: what a hole reads as. It is read-only, like a borrowed
+    buffer, and it never comes from or goes to a pool. *)

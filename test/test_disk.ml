@@ -181,8 +181,8 @@ let test_bcache_invalidate () =
   check Alcotest.int "device read after invalidate" 1 (Memdisk.stats d).Memdisk.reads
 
 (* A borrowed buffer is the cache's own: it must keep its bytes through
-   everything the cache does afterwards, including the arena churn of
-   later fills that once recycled evicted buffers. *)
+   everything the cache does afterwards until its [release], including
+   the arena churn of later fills that once recycled evicted buffers. *)
 let holds what c buf =
   if not (Bytes.for_all (Char.equal c) buf) then
     Alcotest.failf "%s: expected a block of %C, got one starting %C" what c
@@ -218,6 +218,42 @@ let test_bcache_borrow_is_stable () =
   done;
   holds "kept across invalidate_all and refills" 'A' b0;
   holds "refilled buffer kept too" 'A' again
+
+(* The end of a mount: [release] hands back to the arena every buffer
+   the cache holds — filled by a borrow or copied by a write — and
+   empties the cache, so the next borrow is a miss that reads the device
+   again. *)
+let test_bcache_release () =
+  let d, dev = make () in
+  for b = 0 to 3 do
+    Dev.write_exn dev b (block dev (Char.chr (65 + b)))
+  done;
+  let c = Bcache.create ~capacity:8 dev in
+  let borrow b =
+    match Bcache.borrow c b with Ok d -> d | Error _ -> Alcotest.fail "borrow"
+  in
+  let lent = List.map borrow [ 0; 1; 2; 3 ] in
+  (match Bcache.write c 4 (block dev 'w') with Ok () -> () | Error _ -> assert false);
+  let written =
+    match Bcache.peek c 4 with Some d -> d | None -> Alcotest.fail "peek"
+  in
+  Bcache.release c;
+  let arena = Iron_util.Arena.block dev.Dev.block_size in
+  let back = List.init 5 (fun _ -> Iron_util.Arena.get arena) in
+  List.iteri
+    (fun i buf ->
+      check Alcotest.bool
+        (Printf.sprintf "lent buffer %d comes back from the arena" i)
+        true
+        (List.exists (( == ) buf) back))
+    (written :: lent);
+  check Alcotest.bool "nothing stays resident" true (Bcache.peek c 2 = None);
+  Memdisk.reset_stats d;
+  let misses = Bcache.misses c in
+  holds "a borrow after release refills from the device" 'C' (borrow 2);
+  check Alcotest.int "one device read" 1 (Memdisk.stats d).Memdisk.reads;
+  check Alcotest.int "one miss" (misses + 1) (Bcache.misses c);
+  List.iter (Iron_util.Arena.put arena) back
 
 (* [borrow] is a read of the device below with a FIFO resident set in
    front. For any sequence of reads, writes and invalidations over a
@@ -383,6 +419,8 @@ let suites =
         Alcotest.test_case "invalidate" `Quick test_bcache_invalidate;
         Alcotest.test_case "borrowed buffers never change" `Quick
           test_bcache_borrow_is_stable;
+        Alcotest.test_case "release hands every buffer back" `Quick
+          test_bcache_release;
         qtest prop_borrow_same_requests;
         qtest prop_digest_exact;
       ] );

@@ -37,8 +37,9 @@
 
    Every brand also runs a PostMark-style read-back churn, in which a
    block freed while its image still sits in the journal must not be
-   served to its next owner, and the engine's image digests, spans,
-   batching counter and journal-region refusal are pinned directly. *)
+   served to its next owner, and the engine's adopted images, image
+   digests, spans, batching counter and journal-region refusal are
+   pinned directly. *)
 
 open Iron_disk
 module Fault = Iron_fault.Fault
@@ -490,7 +491,9 @@ let t_crash_exploration () =
    journal is about to record — so no golden can see it. This device
    wrapper can: once mount has returned, every buffer handed to
    [read_into] is a cache fill, and it is recorded with its digest.
-   After each op, every recorded buffer must still match its digest. *)
+   After each op, every recorded buffer must still match its digest,
+   and the zero block that every brand's holes read as, shared by every
+   mount, must still read all zero. *)
 let t_borrowing name brand () =
   let rand = Random.State.make [| 4099 |] in
   List.iter
@@ -505,7 +508,8 @@ let t_borrowing name brand () =
         in
         { below with Dev.read_into }
       in
-      let inj, _, Fs.Boxed ((module F), t) = fresh ~wrap brand in
+      let inj, dev, Fs.Boxed ((module F), t) = fresh ~wrap brand in
+      let zeros = Iron_util.Arena.zeros dev.Dev.block_size in
       watching := true;
       let spec = spec_create () in
       let taint = Hashtbl.create 4 and taint_all = ref false in
@@ -519,7 +523,10 @@ let t_borrowing name brand () =
                 Alcotest.failf
                   "%s: op %d (%s) changed the cache's buffer of block %d" name i
                   (print_op op) b)
-            !lent)
+            !lent;
+          if not (Bytes.for_all (Char.equal '\000') zeros) then
+            Alcotest.failf "%s: op %d (%s) wrote the shared zero block" name i
+              (print_op op))
         ops)
     QCheck.Gen.(generate ~rand ~n:20 (list_repeat 60 quiet_gen))
 
@@ -886,8 +893,19 @@ let no_digest what j buf =
 
 let same_buffer what a b = check Alcotest.bool what true (a == b)
 
-(* The arena hands a released image's buffer straight back for the next
-   image's bytes: a digest kept with the buffer would be stale. *)
+(* A block's worth of [c] in a buffer drawn from the calling domain's
+   arena, as the brands stage their images. *)
+let arena = Iron_util.Arena.block 4096
+
+let arena_bytes c =
+  let b = Iron_util.Arena.get arena in
+  Bytes.fill b 0 (Bytes.length b) c;
+  b
+
+(* The engine adopts a staged buffer and hands it back to the arena when
+   its image dies, so the next stage drawn from the arena gets that
+   buffer for other bytes: a digest kept with the buffer would be
+   stale. *)
 let t_digest_restage () =
   let j = digest_engine () in
   Jrnl.stage j blk (bytes_of 'a');
@@ -895,9 +913,11 @@ let t_digest_restage () =
   digest_is "staged image" j first 'a';
   no_digest "a copy gets no answer" j (Bytes.copy first);
   Jrnl.stage j blk (bytes_of 'b');
-  let second = image j in
-  same_buffer "re-stage recycled the buffer" first second;
-  digest_is "re-staged image" j second 'b'
+  no_digest "the coalesced image gets no answer" j first;
+  Jrnl.stage j blk (arena_bytes 'c');
+  let third = image j in
+  same_buffer "a stage from the arena recycled the coalesced buffer" first third;
+  digest_is "re-staged image" j third 'c'
 
 let t_digest_revoke () =
   let j = digest_engine () in
@@ -906,7 +926,7 @@ let t_digest_revoke () =
   digest_is "staged image" j first 'a';
   Jrnl.revoke j blk;
   no_digest "a revoked image gets no answer" j first;
-  Jrnl.stage j blk (bytes_of 'b');
+  Jrnl.stage j blk (arena_bytes 'b');
   let second = image j in
   same_buffer "re-stage recycled the revoked buffer" first second;
   digest_is "re-staged image" j second 'b'
@@ -936,10 +956,44 @@ let t_digest_checkpoint () =
   Jrnl.checkpoint j;
   check Alcotest.bool "checkpoint dropped the image" true (Jrnl.find j blk = None);
   no_digest "a checkpointed image gets no answer" j first;
-  Jrnl.stage j blk (bytes_of 'b');
+  Jrnl.stage j blk (arena_bytes 'b');
   let second = image j in
   same_buffer "re-stage recycled the checkpointed buffer" first second;
   digest_is "re-staged image" j second 'b'
+
+(* --- adopted images ------------------------------------------------------ *)
+
+(* A stage hands the engine its buffer: the staged image is that buffer,
+   not a copy, and it stays the image once committed. *)
+let t_adopt_is_image () =
+  let j = digest_engine () in
+  let buf = bytes_of 'a' in
+  Jrnl.stage j blk buf;
+  same_buffer "the staged buffer is the image" buf (image j);
+  ok (Jrnl.commit j);
+  same_buffer "and the committed one" buf (image j)
+
+(* When the image dies, its buffer goes back to the calling domain's
+   arena: the next buffer the arena lends is that one. *)
+let t_adopt_returns what kill () =
+  let j = digest_engine () in
+  let buf = bytes_of 'a' in
+  Jrnl.stage j blk buf;
+  kill j;
+  let next = Iron_util.Arena.get arena in
+  same_buffer (what ^ " handed the image back to the arena") buf next;
+  Iron_util.Arena.put arena next
+
+let image_deaths =
+  [
+    ("re-staged", fun j -> Jrnl.stage j blk (bytes_of 'b'));
+    ( "checkpointed",
+      fun j ->
+        ok (Jrnl.commit j);
+        Jrnl.checkpoint j );
+    ("revoked", fun j -> Jrnl.revoke j blk);
+    ("forgotten", fun j -> Jrnl.forget j blk);
+  ]
 
 (* --- journal-region refusal -------------------------------------------- *)
 
@@ -1018,6 +1072,13 @@ let suites =
         Alcotest.test_case "commit carries the digest" `Quick t_digest_commit;
         Alcotest.test_case "checkpoint and re-stage" `Quick t_digest_checkpoint;
       ] );
+    ( "jrnl.adopt",
+      Alcotest.test_case "a staged buffer is the image" `Quick t_adopt_is_image
+      :: List.map
+           (fun (what, kill) ->
+             Alcotest.test_case ("the image returns to the arena when " ^ what)
+               `Quick (t_adopt_returns what kill))
+           image_deaths );
     ( "jrnl.region",
       [
         Alcotest.test_case "the block engine refuses its own region" `Quick
