@@ -16,6 +16,8 @@
    obs-overhead - cost of the observability layer on a campaign (off vs on)
    read-alloc - allocation per read: Dev.read vs Dev.read_into, fault-free;
              major-heap words per ext3 and ixt3 block overwrite + fsync
+             and per clean mount/unmount of five brands; live words a
+             fingerprint job leaves behind
    micro   - Bechamel microbenchmarks of the hot primitives
 
    Run with no arguments for everything, or name the experiments.
@@ -362,41 +364,83 @@ let stash name v =
 let bench_params seed =
   { Memdisk.default_params with Memdisk.num_blocks = 2048; seed }
 
+let ok what = function
+  | Ok v -> v
+  | Error e -> failwith (what ^ ": " ^ Iron_vfs.Errno.to_string e)
+
 (* Words allocated straight on the major heap (major words less the
-   promoted ones) per one-block overwrite plus fsync of a file on a
-   fresh volume. It runs on a domain of its own, whose arena starts
-   empty whatever ran before, and the warm-up fills the log, the cache
-   and the arena, so what is left is each write's own 4 KiB blocks: a
-   copy that does not come from the arena shows here. *)
-let overwrite_words brand =
-  Domain.join @@ Domain.spawn @@ fun () ->
-  let disk = Memdisk.create ~params:(bench_params 7) () in
-  Memdisk.set_time_model disk false;
-  let dev = Memdisk.dev disk in
-  let ok what = function
-    | Ok v -> v
-    | Error e -> failwith (what ^ ": " ^ Iron_vfs.Errno.to_string e)
-  in
-  ok "mkfs" (Fs.mkfs brand dev);
-  let (Fs.Boxed ((module F), t)) = ok "mount" (Fs.mount brand dev) in
-  let fd = ok "creat" (F.creat t "/f") in
-  let data = Bytes.make dev.Iron_disk.Dev.block_size 'w' in
-  let step () =
-    ignore (ok "write" (F.write t fd ~off:0 data));
-    ok "fsync" (F.fsync t fd)
-  in
-  for _ = 1 to 500 do
+   promoted ones) per call of [step], after [warm] calls. Callers run it
+   on a domain of its own, whose arena starts empty whatever ran before,
+   and the warm-up fills the arena (and whatever else [step] grows), so
+   a 4 KiB block that does not come from the arena shows here. *)
+let direct_major_words ~warm ~n step =
+  for _ = 1 to warm do
     step ()
   done;
-  let n = 2_000 in
   Gc.full_major ();
   let _, p0, m0 = Gc.counters () in
   for _ = 1 to n do
     step ()
   done;
   let _, p1, m1 = Gc.counters () in
-  ok "unmount" (F.unmount t);
   (m1 -. p1 -. (m0 -. p0)) /. float_of_int n
+
+let fresh_volume brand =
+  let disk = Memdisk.create ~params:(bench_params 7) () in
+  Memdisk.set_time_model disk false;
+  let dev = Memdisk.dev disk in
+  ok "mkfs" (Fs.mkfs brand dev);
+  dev
+
+(* One-block overwrite plus fsync of a file on a fresh volume; the
+   warm-up also fills the log and the cache, so what is left is each
+   write's own blocks. *)
+let overwrite_words brand =
+  Domain.join @@ Domain.spawn @@ fun () ->
+  let dev = fresh_volume brand in
+  let (Fs.Boxed ((module F), t)) = ok "mount" (Fs.mount brand dev) in
+  let fd = ok "creat" (F.creat t "/f") in
+  let data = Bytes.make dev.Iron_disk.Dev.block_size 'w' in
+  let per =
+    direct_major_words ~warm:500 ~n:2_000 (fun () ->
+        ignore (ok "write" (F.write t fd ~off:0 data));
+        ok "fsync" (F.fsync t fd))
+  in
+  ok "unmount" (F.unmount t);
+  per
+
+(* One mount/unmount cycle of a clean volume: superblock reads, journal
+   recovery and the unmount's superblock write, with nothing to replay. *)
+let mount_words brand =
+  Domain.join @@ Domain.spawn @@ fun () ->
+  let dev = fresh_volume brand in
+  direct_major_words ~warm:200 ~n:1_000 (fun () ->
+      let (Fs.Boxed ((module F), t)) = ok "mount" (Fs.mount brand dev) in
+      ok "unmount" (F.unmount t))
+
+(* Live words a fingerprint job leaves behind: the growth of the live
+   heap, after a full major collection, across 20 ext3 campaigns,
+   divided by the jobs they scheduled. One warm-up campaign first
+   prepares the brand and fills the arena. The campaigns run with
+   [~jobs:1], on the calling domain, whose worker state lives as long
+   as the process: a campaign fanned out to spawned domains would take
+   their state down with them and hide the growth. *)
+let retained_words_per_job () =
+  let campaign () =
+    (Driver.fingerprint ~jobs:1 Iron_ext3.Ext3.std).Driver.stats
+      .Driver.jobs_scheduled
+  in
+  ignore (campaign ());
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let w0 = live () in
+  let jobs = ref 0 in
+  for _ = 1 to 20 do
+    jobs := !jobs + campaign ()
+  done;
+  float_of_int (live () - w0) /. float_of_int !jobs
 
 let read_alloc () =
   hr "Per-read allocation on the fault-free path";
@@ -441,7 +485,31 @@ let read_alloc () =
       stash
         ("bench.read_alloc." ^ name ^ ".major_words_per_write")
         (int_of_float per))
-    [ ("ext3", Iron_ext3.Ext3.std); ("ixt3", Iron_ext3.Ext3.ixt3) ]
+    [ ("ext3", Iron_ext3.Ext3.std); ("ixt3", Iron_ext3.Ext3.ixt3) ];
+  Printf.printf
+    "\nOne mount/unmount cycle of a clean volume, after a warm-up: words\n\
+     allocated straight on the major heap per cycle.\n\n";
+  List.iter
+    (fun (name, brand) ->
+      let per = mount_words brand in
+      Printf.printf "%-10s %10.1f major words/mount\n" name per;
+      stash
+        ("bench.read_alloc." ^ name ^ ".major_words_per_mount")
+        (int_of_float per))
+    [
+      ("ext3", Iron_ext3.Ext3.std);
+      ("ixt3", Iron_ext3.Ext3.ixt3);
+      ("reiserfs", Iron_reiserfs.Reiserfs.brand);
+      ("jfs", Iron_jfs.Jfs.brand);
+      ("ntfs", Iron_ntfs.Ntfs.brand);
+    ];
+  let per = retained_words_per_job () in
+  Printf.printf
+    "\nLive words left behind per fingerprint job (20 ext3 campaigns,\n\
+     one domain, after a warm-up campaign): %.2f\n"
+    per;
+  stash "bench.read_alloc.fingerprint.retained_words_per_job"
+    (int_of_float (Float.round per))
 
 (* --- crash-state exploration (6.1) ------------------------------------ *)
 

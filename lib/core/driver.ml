@@ -507,14 +507,14 @@ let run_armed ?obs prepared (c : Experiment.t) (job : Experiment.job) ~target =
   let names = prepared.names in
   let s = scratch ~num_blocks:c.Experiment.num_blocks in
   let disk = s.s_disk in
-  (* Unobserved jobs reuse the scratch injector; an observed job needs
-     a private one with its context baked in (exactly what the
-     pre-reuse executor built per job). *)
+  (* Unobserved jobs reuse the scratch injector, reset so that the last
+     job's rule, count and trace are gone; an observed job needs a
+     private one with its context baked in (exactly what the pre-reuse
+     executor built per job). *)
   let inj, dev =
     match obs with
     | None ->
-        Fault.disarm_all s.s_inj;
-        Fault.clear_trace s.s_inj;
+        Fault.reset s.s_inj;
         (s.s_inj, s.s_dev)
     | Some o ->
         let inj = Fault.create ~obs:o (Memdisk.dev disk) in

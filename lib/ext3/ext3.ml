@@ -1146,18 +1146,20 @@ let recover_journal profile lay dev klog =
   Jrnl.recover (policy_of_profile profile) ~geo:(Layout.journal_geo lay) ~dev
     ~klog ?jsb_fallback ?refresh_replica ()
 
+(* Every block the mount reads is decoded and dropped, and the one it
+   writes goes to the device, which copies it, so one arena scratch
+   block serves the superblock candidates, the group descriptors and
+   the dirty superblock, and goes back when the mount returns. *)
 let mount_impl profile dev =
+  Arena.scratch (Arena.block dev.Dev.block_size) @@ fun scratch ->
   let klog = Klog.create ~clock:dev.Dev.now () in
-  (* Read and validate the superblock; ixt3 falls back to the copies.
-     [Sb.decode] keeps nothing of the buffer, so all candidate blocks
-     share one scratch. *)
-  let sb_scratch = Bytes.create dev.Dev.block_size in
+  (* Read and validate the superblock; ixt3 falls back to the copies. *)
   let read_sb () =
     let try_block b =
-      match dev.Dev.read_into b sb_scratch with
+      match dev.Dev.read_into b scratch with
       | Error _ -> Error Errno.EIO
       | Ok () -> (
-          match Sb.decode sb_scratch with Ok sb -> Ok sb | Error e -> Error e)
+          match Sb.decode scratch with Ok sb -> Ok sb | Error e -> Error e)
     in
     match try_block 0 with
     | Ok sb -> Ok sb
@@ -1193,21 +1195,19 @@ let mount_impl profile dev =
     in
     (* Journal recovery before anything else touches the metadata. *)
     let* jseq = recover_journal profile lay dev klog in
-    (* Group descriptors. *)
-    (* Group descriptors are decoded into arrays below and the raw
-       block dropped, so the superblock scratch is reused here. *)
+    (* Group descriptors, decoded into arrays below. *)
     let* gd =
-      match dev.Dev.read_into 1 sb_scratch with
-      | Ok () -> Ok sb_scratch
+      match dev.Dev.read_into 1 scratch with
+      | Ok () -> Ok scratch
       | Error _ -> (
           Klog.error klog "ext3" "cannot read group descriptors";
           if profile.Profile.meta_replica then
             match Layout.replica_of lay 1 with
             | Some r -> (
-                match dev.Dev.read_into r sb_scratch with
+                match dev.Dev.read_into r scratch with
                 | Ok () ->
                     Klog.warn klog "ixt3" "group descriptors recovered from replica";
-                    Ok sb_scratch
+                    Ok scratch
                 | Error _ -> Error Errno.EIO)
             | None -> Error Errno.EIO
           else Error Errno.EIO)
@@ -1293,9 +1293,11 @@ let mount_impl profile dev =
       }
     in
     (* Mark the volume dirty. Stock ext3 ignores a failure here too. *)
-    let sbuf = Bytes.make lay.Layout.block_size '\000' in
-    Sb.encode { sb with Sb.state = Sb.Dirty; mount_count = sb.Sb.mount_count + 1 } sbuf;
-    (match dev.Dev.write 0 sbuf with
+    Bytes.fill scratch 0 lay.Layout.block_size '\000';
+    Sb.encode
+      { sb with Sb.state = Sb.Dirty; mount_count = sb.Sb.mount_count + 1 }
+      scratch;
+    (match dev.Dev.write 0 scratch with
     | Ok () -> ()
     | Error _ ->
         if profile.Profile.bugs_fixed then begin
@@ -1729,9 +1731,11 @@ let unmount_volume t =
   if Jrnl.aborted t.jrnl then Error Errno.EROFS
   else begin
     (* Write back a clean superblock (and, for ixt3+Mr, refresh the
-       per-group copies — stock ext3 famously never does, §5.1). *)
+       per-group copies — stock ext3 famously never does, §5.1). The
+       device copies what it is handed, so the block is arena scratch. *)
     let bs = bsize t in
-    let sbuf = Bytes.make bs '\000' in
+    Arena.scratch (arena t) @@ fun sbuf ->
+    Bytes.fill sbuf 0 bs '\000';
     let sb =
       {
         Sb.block_size = bs;

@@ -31,23 +31,19 @@ let run ?(repair = false) dev =
      fsck returns holds on to one. *)
   let arena = Arena.block dev.Dev.block_size in
   let* lay =
-    let buf = Arena.get arena in
-    let lay =
-      match dev.Dev.read_into 0 buf with
-      | Error _ -> Error Errno.EIO
-      | Ok () -> (
-          match Sb.decode buf with
-          | Ok sb when sb.Sb.block_size <> dev.Dev.block_size ->
-              (* The layout would index past the device's blocks. *)
-              Error Errno.EUCLEAN
-          | Ok sb ->
-              Ok
-                (Layout.compute ~block_size:sb.Sb.block_size
-                   ~num_blocks:sb.Sb.num_blocks)
-          | Error e -> Error e)
-    in
-    Arena.put arena buf;
-    lay
+    Arena.scratch arena @@ fun buf ->
+    match dev.Dev.read_into 0 buf with
+    | Error _ -> Error Errno.EIO
+    | Ok () -> (
+        match Sb.decode buf with
+        | Ok sb when sb.Sb.block_size <> dev.Dev.block_size ->
+            (* The layout would index past the device's blocks. *)
+            Error Errno.EUCLEAN
+        | Ok sb ->
+            Ok
+              (Layout.compute ~block_size:sb.Sb.block_size
+                 ~num_blocks:sb.Sb.num_blocks)
+        | Error e -> Error e)
   in
   let findings = ref [] in
   let errors = ref 0 in

@@ -132,6 +132,16 @@ let set_classifier t f = t.classifier <- f
 let trace t = Iron_obs.Ring.to_list t.events
 let trace_dropped t = Iron_obs.Ring.dropped t.events
 let clear_trace t = Iron_obs.Ring.clear t.events
+
+(* Rules go without retiring: [retired] is what a long-lived injector
+   would otherwise keep one entry of per job, forever. [next_id] keeps
+   counting, so an old id never names a new rule. *)
+let reset t =
+  t.rules <- [];
+  Hashtbl.reset t.retired;
+  clear_trace t;
+  t.seq <- 0
+
 let set_tracing t on = t.tracing <- on
 
 let matches_target target block =

@@ -112,6 +112,15 @@ val arm : t -> rule -> rule_id
 val disarm : t -> rule_id -> unit
 val disarm_all : t -> unit
 
+val reset : t -> unit
+(** Forget everything the injector was told or saw since it was made:
+    every armed rule (without retiring its count), every retired count
+    and the trace. Afterwards {!fired} reads 0 for every id issued
+    before, and ids are never issued twice. A reset injector behaves as
+    a fresh one with the same classifier and tracing switch; a worker
+    that reuses one injector for job after job resets it per job, so
+    no job leaves anything behind. *)
+
 val fired : t -> rule_id -> int
 (** How many times the rule has actually injected its fault so far.
     An access where nothing was injected (a [Corrupt] rule over a read

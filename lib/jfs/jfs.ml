@@ -227,11 +227,11 @@ let zero_block t = Bytes.make t.bs '\000'
    single time (§5.3). Reads borrow: they return the journal overlay's
    page or the cache's buffer itself, read-only. An overlay page stays
    valid for as long as its reader holds it, and a cache buffer until
-   the mount ends: [Record.write] stores a fresh copy, which a later
-   write replaces and a checkpoint drops, and nothing writes an overlay
-   page in place or hands it to the arena. Every site that modifies what
-   it read takes a private copy through [owned]. Holes read as the
-   shared {!Arena.zeros} block. *)
+   the mount ends: [Record.write] adopts the page [meta_write] hands it,
+   which a later write replaces and a checkpoint drops, and nothing
+   writes an overlay page in place or hands it to the arena. Every site
+   that modifies what it read takes a private copy through [owned]. Holes
+   read as the shared {!Arena.zeros} block. *)
 let meta_read t b =
   match Record.find t.jrnl b with
   | Some d -> Ok d
@@ -247,7 +247,9 @@ let meta_read t b =
 let owned r = Result.map Bytes.copy r
 
 (* Diff-based record emission, commit and checkpoint are the engine's;
-   jfs keeps only the VFS-facing result types. *)
+   jfs keeps only the VFS-facing result types. The overlay adopts
+   [data]: every caller passes a fresh page (a copy, or a block it
+   encoded) and never touches it again. *)
 let meta_write t b data =
   Record.write t.jrnl b data;
   Ok ()
@@ -651,10 +653,11 @@ let recover_journal dev klog =
   Record.recover ~tag:"jfs" ~geo:(jgeo dev.Dev.num_blocks) ~dev ~klog ()
 
 let mount_impl dev =
+  (* Every mount-time read here is decode-then-discard, so one arena
+     scratch block covers them all and goes back when the mount
+     returns. *)
+  Arena.scratch (Arena.block dev.Dev.block_size) @@ fun scratch ->
   let klog = Klog.create ~clock:dev.Dev.now () in
-  (* Every mount-time read here is decode-then-discard, so one scratch
-     block covers them all. *)
-  let scratch = Bytes.create dev.Dev.block_size in
   (* Primary superblock; the alternate is used after a failed read but
      NOT after a corrupt one — the paper's inconsistency. *)
   let* num_blocks, _aggr =

@@ -11,4 +11,9 @@
 
 val brand : Iron_vfs.Fs.brand
 
+module Store : Iron_vfs.Posix.STORE
+(** The store that {!brand} runs [Posix.Make] over. Its reads lend: the
+    page [read_block] returns for a directory block is the journal overlay's
+    own image until a checkpoint, and the block cache's buffer after. *)
+
 val classify : (int -> bytes) -> int -> string

@@ -576,16 +576,15 @@ let committed_overlay fmt ~geo raw =
 let recover { tag; format; iron; mode = _ } ~geo ~dev ~klog ?jsb_fallback
     ?refresh_replica () =
   Obs.span_a ~subsystem:"jrnl" "recover" @@ fun () ->
-  let bs = dev.Dev.block_size in
-  (* Scratch block for every decode-then-discard read in the scan
-     (superblock, descriptors, revoke probes, commits): the decoders
-     copy what they keep, so one buffer serves the whole recovery
-     instead of one allocation per journal block. The copies that are
-     replayed home are read into arena buffers, which go back to the
-     arena after the replay and the replica refresh: every device layer
-     copies the buffer a write hands it. *)
-  let scratch = Bytes.create bs in
-  let arena = Arena.block bs in
+  (* One arena scratch block for every decode-then-discard read in the
+     scan (superblock, descriptors, revoke probes, commits) and for the
+     reset journal superblock: the decoders copy what they keep, and
+     every device layer copies the buffer a write hands it. The copies
+     that are replayed home are read into arena buffers of their own,
+     which go back to the arena after the replay and the replica
+     refresh. *)
+  let arena = Arena.block dev.Dev.block_size in
+  Arena.scratch arena @@ fun scratch ->
   let from_replica why e =
     match jsb_fallback with
     | None -> Error e
@@ -673,11 +672,10 @@ let recover { tag; format; iron; mode = _ } ~geo ~dev ~klog ?jsb_fallback
     (* Replayed home writes must be durable before the log declares
        itself clean — the same ordering rule as [checkpoint]. *)
     ignore (dev.Dev.sync ());
-    let buf = Bytes.make bs '\000' in
     Jrec.encode_jsuper format
       { Jrec.sequence = last_seq; start = geo.jfirst }
-      buf;
-    (match Prov.with_role "jsb" (fun () -> dev.Dev.write geo.jsb buf) with
+      scratch;
+    (match Prov.with_role "jsb" (fun () -> dev.Dev.write geo.jsb scratch) with
     | Ok () -> ()
     | Error _ -> Klog.error klog tag "journal superblock update failed");
     ignore (dev.Dev.sync ());
@@ -914,7 +912,12 @@ module Record = struct
           if len > 0 then chunk off len)
         ranges;
       if not seen then t.overlay_order <- b :: t.overlay_order;
-      Hashtbl.replace t.overlay b (Bytes.copy data)
+      (* The overlay adopts [data], as [stage] does: the caller hands
+         over a page it owns and never touches it again. The page did
+         not come from the arena and never goes to it, so a page that a
+         later write replaces, or a checkpoint or [forget] drops, stays
+         valid under a reader that [find] lent it to. *)
+      Hashtbl.replace t.overlay b data
     end
 
   (* A freed page leaves the overlay, so neither a read nor the
@@ -929,7 +932,7 @@ module Record = struct
 
   let write_jsuper t =
     Prov.with_role "jsb" @@ fun () ->
-    let buf = Bytes.make t.bs '\000' in
+    Arena.scratch (Arena.block t.bs) @@ fun buf ->
     encode_jsuper t.txid t.geo.jfirst buf;
     match t.dev.Dev.write t.geo.jsb buf with
     | Ok () -> ()
@@ -996,11 +999,12 @@ module Record = struct
 
   let recover ~tag ~geo ~dev ~klog () =
     Obs.span_a ~subsystem:"jrnl" "recover" @@ fun () ->
-    (* One scratch block serves the whole recovery: the journal decoders
-       and [scan_committed] copy what they keep ([decode_record_block]
-       extracts strings), and replayed blocks are patched in place and
-       written straight back. *)
-    let scratch = Bytes.create dev.Dev.block_size in
+    (* One arena scratch block serves the whole recovery: the journal
+       decoders and [scan_committed] copy what they keep
+       ([decode_record_block] extracts strings), and replayed blocks and
+       the new journal superblock are written from it straight to the
+       device, which copies them. *)
+    Arena.scratch (Arena.block dev.Dev.block_size) @@ fun scratch ->
     let* txid, start =
       match dev.Dev.read_into geo.jsb scratch with
       | Error _ ->
@@ -1050,9 +1054,8 @@ module Record = struct
       Klog.info klog tag "journal: replayed %d records" (List.length records);
     (* Replayed writes durable before the txid fence advances. *)
     ignore (dev.Dev.sync ());
-    let js = Bytes.make dev.Dev.block_size '\000' in
-    encode_jsuper (txid + 1) geo.jfirst js;
-    (match Prov.with_role "jsb" (fun () -> dev.Dev.write geo.jsb js) with
+    encode_jsuper (txid + 1) geo.jfirst scratch;
+    (match Prov.with_role "jsb" (fun () -> dev.Dev.write geo.jsb scratch) with
     | Ok () -> ()
     | Error _ -> ());
     ignore (dev.Dev.sync ());

@@ -136,11 +136,11 @@ let total_records = mft_blocks * records_per_block
    Reads borrow: they return the transaction's image or the cache's
    buffer itself, read-only. A transaction image stays valid for as long
    as its reader holds it, and a cache buffer until the mount ends:
-   [meta_write] stages a fresh copy, which a later stage replaces and a
-   checkpoint drops, and nothing writes a staged image in place or hands
-   it to the arena. Every site that modifies what it read takes a
-   private copy through [owned]. Holes read as the shared {!Arena.zeros}
-   block. *)
+   [meta_write] stages the caller's page itself, which a later stage
+   replaces and a checkpoint drops, and nothing writes a staged image in
+   place or hands it to the arena. Every site that modifies what it read
+   takes a private copy through [owned]. Holes read as the shared
+   {!Arena.zeros} block. *)
 let retried_read t b =
   let rec attempt n =
     match
@@ -179,11 +179,13 @@ let retried_write t b data ~attempts ~what =
   in
   attempt 1
 
+(* The transaction adopts [data]: every caller passes a fresh page (a
+   copy, or a block it encoded) and never touches it again. *)
 let meta_write t b data =
   if t.readonly then Error Errno.EROFS
   else begin
     if not (Hashtbl.mem t.txn b) then t.txn_order <- b :: t.txn_order;
-    Hashtbl.replace t.txn b (Bytes.copy data);
+    Hashtbl.replace t.txn b data;
     Ok ()
   end
 
@@ -225,8 +227,7 @@ let checkpoint t =
      round only re-replays the transaction, which is idempotent. *)
   ignore (t.dev.Dev.sync ());
   ignore
-    (retried_write t logfile_start
-       (Bytes.make t.bs '\000')
+    (retried_write t logfile_start (Arena.zeros t.bs)
        ~attempts:mft_write_attempts ~what:"logfile restart");
   t.lpos <- logfile_start
 
@@ -502,12 +503,11 @@ let mkfs_impl dev =
    hands it. *)
 let recover_log dev klog =
   let arena = Arena.block dev.Dev.block_size in
-  let scratch = Arena.get arena in
   let txns, _ =
+    Arena.scratch arena @@ fun scratch ->
     Jrnl.scan_device log_format ~dev ~scratch ~arena
       ~jend:(logfile_start + logfile_len) ~start:logfile_start ~seq:None
   in
-  Arena.put arena scratch;
   List.iter
     (fun c ->
       List.iter
@@ -530,11 +530,14 @@ let mount_impl dev =
   let klog = Klog.create ~clock:dev.Dev.now () in
   recover_log dev klog;
   (* Boot file then the first MFT block: corrupt metadata means an
-     unmountable volume (§5.4). Reads get the NTFS retry treatment. *)
+     unmountable volume (§5.4). Reads get the NTFS retry treatment. Both
+     blocks are decoded and dropped, so they share one arena scratch
+     block, which goes back when the mount returns. *)
+  Arena.scratch (Arena.block dev.Dev.block_size) @@ fun scratch ->
   let retried b =
     let rec attempt n =
-      match dev.Dev.read b with
-      | Ok d -> Ok d
+      match dev.Dev.read_into b scratch with
+      | Ok () -> Ok scratch
       | Error _ ->
           if n < read_attempts then attempt (n + 1)
           else begin

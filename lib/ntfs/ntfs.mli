@@ -9,6 +9,11 @@
 
 val brand : Iron_vfs.Fs.brand
 
+module Store : Iron_vfs.Posix.STORE
+(** The store that {!brand} runs [Posix.Make] over. Its reads lend: the
+    page [read_block] returns for a directory block is the open transaction's
+    own image until a checkpoint, and the block cache's buffer after. *)
+
 val log_format : Iron_jrnl.Jrec.format
 (** The logfile's descriptor and commit magic numbers; the log has no
     revoke blocks and no superblock. *)

@@ -576,12 +576,14 @@ let mount_impl dev =
   let klog = Klog.create ~clock:dev.Dev.now () in
   let geo = geo dev.Dev.num_blocks in
   let* jseq = Jrnl.recover policy ~geo ~dev ~klog () in
+  (* The superblock is decoded and dropped: arena scratch. *)
   let* super =
-    match dev.Dev.read super_block with
+    Arena.scratch (Arena.block dev.Dev.block_size) @@ fun buf ->
+    match dev.Dev.read_into super_block buf with
     | Error _ ->
         Klog.error klog "reiserfs" "cannot read superblock";
         Error Errno.EIO
-    | Ok buf -> (
+    | Ok () -> (
         match decode_super buf with
         | Some s -> Ok s
         | None ->

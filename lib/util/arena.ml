@@ -58,6 +58,12 @@ let put t b =
     t.nfree <- t.nfree + 1
   end
 
+let scratch t f =
+  let b = get t in
+  let r = f b in
+  put t b;
+  r
+
 (* The calling domain's shared pool for [size]-byte buffers. One table
    per domain keyed by buffer size; in practice only the block size of
    the simulated disks (4 KiB) ever appears. *)

@@ -30,6 +30,13 @@ val put : t -> bytes -> unit
     when the pool already holds 4096, are dropped (safe, just not
     reused). *)
 
+val scratch : t -> (bytes -> 'a) -> 'a
+(** [scratch t f] is [f buf] for a buffer [buf] of the pool, with
+    unspecified contents, which goes back to the pool when [f] returns.
+    [f] must leave nothing pointing at [buf]: it decodes what it needs
+    and hands [buf] only to calls that copy it, such as a device's
+    [write]. If [f] raises, [buf] is dropped. *)
+
 val block : int -> t
 (** The calling domain's shared pool for [size]-byte buffers. Buffers
     must be returned on the same domain they were fetched from. *)

@@ -258,6 +258,38 @@ let test_fired_survives_disarm () =
   Fault.disarm_all inj;
   check Alcotest.int "count retained after disarm_all" 1 (Fault.fired inj id2)
 
+(* A worker reuses one injector for job after job and resets it per
+   job: the reset forgets the armed rule, every retired count and the
+   trace, so nothing a job leaves grows with the number of jobs. Ids go
+   on counting, so an earlier id never names a later rule. *)
+let test_reset_forgets_the_job () =
+  let d, _, _ = make () in
+  let inj = Fault.create ~trace_cap:2 (Memdisk.dev d) in
+  let dev = Fault.dev inj in
+  let armed = Fault.arm inj (Fault.rule (Fault.Block 5) Fault.Fail_read) in
+  let retired = Fault.arm inj (Fault.rule (Fault.Block 6) Fault.Fail_read) in
+  List.iter (fun b -> ignore (dev.Dev.read b)) [ 5; 6; 6 ];
+  Fault.disarm inj retired;
+  check Alcotest.int "trace overflowed" 1 (Fault.trace_dropped inj);
+  Fault.reset inj;
+  check Alcotest.int "armed rule's count forgotten" 0 (Fault.fired inj armed);
+  check Alcotest.int "retired count forgotten" 0 (Fault.fired inj retired);
+  check Alcotest.int "trace empty" 0 (List.length (Fault.trace inj));
+  check Alcotest.int "drop count reset" 0 (Fault.trace_dropped inj);
+  (match dev.Dev.read 5 with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "the armed rule outlived the reset");
+  let next = Fault.arm inj (Fault.rule (Fault.Block 5) Fault.Fail_read) in
+  ignore (dev.Dev.read 5);
+  check Alcotest.int "the next rule counts its own firing" 1
+    (Fault.fired inj next);
+  check Alcotest.int "an earlier id still reads 0" 0 (Fault.fired inj armed);
+  check Alcotest.int "and so does the retired one" 0 (Fault.fired inj retired);
+  check
+    Alcotest.(list int)
+    "the trace numbers events as a fresh injector does" [ 0; 1 ]
+    (List.map (fun (e : Fault.event) -> e.Fault.seq) (Fault.trace inj))
+
 let test_arm_order_wins () =
   (* Two rules match the same block: the one armed first decides, and
      disarming it promotes the second — the deterministic order the
@@ -366,6 +398,8 @@ let suites =
         Alcotest.test_case "Corrupt budget survives device errors" `Quick
           test_corrupt_budget_survives_device_error;
         Alcotest.test_case "fired survives disarm" `Quick test_fired_survives_disarm;
+        Alcotest.test_case "reset forgets the job" `Quick
+          test_reset_forgets_the_job;
         Alcotest.test_case "arm order wins deterministically" `Quick
           test_arm_order_wins;
         qtest prop_until_write_per_block;

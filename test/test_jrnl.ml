@@ -995,6 +995,81 @@ let image_deaths =
     ("forgotten", fun j -> Jrnl.forget j blk);
   ]
 
+(* jfs's record overlay and ntfs's transaction table keep the page their
+   [meta_write] is handed, with no copy: a caller that wrote into a page
+   after handing it over would change a page that a read had lent. The
+   store is the one surface whose reads lend a directory's metadata
+   page, so the case drives it directly: creations in several
+   directories, data writes, commits and checkpoints, and after each
+   step every page any read has lent so far must still hold the bytes
+   it was lent with. *)
+let t_lent_pages_stay (module S : Iron_vfs.Posix.STORE) () =
+  let disk =
+    Memdisk.create
+      ~params:
+        { Memdisk.default_params with Memdisk.num_blocks = 2048; seed = 5 }
+      ()
+  in
+  Memdisk.set_time_model disk false;
+  let dev = Memdisk.dev disk in
+  let bs = dev.Dev.block_size in
+  ok (S.mkfs dev);
+  let st = ok (S.mount dev) in
+  let dirs = ref [ S.root ] and files = ref [] and lent = ref [] in
+  let borrow_all () =
+    List.iter
+      (fun o ->
+        let node = ok (S.read st o) in
+        let blocks = ((S.attr node).Iron_vfs.Posix.size + bs - 1) / bs in
+        for fb = 0 to blocks - 1 do
+          let page = ok (S.read_block st o node fb) in
+          if not (List.exists (fun (_, p, _) -> p == page) !lent) then
+            lent := ((o, fb), page, Bytes.copy page) :: !lent
+        done)
+      (!dirs @ !files)
+  in
+  for i = 1 to 60 do
+    let parent = List.nth !dirs (i mod List.length !dirs) in
+    let is_dir = i mod 3 = 0 in
+    let kind = if is_dir then Fs.Directory else Fs.Regular in
+    let o = ok (S.alloc st) in
+    let attr =
+      {
+        Iron_vfs.Posix.kind = Some kind;
+        links = (if is_dir then 2 else 1);
+        perms = 0o644;
+        uid = 0;
+        gid = 0;
+        size = 0;
+        atime = 0;
+        mtime = 0;
+        ctime = 0;
+        target = "";
+      }
+    in
+    ok (S.create st o ~parent attr);
+    ok (S.add_entry st (ok (S.open_dir st parent)) (Printf.sprintf "n%d" i) o);
+    if is_dir then dirs := o :: !dirs
+    else begin
+      let n0 = ok (S.read st o) in
+      let data = Bytes.make bs (Char.chr (Char.code 'a' + (i mod 26))) in
+      let n = ok (S.write_data st o n0 ~off:0 data) in
+      ok (S.write st o (S.with_attr n { (S.attr n) with size = bs }));
+      files := o :: !files
+    end;
+    ok (S.write_super st);
+    if i mod 4 = 0 then ok (S.fsync st);
+    if i mod 9 = 0 then ok (S.sync st);
+    List.iter
+      (fun ((o, fb), page, bytes) ->
+        if not (Bytes.equal page bytes) then
+          Alcotest.failf
+            "step %d changed the page lent for block %d of object %d" i fb o)
+      !lent;
+    borrow_all ()
+  done;
+  ok (S.unmount st)
+
 (* --- journal-region refusal -------------------------------------------- *)
 
 (* Neither engine journals its own region, [jsb, jend): the superblock,
@@ -1078,7 +1153,13 @@ let suites =
            (fun (what, kill) ->
              Alcotest.test_case ("the image returns to the arena when " ^ what)
                `Quick (t_adopt_returns what kill))
-           image_deaths );
+           image_deaths
+      @ [
+          Alcotest.test_case "the jfs overlay keeps every lent page" `Quick
+            (t_lent_pages_stay (module Iron_jfs.Jfs.Store));
+          Alcotest.test_case "the ntfs transaction keeps every lent page" `Quick
+            (t_lent_pages_stay (module Iron_ntfs.Ntfs.Store));
+        ] );
     ( "jrnl.region",
       [
         Alcotest.test_case "the block engine refuses its own region" `Quick
