@@ -304,6 +304,277 @@ let test_inner_symlink brand () =
   fails "readlink /l1/f" "EINVAL" (F.readlink t "/l1/f");
   check Alcotest.string "readlink /l1" "l2" (must "readlink /l1" (F.readlink t "/l1"))
 
+(* --- Namespace differential suite --------------------------------------- *)
+
+(* Seeded, fault-free op sequences over a namespace alphabet, run on
+   every brand, in the manner of B3's bounded black-box sequences
+   (PAPERS.md) with agreement between brands as the oracle. Each step's
+   answer — its errno, a stat without the inode number or a directory's
+   size, a sorted listing, a file's digest — and the non-Info klog
+   lines it logged must be the same on all seven brands, except where
+   [policy] names a brand's own answer. The alphabet: [.] and [..];
+   relative, absolute, dangling and looping symlinks; 255- and 256-byte
+   names and a NUL; regular files as parents; a removed cwd; remounts. *)
+
+type op =
+  | Creat of string * int  (** path, bytes written *)
+  | Write of string * int * int  (** path, offset, bytes *)
+  | Mkdir of string
+  | Symlink of string * string  (** target, path *)
+  | Link of string * string
+  | Unlink of string
+  | Rmdir of string
+  | Rename of string * string
+  | Truncate of string * int
+  | Stat of string
+  | Lstat of string
+  | Readlink of string
+  | Readdir of string
+  | Cat of string
+  | Chdir of string
+  | Remount
+
+let op_text op =
+  let p = Printf.sprintf "%S" in
+  match op with
+  | Creat (a, n) -> Printf.sprintf "creat %s (%d bytes)" (p a) n
+  | Write (a, off, n) -> Printf.sprintf "write %s at %d (%d bytes)" (p a) off n
+  | Mkdir a -> "mkdir " ^ p a
+  | Symlink (a, b) -> Printf.sprintf "symlink %s %s" (p a) (p b)
+  | Link (a, b) -> Printf.sprintf "link %s %s" (p a) (p b)
+  | Unlink a -> "unlink " ^ p a
+  | Rmdir a -> "rmdir " ^ p a
+  | Rename (a, b) -> Printf.sprintf "rename %s %s" (p a) (p b)
+  | Truncate (a, n) -> Printf.sprintf "truncate %s %d" (p a) n
+  | Stat a -> "stat " ^ p a
+  | Lstat a -> "lstat " ^ p a
+  | Readlink a -> "readlink " ^ p a
+  | Readdir a -> "getdirentries " ^ p a
+  | Cat a -> "read " ^ p a
+  | Chdir a -> "chdir " ^ p a
+  | Remount -> "remount"
+
+(* The paths an op walks: a symlink's target is not one. *)
+let walked = function
+  | Creat (a, _) | Write (a, _, _) | Mkdir a | Symlink (_, a) | Unlink a | Rmdir a
+  | Truncate (a, _) | Stat a | Lstat a | Readlink a | Readdir a | Cat a | Chdir a ->
+      [ a ]
+  | Link (a, b) | Rename (a, b) -> [ a; b ]
+  | Remount -> []
+
+let long_name = String.make 255 'n'
+let names =
+  [ "a"; "b"; "c"; "a"; "b"; "c"; "a"; "b"; "c"; long_name; String.make 256 'm'; "x\000y" ]
+
+(* [/keep] is made first and never removed or renamed: no op names it
+   last. The cwd is only ever [/], [/keep] or the removed [/gone]. *)
+let prefixes =
+  [ "/"; "/"; "/"; ""; ""; "/keep/"; "/keep/"; "keep/"; "./"; "../"; "/a/"; "a/"; "/b/";
+    "/keep/../"; "/c/../" ]
+
+let relative_prefixes = [ ""; "./"; "../"; "keep/"; "a/" ]
+
+(* Every target fits the 48 bytes the ext3 and jfs inodes keep. *)
+let targets =
+  [ "a"; "b"; "c"; "/a"; "/keep/b"; "keep"; "../c"; "./a"; "missing"; "/missing/a"; "."; ".."; "a/b" ]
+
+let sizes = [ 0; 1; 100; 4096; 5000; 9000 ]
+
+(* One op. [pre] picks the directory part; [dots] lets the last name
+   be [.] or [..], except where removing or moving it would unlink a
+   directory from itself. *)
+let gen_op rng ~pre =
+  let pick l = Iron_util.Prng.pick rng l in
+  let path ?(dots = true) () = pick pre ^ pick (if dots then names @ [ "."; ".." ] else names) in
+  match Iron_util.Prng.int rng 28 with
+  | 0 | 1 | 2 | 3 -> Creat (path (), pick sizes)
+  | 4 | 5 -> Write (path (), pick [ 0; 100; 4000; 8192 ], pick sizes)
+  | 6 | 7 | 8 -> Mkdir (path ())
+  | 9 | 10 -> Symlink (pick targets, path ())
+  | 11 -> Link (path (), path ())
+  | 12 | 13 -> Unlink (if Iron_util.Prng.int rng 8 = 0 then pick [ "/"; "" ] else path ())
+  | 14 | 15 -> Rmdir (if Iron_util.Prng.int rng 8 = 0 then pick [ "/"; "" ] else path ~dots:false ())
+  | 16 | 17 -> Rename (path ~dots:false (), path ~dots:false ())
+  | 18 -> Truncate (path (), pick [ 0; 100; 4096; 5000; 20000 ])
+  | 19 | 20 -> Stat (path ())
+  | 21 -> Lstat (path ())
+  | 22 -> Readlink (path ())
+  | 23 | 24 -> Readdir (path ())
+  | 25 | 26 -> Cat (path ())
+  | _ -> Chdir (pick [ "/"; "/keep"; "keep"; "."; ".."; "/keep/.." ])
+
+(* A sequence, each op paired with whether the cwd is removed when it
+   runs. A removed cwd is one letter of the alphabet: [/gone] is made,
+   entered and removed, one or two ops run in it on relative paths, and
+   the walk goes back to [/]. *)
+let gen_sequence seed ~length =
+  let rng = Iron_util.Prng.create seed in
+  let rec go n acc =
+    if n >= length then List.rev acc
+    else
+      match Iron_util.Prng.int rng 30 with
+      | 0 -> go (n + 1) ((Remount, false) :: acc)
+      | 1 ->
+          (* A chdir here would leave the removed cwd early. *)
+          let rec inner () =
+            match gen_op rng ~pre:relative_prefixes with Chdir _ -> inner () | op -> (op, true)
+          in
+          let inside = List.init (1 + Iron_util.Prng.int rng 2) (fun _ -> inner ()) in
+          go (n + 1)
+            (List.rev_append
+               ([ (Mkdir "/gone", false); (Chdir "/gone", false); (Rmdir "/gone", false) ]
+               @ inside
+               @ [ (Chdir "/", false) ])
+               acc)
+      | _ -> go (n + 1) ((gen_op rng ~pre:prefixes, false) :: acc)
+  in
+  (Mkdir "/keep", false) :: go 0 []
+
+let digest b = Printf.sprintf "%d bytes %s" (Bytes.length b) (Digest.to_hex (Digest.bytes b))
+let payload n = Bytes.init n (fun i -> Char.chr (((i * 7) + n) land 0xff))
+
+let stat_text (st : Fs.stat) =
+  Printf.sprintf "%s links %d%s mode %o uid %d gid %d times %.0f %.0f %.0f"
+    (Fs.kind_to_string st.Fs.st_kind) st.Fs.st_links
+    (if st.Fs.st_kind = Fs.Directory then "" else Printf.sprintf " size %d" st.Fs.st_size)
+    st.Fs.st_mode st.Fs.st_uid st.Fs.st_gid st.Fs.st_atime st.Fs.st_mtime st.Fs.st_ctime
+
+(* The answer to one op: its result, then the kind of what [read]
+   opened. *)
+let answer (Fs.Boxed ((module F), t)) op =
+  let ( let* ) = Result.bind in
+  let ok r = Result.map (fun () -> "ok") r in
+  let r =
+    match op with
+    | Creat (p, n) ->
+        let* fd = F.creat t p in
+        let* w = F.write t fd ~off:0 (payload n) in
+        let* () = F.close t fd in
+        Ok (Printf.sprintf "wrote %d" w)
+    | Write (p, off, n) ->
+        let* fd = F.open_ t p Fs.Rdwr in
+        let* w = F.write t fd ~off (payload n) in
+        let* () = F.close t fd in
+        Ok (Printf.sprintf "wrote %d" w)
+    | Mkdir p -> ok (F.mkdir t p)
+    | Symlink (a, p) -> ok (F.symlink t a p)
+    | Link (a, p) -> ok (F.link t a p)
+    | Unlink p -> ok (F.unlink t p)
+    | Rmdir p -> ok (F.rmdir t p)
+    | Rename (a, b) -> ok (F.rename t a b)
+    | Truncate (p, n) -> ok (F.truncate t p n)
+    | Stat p -> Result.map stat_text (F.stat t p)
+    | Lstat p -> Result.map stat_text (F.lstat t p)
+    | Readlink p -> F.readlink t p
+    | Readdir p ->
+        let* es = F.getdirentries t p in
+        Ok (String.concat " " (List.sort compare (List.map (fun (n, _) -> String.escaped n) es)))
+    | Cat p ->
+        let* fd = F.open_ t p Fs.Rd in
+        let got = F.read t fd ~off:0 ~len:65536 in
+        let* () = F.close t fd in
+        let* st = F.stat t p in
+        Ok
+          (Fs.kind_to_string st.Fs.st_kind ^ ": "
+          ^ match got with Ok b -> digest b | Error e -> Errno.to_string e)
+    | Chdir p -> ok (F.chdir t p)
+    | Remount -> Ok "ok"
+  in
+  match r with Ok s -> s | Error e -> Errno.to_string e
+
+let ext3_family brand =
+  List.mem (Fs.brand_name brand) [ "ext3"; "ext3-writeback"; "ext3-data"; "ixt3" ]
+
+(* Where a brand answers for itself, and why. A relative lookup from a
+   cwd that was removed reads a node that is gone. The ext3 family's
+   walk logs the free inode at error level and fails with EIO: that
+   line is the §4.3 detection the fingerprints read, and it stays. jfs
+   and ntfs read a free slot and fail silently with EIO; reiserfs finds
+   no stat item, ENOENT. Linux, which keeps the directory's inode alive
+   while it is a cwd, gives ENOENT. *)
+let policy brand ~gone op (result, klog) =
+  gone
+  && List.exists (fun p -> p <> "" && not (Path.is_absolute p)) (walked op)
+  &&
+  if ext3_family brand then
+    result = "EIO"
+    && match klog with
+       | [ l ] -> String.starts_with ~prefix:"ERROR ext3: path walk hit free inode " l
+       | _ -> false
+  else if Fs.brand_name brand = "reiserfs" then result = "ENOENT" && klog = []
+  else result = "EIO" && klog = []
+
+(* Divergences this suite found that no brand's failure policy
+   explains, not yet mended: each maps the answers it covers to one. *)
+let known op (result, klog) =
+  match op with
+  | Unlink p when Path.split p = [] && (result = "EISDIR" || result = "EINVAL") ->
+      Some ("root: EISDIR or EINVAL", klog)
+  | Cat _ when String.starts_with ~prefix:"dir: " result -> Some ("dir: its on-disk bytes", klog)
+  | _ -> None
+
+(* Every step's answer and the non-Info klog lines it logged, run on a
+   fresh volume of [brand]. *)
+let run_sequence brand ops =
+  let dev, fs = fresh brand in
+  let fs = ref fs and seen = ref 0 in
+  List.map
+    (fun (op, _) ->
+      let result =
+        try
+          match op with
+          | Remount ->
+              let (Fs.Boxed ((module F), t)) = !fs in
+              let r = F.unmount t in
+              fs := must "remount" (Fs.mount brand dev);
+              seen := 0;
+              (match r with Ok () -> "ok" | Error e -> Errno.to_string e)
+          | _ -> answer !fs op
+        with Klog.Panic m -> "panic: " ^ m
+      in
+      let (Fs.Boxed ((module F), t)) = !fs in
+      let es = Klog.entries (F.klog t) in
+      let fresh_lines = List.filteri (fun i _ -> i >= !seen) es in
+      seen := List.length es;
+      ( result,
+        List.filter_map
+          (fun (e : Klog.entry) ->
+            if e.Klog.level = Klog.Info then None
+            else
+              Some
+                (Printf.sprintf "%s %s: %s"
+                   (if e.Klog.level = Klog.Error then "ERROR" else "warn")
+                   e.Klog.subsystem e.Klog.message))
+          fresh_lines ))
+    ops
+
+let namespace_seeds = 300
+let namespace_length = 40
+
+let test_namespace_agreement () =
+  for seed = 1 to namespace_seeds do
+    let ops = gen_sequence seed ~length:namespace_length in
+    let runs = List.map (fun b -> (b, run_sequence b ops)) brands in
+    let norm b gone op a =
+      if policy b ~gone op a then ("removed cwd: brand policy", [])
+      else match known op a with Some a -> a | None -> a
+    in
+    List.iteri
+      (fun i (op, gone) ->
+        let answers = List.map (fun (b, rs) -> (b, List.nth rs i)) runs in
+        let normed = List.map (fun (b, a) -> norm b gone op a) answers in
+        if List.exists (( <> ) (List.hd normed)) normed then
+          Alcotest.failf "seed %d, step %d: %s%s\n%s" seed i (op_text op)
+            (if gone then " (cwd removed)" else "")
+            (String.concat "\n"
+               (List.map
+                  (fun (b, (r, k)) ->
+                    Printf.sprintf "  %-14s %s%s" (Fs.brand_name b) r
+                      (String.concat "" (List.map (fun l -> "\n                 | " ^ l) k)))
+                  answers)))
+      ops
+  done
+
 let per_brand name test =
   List.map
     (fun brand ->
@@ -347,4 +618,6 @@ let suites =
     ("vfs.file-parent", per_brand "ENOTDIR under a regular file" test_file_parent);
     ("vfs.final-name", per_brand "checked before the walk" test_final_name);
     ("vfs.inner-symlink", per_brand "followed through lstat" test_inner_symlink);
+    ( "vfs.namespace",
+      [ Alcotest.test_case "seven brands agree" `Quick test_namespace_agreement ] );
   ]
