@@ -431,6 +431,127 @@ let test_truncate_swallows_read_errors () =
   let logs = Klog.errors (F.klog t) in
   check Alcotest.bool "error was logged though" true (logs <> [])
 
+(* --- op-layer policies the stream pins do not reach --------------------- *)
+
+(* Every bug fix, no IRON feature. *)
+let fixed = Ext3.brand (Iron_ext3.Profile.ixt3_with ())
+
+(* Rewrite inode [ino] on the unmounted image. *)
+let edit_inode d inj ino f =
+  let lay = Ext3.layout_of_dev (Fault.dev inj) in
+  let blk, off = Layout.inode_location lay ino in
+  let buf = Memdisk.peek d blk in
+  Inode.encode lay (f (Inode.decode lay buf off)) buf off;
+  Memdisk.poke d blk buf
+
+(* rename frees a file it replaces in place: a failed read under it
+   leaks blocks without an error, even on the fixed profile, where
+   unlink would report EIO, and the directory's times stay. *)
+let test_rename_frees_target_quietly () =
+  let d, inj, (Fs.Boxed ((module F), t) as fs) = fresh ~brand:fixed () in
+  ok (F.mkdir t "/d");
+  mkfile fs "/d/old" (String.make (30 * 4096) 'o');
+  mkfile fs "/src" "new";
+  ok (F.utimes t "/d" 100.0 200.0);
+  ok (F.unmount t);
+  let dev = Fault.dev inj in
+  let (Fs.Boxed ((module F), t) as fs) = ok (Fs.mount fixed dev) in
+  let before = ok (F.stat t "/d") in
+  let cls = Iron_ext3.Classifier.classify (Memdisk.peek d) in
+  let ids =
+    List.init (Ext3.layout_of_dev dev).Layout.num_blocks Fun.id
+    |> List.filter (fun b -> cls b = "indirect")
+    |> List.map (fun b -> Fault.arm inj (Fault.rule (Fault.Block b) Fault.Fail_read))
+  in
+  check Alcotest.bool "has indirect blocks" true (ids <> []);
+  ok (F.rename t "/src" "/d/old");
+  check Alcotest.bool "a read under /d/old failed" true
+    (List.exists (fun id -> Fault.fired inj id > 0) ids);
+  let after = ok (F.stat t "/d") in
+  check
+    Alcotest.(pair (float 0.) (float 0.))
+    "/d's mtime and ctime" (before.Fs.st_mtime, before.Fs.st_ctime)
+    (after.Fs.st_mtime, after.Fs.st_ctime);
+  check Alcotest.(float 0.) "/d's mtime is utimes's" 200.0 after.Fs.st_mtime;
+  check Alcotest.string "/d/old" "new" (readfile fs "/d/old")
+
+(* Once the journal aborts, every op that would update the volume
+   fails with EROFS before it reads a block. *)
+let test_erofs_before_any_request () =
+  let _, inj, (Fs.Boxed ((module F), t) as fs) = fresh () in
+  ok (F.mkdir t "/d");
+  mkfile fs "/d/f" "x";
+  ok (F.unmount t);
+  let dev = Fault.dev inj in
+  let (Fs.Boxed ((module F), t)) = ok (Fs.mount Ext3.std dev) in
+  let fd = ok (F.open_ t "/d/f" Fs.Rdwr) in
+  ignore
+    (Fault.arm inj
+       (Fault.rule
+          (Fault.Block (Layout.ibitmap_block (Ext3.layout_of_dev dev) 0))
+          Fault.Fail_read));
+  expect_err Errno.EIO (F.creat t "/new");
+  check Alcotest.bool "aborted" true (F.is_readonly t);
+  Fault.disarm_all inj;
+  Fault.clear_trace inj;
+  List.iter
+    (fun (what, r) ->
+      match r with
+      | Error Errno.EROFS -> ()
+      | Ok () -> Alcotest.failf "%s: expected EROFS, got Ok" what
+      | Error e -> Alcotest.failf "%s: expected EROFS, got %s" what (Errno.to_string e))
+    [
+      ("creat", Result.map ignore (F.creat t "/d/g"));
+      ("mkdir", F.mkdir t "/d/x");
+      ("symlink", F.symlink t "f" "/d/s");
+      ("link", F.link t "/d/f" "/d/l");
+      ("unlink", F.unlink t "/d/f");
+      ("rmdir", F.rmdir t "/d");
+      ("rename", F.rename t "/d/f" "/d/g");
+      ("truncate", F.truncate t "/d/f" 0);
+      ("chmod", F.chmod t "/d/f" 0o600);
+      ("chown", F.chown t "/d/f" 1 1);
+      ("utimes", F.utimes t "/d/f" 1.0 1.0);
+      ("write", Result.map ignore (F.write t fd ~off:0 (Bytes.of_string "y")));
+    ];
+  check Alcotest.int "device requests" 0 (List.length (Fault.trace inj))
+
+(* open checks the size field (the paper's inode sanity check). *)
+let test_open_impossible_size () =
+  let d, inj, (Fs.Boxed ((module F), t) as fs) = fresh () in
+  mkfile fs "/f" "x";
+  let ino = (ok (F.stat t "/f")).Fs.st_ino in
+  ok (F.unmount t);
+  let lay = Ext3.layout_of_dev (Fault.dev inj) in
+  let size = (Inode.max_file_blocks lay * lay.Layout.block_size) + 1 in
+  edit_inode d inj ino (fun i -> { i with Inode.size });
+  let (Fs.Boxed ((module F), t)) = ok (Fs.mount Ext3.std (Fault.dev inj)) in
+  expect_err Errno.EUCLEAN (F.open_ t "/f" Fs.Rd);
+  check
+    Alcotest.(list string)
+    "klog"
+    [ Printf.sprintf "inode %d has impossible size %d" ino size ]
+    (List.map (fun e -> e.Klog.message) (Klog.errors (F.klog t)))
+
+(* The fixed profile answers a zero link count with EUCLEAN, before
+   the name goes, where stock ext3 panics. *)
+let test_zero_links_fixed () =
+  let d, inj, (Fs.Boxed ((module F), t) as fs) = fresh ~brand:fixed () in
+  mkfile fs "/doomed" "d";
+  let ino = (ok (F.stat t "/doomed")).Fs.st_ino in
+  ok (F.unmount t);
+  edit_inode d inj ino (fun i -> { i with Inode.links = 0 });
+  let (Fs.Boxed ((module F), t)) = ok (Fs.mount fixed (Fault.dev inj)) in
+  (match F.unlink t "/doomed" with
+  | exception Klog.Panic m -> Alcotest.failf "panicked: %s" m
+  | r -> expect_err Errno.EUCLEAN r);
+  check
+    Alcotest.(list string)
+    "klog"
+    [ Printf.sprintf "inode %d has zero link count" ino ]
+    (List.map (fun e -> e.Klog.message) (Klog.errors (F.klog t)));
+  check Alcotest.int "the name stays" ino (ok (F.lstat t "/doomed")).Fs.st_ino
+
 (* The path walk logs a free inode one of two ways: read as the
    directory to search, it is the walk's own start (the root here);
    read as the child a name leads to, it is an entry's target. *)
@@ -567,6 +688,13 @@ let suites =
           test_truncate_swallows_read_errors;
         Alcotest.test_case "free inodes in the path walk" `Quick
           test_free_inode_klog;
+        Alcotest.test_case "rename frees a replaced file quietly" `Quick
+          test_rename_frees_target_quietly;
+        Alcotest.test_case "EROFS before any request" `Quick
+          test_erofs_before_any_request;
+        Alcotest.test_case "open of an impossible size" `Quick
+          test_open_impossible_size;
+        Alcotest.test_case "zero link count, fixed" `Quick test_zero_links_fixed;
       ] );
     ( "ext3.props",
       [ qtest prop_model_random_ops; qtest prop_remount_preserves_files ] );
