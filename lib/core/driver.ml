@@ -15,7 +15,7 @@
 
    - images are frozen {!Iron_disk.Memdisk} images: restoring a job's
      disk drops an overlay (O(dirty)) instead of blitting 8 MiB;
-   - dry traces are frozen into arrays with a precomputed
+   - each dry trace is reduced to a precomputed
      (direction, block type) -> target block index, so target lookup
      is O(1) and jobs without a target are resolved at spec time and
      never enter the pool;
@@ -275,13 +275,12 @@ let infer fault (obs : observation) trace target =
 (* ------------------------------------------------------------------ *)
 
 (* Per workload column, the frozen outcome of one fault-free dry run:
-   the labelled I/O trace as a plain array, the block→type oracle as
-   one byte per block, and an index from (direction, block type) to
-   the first matching block — the job's fault target. None of it is
-   mutated once [prepare] returns, which is what makes sharing it
-   across worker domains safe. *)
+   the block→type oracle as one byte per block, and an index from
+   (direction, block type) to the first block the run's I/O trace
+   touched that way — the job's fault target. None of it is mutated
+   once [prepare] returns, which is what makes sharing it across worker
+   domains safe. *)
 type dry = {
-  trace : Fault.event array;
   labels : string;  (** block [b]'s label is [names.(Char.code labels.[b])] *)
   targets : (Fault.direction * string, int) Hashtbl.t;
 }
@@ -329,7 +328,7 @@ let target_for prepared (job : Experiment.job) =
         (want_dir job.Experiment.fault, job.Experiment.block_type)
 
 (* Sequential phase: build the base and crash images, then dry-run each
-   workload once to learn its labelled I/O trace. This is ~1 run per
+   workload once to learn its fault targets. This is ~1 run per
    workload vs ~|block types| × |faults| runs per workload in the
    parallel phase, so it is not worth parallelizing. *)
 let prepare_uncached ?obs (c : Experiment.t) =
@@ -398,8 +397,8 @@ let prepare_uncached ?obs (c : Experiment.t) =
   in
   let base_labels = labels_of_image base in
   let crash_labels = if crash == base then base_labels else labels_of_image crash in
-  (* Dry runs: learn, per workload, the labelled I/O trace; freeze it
-     and index the fault targets. *)
+  (* Dry runs: label each workload's I/O trace and index its fault
+     targets. *)
   let dry = Hashtbl.create 32 in
   List.iter
     (fun col ->
@@ -417,29 +416,19 @@ let prepare_uncached ?obs (c : Experiment.t) =
             let l = post b in
             if l = "?" then pre.[b] else code l)
       in
-      let trace =
-        Array.of_list
-          (List.map
-             (fun (e : Fault.event) ->
-               {
-                 e with
-                 Fault.label = !names.(Char.code labels.[e.Fault.block]);
-               })
-             (Fault.trace inj))
-      in
       let targets = Hashtbl.create 64 in
-      Array.iter
+      List.iter
         (fun (e : Fault.event) ->
-          let key = (e.Fault.dir, e.Fault.label) in
+          let key = (e.Fault.dir, !names.(Char.code labels.[e.Fault.block])) in
           if not (Hashtbl.mem targets key) then
             Hashtbl.add targets key e.Fault.block)
-        trace;
-      Hashtbl.replace dry col { trace; labels; targets })
+        (Fault.trace inj);
+      Hashtbl.replace dry col { labels; targets })
     c.Experiment.cols;
   { base; crash; names = !names; dry }
 
 (* Campaigns on the same brand and geometry share one [prepared]: the
-   images and dry traces are a pure function of (brand, num_blocks,
+   images and dry runs are a pure function of (brand, num_blocks,
    columns) — workload definitions are static, and the seed only picks
    each job's fault draws — and [prepared] is immutable once built, so
    sharing it is exactly as safe as sharing it across worker domains
