@@ -552,6 +552,82 @@ let test_zero_links_fixed () =
     (List.map (fun e -> e.Klog.message) (Klog.errors (F.klog t)));
   check Alcotest.int "the name stays" ino (ok (F.lstat t "/doomed")).Fs.st_ino
 
+(* The read failures truncate and unlink report are logged once the
+   inode, or the parent, is written: after the checksum lines that
+   write reads under. ixt3 with Mc and Mr, one itable block corrupt on
+   disk, and every indirect block and its replica unreadable. *)
+let test_late_reports () =
+  let brand = Ext3.brand (Iron_ext3.Profile.ixt3_with ~mc:true ~mr:true ()) in
+  let last_error op ~corrupt =
+    let d, inj, (Fs.Boxed ((module F), t) as fs) = fresh ~brand () in
+    (* /big's inode goes in the second itable block, the root's is in
+       the first. *)
+    for i = 1 to 40 do
+      ok (F.close t (ok (F.creat t (Printf.sprintf "/pad%d" i))))
+    done;
+    mkfile fs "/big" (String.make (30 * 4096) 'b');
+    let ino = (ok (F.stat t "/big")).Fs.st_ino in
+    ok (F.unmount t);
+    let dev = Fault.dev inj in
+    let lay = Ext3.layout_of_dev dev in
+    let blk, _ = Layout.inode_location lay (if corrupt = `File then ino else Layout.root_ino) in
+    let buf = Memdisk.peek d blk in
+    Bytes.set buf (Bytes.length buf - 1) '\xAA';
+    Memdisk.poke d blk buf;
+    let cls = Iron_ext3.Classifier.classify (Memdisk.peek d) in
+    List.init lay.Layout.num_blocks Fun.id
+    |> List.filter (fun b -> cls b = "indirect")
+    |> List.iter (fun b ->
+           let rb, off = Layout.rmap_location lay b in
+           List.iter
+             (fun b -> ignore (Fault.arm inj (Fault.rule (Fault.Block b) Fault.Fail_read)))
+             [ b; Iron_util.Codec.read_u32 (Memdisk.peek d rb) off ]);
+    let (Fs.Boxed ((module F), t)) = ok (Fs.mount brand dev) in
+    expect_err Errno.EIO (op (Fs.Boxed ((module F), t)));
+    (ino, (List.hd (List.rev (Klog.errors (F.klog t)))).Klog.message)
+  in
+  let _, line =
+    last_error ~corrupt:`File (fun (Fs.Boxed ((module F), t)) -> F.truncate t "/big" 0)
+  in
+  check Alcotest.string "truncate's line, after the inode write" "2 read failures while truncating"
+    line;
+  let ino, line =
+    last_error ~corrupt:`Root (fun (Fs.Boxed ((module F), t)) -> F.unlink t "/big")
+  in
+  check Alcotest.string "unlink's line, after the parent update"
+    (Printf.sprintf "read failures while freeing inode %d" ino)
+    line
+
+(* A parent the walk did not read, as the root is for a name in it, is
+   read and checked before its blocks are: unlink and rename under a
+   root whose inode says file answer ENOTDIR. *)
+let test_parent_inode_checked () =
+  let d, inj, (Fs.Boxed ((module F), t) as fs) = fresh () in
+  mkfile fs "/a" "a";
+  ok (F.unmount t);
+  edit_inode d inj Layout.root_ino (fun i -> { i with Inode.kind = Inode.Regular });
+  let (Fs.Boxed ((module F), t)) = ok (Fs.mount Ext3.std (Fault.dev inj)) in
+  expect_err Errno.ENOTDIR (F.unlink t "/a");
+  expect_err Errno.ENOTDIR (F.rename t "/a" "/b");
+  expect_err Errno.ENOTDIR (F.creat t "/c")
+
+(* A new inode goes to its parent's group first: ext3's goal group. *)
+let test_inode_goal_group () =
+  let _, inj, (Fs.Boxed ((module F), t) as fs) = fresh () in
+  let per = (Ext3.layout_of_dev (Fault.dev inj)).Layout.inodes_per_group in
+  let group ino = (ino - 1) / per in
+  (* Fill group 0, whose first two inodes are reserved and the root. *)
+  for i = 0 to per - 3 do
+    ok (F.close t (ok (F.creat t (Printf.sprintf "/f%d" i))))
+  done;
+  ok (F.mkdir t "/d");
+  check Alcotest.int "/d spills into group 1" 1 (group (ok (F.stat t "/d")).Fs.st_ino);
+  ok (F.unlink t "/f0");
+  mkfile fs "/d/x" "x";
+  check Alcotest.int "/d/x in its parent's group" 1 (group (ok (F.stat t "/d/x")).Fs.st_ino);
+  mkfile fs "/y" "y";
+  check Alcotest.int "/y in the root's group" 0 (group (ok (F.stat t "/y")).Fs.st_ino)
+
 (* The path walk logs a free inode one of two ways: read as the
    directory to search, it is the walk's own start (the root here);
    read as the child a name leads to, it is an entry's target. *)
@@ -695,6 +771,9 @@ let suites =
         Alcotest.test_case "open of an impossible size" `Quick
           test_open_impossible_size;
         Alcotest.test_case "zero link count, fixed" `Quick test_zero_links_fixed;
+        Alcotest.test_case "inode goal group" `Quick test_inode_goal_group;
+        Alcotest.test_case "parent inode checked" `Quick test_parent_inode_checked;
+        Alcotest.test_case "read failures reported last" `Quick test_late_reports;
       ] );
     ( "ext3.props",
       [ qtest prop_model_random_ops; qtest prop_remount_preserves_files ] );
