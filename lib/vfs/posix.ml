@@ -341,7 +341,11 @@ module Make (S : STORE) = struct
     Ok ()
 
   let rmdir t path = remove t path ~dir:true
-  let unlink t path = remove t path ~dir:false
+
+  (* A path with no names is the root or the cwd, a directory: EISDIR,
+     Linux's answer for [/]. (rmdir's is the walk's EINVAL.) *)
+  let unlink t path =
+    if Path.split path = [] then Error Errno.EISDIR else remove t path ~dir:false
 
   let link t existing newpath =
     let* o, n, a = lookup t existing in
