@@ -4,9 +4,6 @@ module Bcache = Iron_disk.Bcache
 module Errno = Iron_vfs.Errno
 module Klog = Iron_vfs.Klog
 module Fs = Iron_vfs.Fs
-module VPath = Iron_vfs.Path
-module Resolver = Iron_vfs.Resolver
-module Fdtable = Iron_vfs.Fdtable
 module Posix = Iron_vfs.Posix
 module Obs = Iron_obs.Obs
 module Jrnl = Iron_jrnl.Jrnl
@@ -31,8 +28,6 @@ type cls =
 (* Some classes appear only in patterns today; the full vocabulary is
    kept so call sites state what they touch. *)
 
-type fdesc = { fd_ino : int; fd_mode : Fs.open_mode }
-
 type state = {
   profile : Profile.t;
   dev : Dev.t;
@@ -49,17 +44,11 @@ type state = {
   (* journaling: transaction state, and whether the journal aborted,
      live in the shared engine, built from the profile's policy *)
   jrnl : Jrnl.t;
-  (* process state *)
-  walk : Inode.t Resolver.ops; (* the path walk's reads, built at mount *)
-  fds : fdesc Fdtable.t;
-  mutable cwd : int;
-  mutable root : int;
   (* "Checksums are very small and can be cached for read
      verification" (§6.1): block -> raw SHA-1, loaded lazily. *)
   cksums : (int, string) Hashtbl.t;
 }
 
-let now_seconds t = int_of_float (t.dev.Dev.now () /. 1000.)
 let bsize t = t.lay.Layout.block_size
 
 (* Every private block — a copy to modify, a fresh zero block — comes
@@ -787,17 +776,6 @@ let dir_blocks t inode =
   in
   go 0 []
 
-let dir_lookup t inode name =
-  let* blocks = dir_blocks t inode in
-  let rec find = function
-    | [] -> Error Errno.ENOENT
-    | (_, _, entries) :: rest -> (
-        match List.assoc_opt name entries with
-        | Some ino -> Ok ino
-        | None -> find rest)
-  in
-  find blocks
-
 let dir_add_entry t dino dinode name ino =
   let* blocks = dir_blocks t dinode in
   let rec try_blocks = function
@@ -821,7 +799,7 @@ let dir_add_entry t dino dinode name ino =
   in
   try_blocks blocks
 
-let dir_remove_entry t _dino dinode name =
+let dir_remove_entry t dinode name =
   let* blocks = dir_blocks t dinode in
   let rec go = function
     | [] -> Error Errno.ENOENT
@@ -835,52 +813,6 @@ let dir_remove_entry t _dino dinode name =
         else go rest
   in
   go blocks
-
-let dir_is_empty t inode =
-  let* blocks = dir_blocks t inode in
-  let extra =
-    List.concat_map (fun (_, _, es) -> es) blocks
-    |> List.filter (fun (n, _) -> n <> "." && n <> "..")
-  in
-  Ok (extra = [])
-
-(* ------------------------------------------------------------------ *)
-(* Path resolution                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* The shared walk over ext3's inodes and directory blocks, built once
-   per mount ([mount_impl]'s [walk]). A free inode read as the
-   directory to search is logged as one the walk hit, and one a name
-   led to as one a directory entry references. *)
-let walk_kind t ~child ino i =
-  match i.Inode.kind with
-  | Inode.Regular -> Ok Fs.Regular
-  | Inode.Directory -> Ok Fs.Directory
-  | Inode.Symlink -> Ok Fs.Symlink
-  | Inode.Free ->
-      if child then
-        Klog.error t.klog "ext3" "directory entry references free inode %d" ino
-      else Klog.error t.klog "ext3" "path walk hit free inode %d" ino;
-      Error Errno.EIO
-
-let resolve t ?follow_last path =
-  Resolver.resolve t.walk ~root:t.root ~cwd:t.cwd ?follow_last path
-
-(* The parent directory of [path] and the final name, validated. *)
-let resolve_parent t path =
-  Resolver.resolve_parent t.walk ~root:t.root ~cwd:t.cwd path
-
-(* The object [path] names, and its inode. *)
-let lookup t ?follow_last path =
-  let* ino = resolve t ?follow_last path in
-  let* i = read_inode t ino in
-  Ok (ino, i)
-
-(* The ops that link, move or remove a name check that the parent inode
-   they read is a directory before they read its entries, as
-   [create_node] does. *)
-let parent_dir dinode =
-  if dinode.Inode.kind = Inode.Directory then Ok () else Error Errno.ENOTDIR
 
 (* ------------------------------------------------------------------ *)
 (* Freeing file contents (truncate / unlink)                           *)
@@ -1255,7 +1187,7 @@ let mount_impl profile dev =
         in
         (Some shadow, Some (List.iter stream))
     in
-    let rec t =
+    let t =
       {
         profile;
         dev;
@@ -1279,16 +1211,6 @@ let mount_impl profile dev =
               journaled = (fun b -> b < lay.Layout.replica_start);
             }
             ~seq:jseq;
-        walk =
-          {
-            Resolver.node = (fun ino -> read_inode t ino);
-            kind = (fun ~child ino i -> walk_kind t ~child ino i);
-            target = (fun i -> i.Inode.symlink_target);
-            lookup = (fun _ i name -> dir_lookup t i name);
-          };
-        fds = Fdtable.create ();
-        cwd = Layout.root_ino;
-        root = Layout.root_ino;
         cksums = Hashtbl.create 256;
       }
     in
@@ -1308,10 +1230,8 @@ let mount_impl profile dev =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Write-path helpers and guards                                       *)
+(* Group descriptors, sync and unmount                                 *)
 (* ------------------------------------------------------------------ *)
-
-let guard_write t = if readonly t then Error Errno.EROFS else Ok ()
 
 (* Update group-descriptor free counts on disk lazily: we serialize the
    in-memory values wholesale whenever allocation state changed. *)
@@ -1329,398 +1249,12 @@ let flush_gd t =
   done;
   meta_write t Gdesc 1 gd
 
-(* Run a mutating operation: body builds the transaction; then the
-   group descriptors are folded in. Commit happens on fsync/sync or
-   journal pressure, as on the real system. *)
-let in_txn t body =
-  let* () = guard_write t in
-  let* r = body () in
-  let* () = flush_gd t in
-  Ok r
-
-(* ------------------------------------------------------------------ *)
-(* POSIX-style operations                                              *)
-(* ------------------------------------------------------------------ *)
-
-let stat_of_inode ino (i : Inode.t) =
-  {
-    Fs.st_ino = ino;
-    st_kind =
-      (match i.Inode.kind with
-      | Inode.Directory -> Fs.Directory
-      | Inode.Symlink -> Fs.Symlink
-      | Inode.Regular | Inode.Free -> Fs.Regular);
-    st_size = i.Inode.size;
-    st_links = i.Inode.links;
-    st_mode = i.Inode.perms;
-    st_uid = i.Inode.uid;
-    st_gid = i.Inode.gid;
-    st_atime = float_of_int i.Inode.atime;
-    st_mtime = float_of_int i.Inode.mtime;
-    st_ctime = float_of_int i.Inode.ctime;
-  }
-
-(* The paper's inode sanity check: open validates the size field. *)
-let sane_size t (i : Inode.t) =
-  i.Inode.size <= Inode.max_file_blocks t.lay * bsize t
-
-let op_access t path =
-  let* _ino = resolve t path in
-  Ok ()
-
-let enter t path set =
-  let* ino, i = lookup t path in
-  if i.Inode.kind = Inode.Directory then Ok (set ino) else Error Errno.ENOTDIR
-
-let op_chdir t path = enter t path (fun ino -> t.cwd <- ino)
-
-let op_chroot t path =
-  enter t path (fun ino ->
-      t.root <- ino;
-      t.cwd <- ino)
-
-let op_stat t path =
-  let* ino, i = lookup t path in
-  Ok (stat_of_inode ino i)
-
-let op_lstat t path =
-  let* ino, i = lookup t ~follow_last:false path in
-  Ok (stat_of_inode ino i)
-
-let op_statfs t =
-  Ok
-    {
-      Fs.f_blocks = Layout.total_data_blocks t.lay;
-      f_bfree = t.free_blocks;
-      f_files = Layout.total_inodes t.lay;
-      f_ffree = t.free_inodes;
-      f_bsize = bsize t;
-    }
-
-let op_open t path mode =
-  let* ino, i = lookup t path in
-  match i.Inode.kind with
-  | Inode.Directory when mode <> Fs.Rd -> Error Errno.EISDIR
-  | Inode.Free ->
-      Klog.error t.klog "ext3" "open of free inode %d" ino;
-      Error Errno.EIO
-  | Inode.Regular | Inode.Directory | Inode.Symlink ->
-      if not (sane_size t i) then begin
-        Klog.error t.klog "ext3" "inode %d has impossible size %d" ino i.Inode.size;
-        Error Errno.EUCLEAN
-      end
-      else Ok (Fdtable.alloc t.fds { fd_ino = ino; fd_mode = mode })
-
-let op_close t fd = Fdtable.close t.fds fd
-
-(* Create a fresh inode linked under [path]; shared by creat / mkdir /
-   symlink. *)
-let create_node t path kind ~perms ~target =
-  in_txn t (fun () ->
-      let* dino, name = resolve_parent t path in
-      let* dinode = read_inode t dino in
-      if dinode.Inode.kind <> Inode.Directory then Error Errno.ENOTDIR
-      else
-        match dir_lookup t dinode name with
-        | Ok _ -> Error Errno.EEXIST
-        | Error Errno.ENOENT ->
-            let* ino = alloc_inode t ~goal_group:(Layout.group_of_inode t.lay dino) in
-            let time = now_seconds t in
-            let node = Inode.fresh t.lay kind ~perms ~time in
-            let node = { node with Inode.symlink_target = target } in
-            let* node =
-              if kind <> Inode.Directory then Ok node
-              else begin
-                (* "." and ".." plus the parent's link. *)
-                let* b, node, _ = bmap_alloc t ino node 0 in
-                let buf = zero_block t in
-                ignore (Dirent.encode buf [ (".", ino); ("..", dino) ]);
-                let* () = meta_write t Dir b buf in
-                Ok { node with Inode.links = 2; size = bsize t }
-              end
-            in
-            let* () = write_inode t ino node in
-            let* () = dir_add_entry t dino dinode name ino in
-            let* dinode = read_inode t dino in
-            let* () =
-              if kind = Inode.Directory then
-                write_inode t dino
-                  { dinode with Inode.links = dinode.Inode.links + 1;
-                    mtime = time; ctime = time }
-              else
-                write_inode t dino { dinode with Inode.mtime = time; ctime = time }
-            in
-            Ok ino
-        | Error e -> Error e)
-
-let op_creat t path =
-  let* ino = create_node t path Inode.Regular ~perms:0o644 ~target:"" in
-  Ok (Fdtable.alloc t.fds { fd_ino = ino; fd_mode = Fs.Rdwr })
-
-let op_mkdir t path =
-  let* _ino = create_node t path Inode.Directory ~perms:0o755 ~target:"" in
-  Ok ()
-
-let op_symlink t target linkpath =
-  let* _ino = create_node t linkpath Inode.Symlink ~perms:0o777 ~target in
-  Ok ()
-
-let op_link t existing linkpath =
-  in_txn t (fun () ->
-      let* ino, i = lookup t existing in
-      if i.Inode.kind = Inode.Directory then Error Errno.EISDIR
-      else
-        let* dino, name = resolve_parent t linkpath in
-        let* dinode = read_inode t dino in
-        let* () = parent_dir dinode in
-        match dir_lookup t dinode name with
-        | Ok _ -> Error Errno.EEXIST
-        | Error Errno.ENOENT ->
-            let* () = dir_add_entry t dino dinode name ino in
-            write_inode t ino
-              { i with Inode.links = i.Inode.links + 1; ctime = now_seconds t }
-        | Error e -> Error e)
-
-let op_readlink t path =
-  let* _, i = lookup t ~follow_last:false path in
-  match i.Inode.kind with
-  | Inode.Symlink -> Ok i.Inode.symlink_target
-  | Inode.Regular | Inode.Directory | Inode.Free -> Error Errno.EINVAL
-
-let op_getdirentries t path =
-  let* _, i = lookup t path in
-  if i.Inode.kind <> Inode.Directory then Error Errno.ENOTDIR
-  else
-    let* blocks = dir_blocks t i in
-    Ok (List.concat_map (fun (_, _, es) -> es) blocks)
-
-let op_read t fd ~off ~len =
-  let* { fd_ino; _ } = Fdtable.find t.fds fd in
-  let* i = read_inode t fd_ino in
-  let len = max 0 (min len (i.Inode.size - off)) in
-  if len = 0 then Ok Bytes.empty
-  else
-    let out = Bytes.create len in
-    let* () =
-      Posix.each_block ~bs:(bsize t) ~off ~len (fun fblock boff pos n ->
-          let* data = data_read_block t i fblock in
-          Bytes.blit data boff out pos n;
-          Ok ())
-    in
-    Ok out
-
-let op_write t fd ~off data =
-  let* { fd_ino; fd_mode } = Fdtable.find t.fds fd in
-  if fd_mode = Fs.Rd then Error Errno.EBADF
-  else
-    in_txn t (fun () ->
-        let* i0 = read_inode t fd_ino in
-        let bs = bsize t in
-        let len = Bytes.length data in
-        let inode = ref i0 in
-        let* () =
-          Posix.each_block ~bs ~off ~len (fun fblock boff pos n ->
-              let* buf =
-                Posix.patch ~bs data ~boff ~pos ~n (fun () ->
-                    owned t (data_read_block t !inode fblock))
-              in
-              let* inode' = data_write_block t fd_ino !inode fblock buf in
-              inode := inode';
-              Ok ())
-        in
-        let time = now_seconds t in
-        let size = max i0.Inode.size (off + len) in
-        let* () =
-          write_inode t fd_ino { !inode with Inode.size; mtime = time; ctime = time }
-        in
-        Ok len)
-
-let op_truncate t path size =
-  in_txn t (fun () ->
-      let* ino, i = lookup t path in
-      if i.Inode.kind = Inode.Directory then Error Errno.EISDIR
-      else if size > Inode.max_file_blocks t.lay * bsize t then Error Errno.EFBIG
-      else begin
-        let bs = bsize t in
-        let keep = (size + bs - 1) / bs in
-        let i', errors = free_file_from t i ~from:keep in
-        (* Shrinking into the middle of a block: its tail must read as
-           zeroes if the file later grows again. *)
-        let* i' =
-          if size >= i.Inode.size || size mod bs = 0 then Ok i'
-          else
-            let fblock = size / bs in
-            let* b = bmap t i' fblock in
-            if b = 0 then Ok i'
-            else
-              let* old = owned t (data_read_block t i' fblock) in
-              Bytes.fill old (size mod bs) (bs - (size mod bs)) '\000';
-              data_write_block t ino i' fblock old
-        in
-        let time = now_seconds t in
-        let* () =
-          write_inode t ino { i' with Inode.size; mtime = time; ctime = time }
-        in
-        if errors > 0 then begin
-          Klog.error t.klog "ext3" "%d read failures while truncating" errors;
-          (* Stock ext3 swallows the error: truncate "fails silently". *)
-          if t.profile.Profile.bugs_fixed then Error Errno.EIO
-          else Ok ()
-        end
-        else Ok ()
-      end)
-
-let remove_common t path ~dir =
-  in_txn t (fun () ->
-      let* () =
-        (* Deleting the root itself. *)
-        if VPath.split path = [] then
-          Error (if dir then Errno.EINVAL else Errno.EISDIR)
-        else Ok ()
-      in
-      let* dino, name = resolve_parent t path in
-      let* dinode = read_inode t dino in
-      let* () = parent_dir dinode in
-      let* ino = dir_lookup t dinode name in
-      let* i = read_inode t ino in
-      match (dir, i.Inode.kind) with
-      | true, k when k <> Inode.Directory -> Error Errno.ENOTDIR
-      | false, Inode.Directory -> Error Errno.EISDIR
-      | _ ->
-          let* () =
-            if not dir then Ok ()
-            else
-              let* empty = dir_is_empty t i in
-              if empty then Ok () else Error Errno.ENOTEMPTY
-          in
-          (* The linkcount bug: stock ext3 decrements without checking,
-             and a corrupted zero count takes the kernel down (§5.1). *)
-          if i.Inode.links = 0 then begin
-            if t.profile.Profile.bugs_fixed then begin
-              Klog.error t.klog "ext3" "inode %d has zero link count" ino;
-              Error Errno.EUCLEAN
-            end
-            else
-              Klog.panic t.klog "ext3"
-                "kernel BUG: deleting inode %d with links_count=0" ino
-          end
-          else begin
-            let time = now_seconds t in
-            let* () = dir_remove_entry t dino dinode name in
-            let links = i.Inode.links - (if dir then 2 else 1) in
-            if (dir && links <= 1) || ((not dir) && links = 0) then begin
-              (* Last link: release everything. *)
-              let i', errors = free_file_from t i ~from:0 in
-              let* () = write_inode t ino { i' with Inode.kind = Inode.Free; links = 0 } in
-              let* () = free_inode t ino in
-              let* () =
-                if dir then
-                  let* d = read_inode t dino in
-                  write_inode t dino
-                    { d with Inode.links = d.Inode.links - 1; mtime = time; ctime = time }
-                else
-                  let* d = read_inode t dino in
-                  write_inode t dino { d with Inode.mtime = time; ctime = time }
-              in
-              if errors > 0 && t.profile.Profile.bugs_fixed then begin
-                Klog.error t.klog "ext3" "read failures while freeing inode %d" ino;
-                Error Errno.EIO
-              end
-              else Ok ()
-            end
-            else
-              let* () = write_inode t ino { i with Inode.links; ctime = time } in
-              let* d = read_inode t dino in
-              write_inode t dino { d with Inode.mtime = time; ctime = time }
-          end)
-
-let op_unlink t path = remove_common t path ~dir:false
-let op_rmdir t path = remove_common t path ~dir:true
-
-let op_rename t src dst =
-  in_txn t (fun () ->
-      let* sdino, sname = resolve_parent t src in
-      let* sdinode = read_inode t sdino in
-      let* () = parent_dir sdinode in
-      let* ino = dir_lookup t sdinode sname in
-      let* ddino, dname = resolve_parent t dst in
-      let* ddinode = read_inode t ddino in
-      let* () = parent_dir ddinode in
-      let* () =
-        (* Replace an existing target if present (files only). *)
-        match dir_lookup t ddinode dname with
-        | Ok old when old <> ino -> (
-            let* oi = read_inode t old in
-            match oi.Inode.kind with
-            | Inode.Directory -> Error Errno.EISDIR
-            | Inode.Regular | Inode.Symlink | Inode.Free ->
-                let* () = dir_remove_entry t ddino ddinode dname in
-                let links = max 0 (oi.Inode.links - 1) in
-                if links = 0 then begin
-                  let oi', _ = free_file_from t oi ~from:0 in
-                  let* () =
-                    write_inode t old { oi' with Inode.kind = Inode.Free; links = 0 }
-                  in
-                  free_inode t old
-                end
-                else write_inode t old { oi with Inode.links })
-        | Ok _ -> Ok ()
-        | Error Errno.ENOENT -> Ok ()
-        | Error e -> Error e
-      in
-      let* sdinode = read_inode t sdino in
-      let* () = dir_remove_entry t sdino sdinode sname in
-      let* ddinode = read_inode t ddino in
-      let* () = dir_add_entry t ddino ddinode dname ino in
-      (* Directory moves update "..": and the parents' link counts. *)
-      let* i = read_inode t ino in
-      if i.Inode.kind = Inode.Directory && sdino <> ddino then begin
-        let* blocks = dir_blocks t i in
-        let* () =
-          match blocks with
-          | (_, b, entries) :: _ ->
-              let entries' =
-                List.map (fun (n, e) -> if n = ".." then (n, ddino) else (n, e)) entries
-              in
-              let buf = zero_block t in
-              ignore (Dirent.encode buf entries');
-              meta_write t Dir b buf
-          | [] -> Ok ()
-        in
-        let* sd = read_inode t sdino in
-        let* () = write_inode t sdino { sd with Inode.links = sd.Inode.links - 1 } in
-        let* dd = read_inode t ddino in
-        write_inode t ddino { dd with Inode.links = dd.Inode.links + 1 }
-      end
-      else Ok ())
-
-let update_inode_meta t path f =
-  in_txn t (fun () ->
-      let* ino, i = lookup t path in
-      write_inode t ino (f i))
-
-let op_chmod t path perms =
-  update_inode_meta t path (fun i ->
-      { i with Inode.perms; ctime = now_seconds t })
-
-let op_chown t path uid gid =
-  update_inode_meta t path (fun i ->
-      { i with Inode.uid = uid; gid; ctime = now_seconds t })
-
-let op_utimes t path atime mtime =
-  update_inode_meta t path (fun i ->
-      { i with Inode.atime = int_of_float atime; mtime = int_of_float mtime })
-
 (* fsync forces the running transaction into the journal (durable but
    not yet checkpointed); sync additionally checkpoints everything to
    its home location, like a full flush of kjournald + pdflush. The
    distinction matters to fault injection: checkpoint writes are where
    stock ext3 loses write errors. *)
-let op_fsync t fd =
-  let* _ = Fdtable.find t.fds fd in
-  commit t
-
-let op_sync t =
+let sync t =
   let* () = commit t in
   checkpoint t;
   if Jrnl.aborted t.jrnl then Error Errno.EROFS else Ok ()
@@ -1767,59 +1301,245 @@ let unmount_volume t =
 
 (* The mount ends here whatever unmount returns, so the cache's buffers
    go back to the arena last of all. *)
-let op_unmount t =
+let unmount t =
   let r = unmount_volume t in
   Bcache.release t.cache;
   r
 
 (* ------------------------------------------------------------------ *)
-(* Packaging as a Fs.brand                                             *)
+(* The store under the shared op layer                                 *)
 (* ------------------------------------------------------------------ *)
+
+(* [Posix.Make] runs every op; ext3 keeps its inodes, directory blocks
+   and the failure policy of its own code. *)
+module Store = struct
+  type t = state
+  type node = Inode.t
+  type dir = int * Inode.t
+
+  let block_types = Classifier.block_types
+  let classifier = Classifier.classify
+  let corrupt_field = Classifier.corrupt_field
+  let unmount = unmount
+  let sync = sync
+  let fsync = commit
+
+  let statfs t =
+    {
+      Fs.f_blocks = Layout.total_data_blocks t.lay;
+      f_bfree = t.free_blocks;
+      f_files = Layout.total_inodes t.lay;
+      f_ffree = t.free_inodes;
+      f_bsize = bsize t;
+    }
+
+  let dev t = t.dev
+  let klog t = t.klog
+  let is_readonly = readonly
+  let root = Layout.root_ino
+  let read = read_inode
+  let write = write_inode
+
+  let attr (i : Inode.t) =
+    {
+      Posix.kind =
+        (match i.Inode.kind with
+        | Inode.Free -> None
+        | Inode.Regular -> Some Fs.Regular
+        | Inode.Directory -> Some Fs.Directory
+        | Inode.Symlink -> Some Fs.Symlink);
+      links = i.Inode.links;
+      perms = i.Inode.perms;
+      uid = i.Inode.uid;
+      gid = i.Inode.gid;
+      size = i.Inode.size;
+      atime = i.Inode.atime;
+      mtime = i.Inode.mtime;
+      ctime = i.Inode.ctime;
+      target = i.Inode.symlink_target;
+    }
+
+  let with_attr (i : Inode.t) (a : Posix.attr) =
+    {
+      i with
+      Inode.kind =
+        (match a.Posix.kind with
+        | None -> Inode.Free
+        | Some Fs.Regular -> Inode.Regular
+        | Some Fs.Directory -> Inode.Directory
+        | Some Fs.Symlink -> Inode.Symlink);
+      links = a.Posix.links;
+      perms = a.Posix.perms;
+      uid = a.Posix.uid;
+      gid = a.Posix.gid;
+      size = a.Posix.size;
+      atime = a.Posix.atime;
+      mtime = a.Posix.mtime;
+      ctime = a.Posix.ctime;
+      symlink_target = a.Posix.target;
+    }
+
+  (* A parent named by a path is read and checked to be a directory
+     before its blocks are: link, rename and removal under anything
+     else fail with ENOTDIR. *)
+  let open_dir t ino = function
+    | Some i -> Ok (ino, i)
+    | None ->
+        let* i = read_inode t ino in
+        if i.Inode.kind = Inode.Directory then Ok (ino, i) else Error Errno.ENOTDIR
+
+  let entries t (_, i) =
+    let* blocks = dir_blocks t i in
+    Ok (List.concat_map (fun (_, _, es) -> es) blocks)
+
+  let add_entry t (dino, dinode) name ino = dir_add_entry t dino dinode name ino
+  let remove_entry t (_, dinode) name = dir_remove_entry t dinode name
+
+  (* [".."] lives in the directory's first block. *)
+  let reparent t _ i parent =
+    let* blocks = dir_blocks t i in
+    match blocks with
+    | (_, b, entries) :: _ ->
+        let buf = zero_block t in
+        ignore
+          (Dirent.encode buf
+             (List.map (fun (n, e) -> if n = ".." then (n, parent) else (n, e)) entries));
+        meta_write t Dir b buf
+    | [] -> Ok ()
+
+  let alloc t ~parent = alloc_inode t ~goal_group:(Layout.group_of_inode t.lay parent)
+
+  let create t ino ~parent (a : Posix.attr) =
+    let node = with_attr (Inode.empty t.lay) a in
+    let* node =
+      if a.Posix.kind <> Some Fs.Directory then Ok node
+      else begin
+        let* b, node, _ = bmap_alloc t ino node 0 in
+        let buf = zero_block t in
+        ignore (Dirent.encode buf [ (".", ino); ("..", parent) ]);
+        let* () = meta_write t Dir b buf in
+        Ok { node with Inode.size = bsize t }
+      end
+    in
+    write_inode t ino node
+
+  (* Stock ext3 leaks what a failed read hides on the delete path and
+     says nothing; the fixed profile reports it once the parent is
+     updated. *)
+  let destroy t ino i =
+    let i', errors = free_file_from t i ~from:0 in
+    let* () = write_inode t ino { i' with Inode.kind = Inode.Free; links = 0 } in
+    let* () = free_inode t ino in
+    Ok
+      (fun () ->
+        if errors > 0 && t.profile.Profile.bugs_fixed then begin
+          Klog.error t.klog "ext3" "read failures while freeing inode %d" ino;
+          Error Errno.EIO
+        end
+        else Ok ())
+
+  let write_super _ = Ok ()
+  let inline _ _ = Ok None
+  let read_block t _ i fblock = data_read_block t i fblock
+
+  let write_data t ino i0 ~off data =
+    let bs = bsize t in
+    let inode = ref i0 in
+    let* () =
+      Posix.each_block ~bs ~off ~len:(Bytes.length data) (fun fblock boff pos n ->
+          let* buf =
+            Posix.patch ~bs data ~boff ~pos ~n (fun () ->
+                owned t (data_read_block t !inode fblock))
+          in
+          let* inode' = data_write_block t ino !inode fblock buf in
+          inode := inode';
+          Ok ())
+    in
+    Ok !inode
+
+  (* The read failures are logged once the inode is written; stock
+     ext3 then swallows them: truncate "fails silently". *)
+  let truncate t ino i size =
+    let bs = bsize t in
+    if size > Inode.max_file_blocks t.lay * bs then Error Errno.EFBIG
+    else begin
+      let i', errors = free_file_from t i ~from:((size + bs - 1) / bs) in
+      (* Shrinking into the middle of a block: its tail must read as
+         zeroes if the file later grows again. *)
+      let* i' =
+        if size >= i.Inode.size || size mod bs = 0 then Ok i'
+        else
+          let fblock = size / bs in
+          let* b = bmap t i' fblock in
+          if b = 0 then Ok i'
+          else
+            let* old = owned t (data_read_block t i' fblock) in
+            Bytes.fill old (size mod bs) (bs - (size mod bs)) '\000';
+            data_write_block t ino i' fblock old
+      in
+      Ok
+        ( i',
+          fun () ->
+            if errors = 0 then Ok ()
+            else begin
+              Klog.error t.klog "ext3" "%d read failures while truncating" errors;
+              if t.profile.Profile.bugs_fixed then Error Errno.EIO else Ok ()
+            end )
+    end
+
+  (* A mutating op checks for a read-only volume before it reads a
+     block, then folds the group descriptors into the running
+     transaction. Commit happens on fsync/sync or journal pressure, as
+     on the real system. *)
+  let txn t op =
+    if readonly t then Error Errno.EROFS
+    else
+      let* r = op () in
+      let* () = flush_gd t in
+      Ok r
+
+  let walk_free t ~child ino =
+    if child then Klog.error t.klog "ext3" "directory entry references free inode %d" ino
+    else Klog.error t.klog "ext3" "path walk hit free inode %d" ino
+
+  (* The paper's inode sanity check: open validates the size field. *)
+  let open_check t ino (i : Inode.t) =
+    if i.Inode.kind = Inode.Free then begin
+      Klog.error t.klog "ext3" "open of free inode %d" ino;
+      Error Errno.EIO
+    end
+    else if i.Inode.size > Inode.max_file_blocks t.lay * bsize t then begin
+      Klog.error t.klog "ext3" "inode %d has impossible size %d" ino i.Inode.size;
+      Error Errno.EUCLEAN
+    end
+    else Ok ()
+
+  (* The linkcount bug: stock ext3 decrements without checking, and a
+     corrupted zero count takes the kernel down (§5.1). *)
+  let zero_links t ino =
+    if t.profile.Profile.bugs_fixed then begin
+      Klog.error t.klog "ext3" "inode %d has zero link count" ino;
+      Error Errno.EUCLEAN
+    end
+    else Klog.panic t.klog "ext3" "kernel BUG: deleting inode %d with links_count=0" ino
+
+  (* A file rename replaces is freed in place, its read errors
+     dropped, with no parent's times touched. *)
+  let rename_frees = true
+end
 
 let layout_of_dev dev =
   Layout.compute ~block_size:dev.Dev.block_size ~num_blocks:dev.Dev.num_blocks
 
 let brand profile =
-  let module M = struct
+  let module S = struct
+    include Store
+
     let fs_name = profile.Profile.name
-    let block_types = Classifier.block_types
-    let classifier = Classifier.classify
-    let corrupt_field = Classifier.corrupt_field
-
-    type t = state
-
-    let mkfs dev = mkfs_impl profile dev
-    let mount dev = mount_impl profile dev
-    let unmount = op_unmount
-    let klog t = t.klog
-    let is_readonly = readonly
-    let access = op_access
-    let chdir = op_chdir
-    let chroot = op_chroot
-    let stat = op_stat
-    let lstat = op_lstat
-    let statfs t = op_statfs t
-    let open_ = op_open
-    let close = op_close
-    let creat = op_creat
-    let read t fd ~off ~len = op_read t fd ~off ~len
-    let write t fd ~off data = op_write t fd ~off data
-    let readlink = op_readlink
-    let getdirentries = op_getdirentries
-    let link = op_link
-    let symlink = op_symlink
-    let mkdir = op_mkdir
-    let rmdir = op_rmdir
-    let unlink = op_unlink
-    let rename = op_rename
-    let truncate = op_truncate
-    let chmod = op_chmod
-    let chown = op_chown
-    let utimes = op_utimes
-    let fsync = op_fsync
-    let sync = op_sync
+    let mkfs = mkfs_impl profile
+    let mount = mount_impl profile
   end in
-  Fs.Brand (module M)
+  Fs.Brand (module Posix.Make (S))
 
 let std = brand Profile.ext3
 let ixt3 = brand Profile.ixt3

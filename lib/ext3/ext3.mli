@@ -5,7 +5,8 @@
     journal-commit bug, no IRON machinery) or any ixt3 variant
     (checksumming, metadata replication, data parity, transactional
     checksums — §6.1). Obtain a {!Iron_vfs.Fs.brand} with {!brand} and
-    use it through the generic VFS interface. *)
+    use it through the generic VFS interface: its ops are
+    {!Iron_vfs.Posix.Make}'s, over an ext3 store. *)
 
 val brand : Profile.t -> Iron_vfs.Fs.brand
 

@@ -957,9 +957,11 @@ module Store = struct
       target = a.target;
     }
 
-  let open_dir t ino =
-    let* i = read_inode t ino in
-    Ok (ino, i)
+  let open_dir t ino = function
+    | Some i -> Ok (ino, i)
+    | None ->
+        let* i = read_inode t ino in
+        Ok (ino, i)
 
   let entries t (_, i) = dir_entries t i
   let add_entry t (dino, dinode) name ino = dir_add t dino dinode name ino
@@ -977,7 +979,7 @@ module Store = struct
         meta_write t b buf
     | [] -> Ok ()
 
-  let alloc = alloc_inode
+  let alloc t ~parent:_ = alloc_inode t
 
   let create t ino ~parent (a : Posix.attr) =
     let node = with_attr free_inode_slot a in
@@ -997,7 +999,7 @@ module Store = struct
     let i' = free_file_from t i ~from:0 in
     let* () = write_inode t ino { i' with kind = None; links = 0 } in
     let* () = free_inode t ino in
-    Ok (Ok ())
+    Ok (fun () -> Ok ())
 
   let write_super _ = Ok ()
   let inline _ _ = Ok None
@@ -1037,7 +1039,13 @@ module Store = struct
           Bytes.fill old (size mod t.bs) (t.bs - (size mod t.bs)) '\000';
           data_write_block t b old
     in
-    Ok (i', Ok ())
+    Ok (i', fun () -> Ok ())
+
+  let txn _ op = op ()
+  let walk_free _ ~child:_ _ = ()
+  let open_check _ _ _ = Ok ()
+  let zero_links _ _ = Ok ()
+  let rename_frees = false
 end
 
 let brand = Fs.Brand (module Posix.Make (Store))

@@ -723,9 +723,11 @@ module Store = struct
       target = a.target;
     }
 
-  let open_dir t ino =
-    let* r = read_record t ino in
-    Ok (ino, r)
+  let open_dir t ino = function
+    | Some r -> Ok (ino, r)
+    | None ->
+        let* r = read_record t ino in
+        Ok (ino, r)
 
   let entries t (_, r) = dir_entries t r
   let add_entry t (dino, dr) name ino = dir_add t dino dr name ino
@@ -743,7 +745,7 @@ module Store = struct
         meta_write t b buf
     | [] -> Ok ()
 
-  let alloc = alloc_record
+  let alloc t ~parent:_ = alloc_record t
 
   let create t ino ~parent (a : Posix.attr) =
     let node = with_attr free_record a in
@@ -772,7 +774,8 @@ module Store = struct
       r.runs;
     let* () = write_record t ino free_record in
     let* () = free_record_slot t ino in
-    Ok (if !errors > 0 then Error Errno.EIO else Ok ())
+    let late = if !errors > 0 then Error Errno.EIO else Ok () in
+    Ok (fun () -> late)
 
   let write_super _ = Ok ()
   let inline _ _ = Ok None
@@ -815,8 +818,15 @@ module Store = struct
                ignore (retried_write t b old ~attempts:data_write_attempts ~what:"data")
            | Error _ -> incr errors
        end);
-      Ok ({ r with runs }, if !errors > 0 then Error Errno.EIO else Ok ())
+      let late = if !errors > 0 then Error Errno.EIO else Ok () in
+      Ok ({ r with runs }, fun () -> late)
     end
+
+  let txn _ op = op ()
+  let walk_free _ ~child:_ _ = ()
+  let open_check _ _ _ = Ok ()
+  let zero_links _ _ = Ok ()
+  let rename_frees = false
 end
 
 let brand = Fs.Brand (module Posix.Make (Store))

@@ -667,7 +667,7 @@ let truncate t o (s : Rnode.stat_body) size =
           Bytes.fill old (size mod t.bs) (t.bs - (size mod t.bs)) '\000';
           data_write_block t o fblock old
   in
-  Ok (s, Ok ())
+  Ok (s, fun () -> Ok ())
 
 (* ---- classifier & corruption ---------------------------------------- *)
 
@@ -872,7 +872,7 @@ module Store = struct
 
   let with_attr (s : node) a = of_attr s.Rnode.sk a
 
-  let open_dir t o =
+  let open_dir t o _ =
     let* des = read_dirents t o in
     Ok { dobj = o; des }
 
@@ -884,7 +884,7 @@ module Store = struct
     let* es = read_dirents t o in
     write_dirents t o (List.map (fun (n, e) -> if n = ".." then (n, parent) else (n, e)) es)
 
-  let alloc t =
+  let alloc t ~parent:_ =
     let o = t.super.next_objid in
     t.super.next_objid <- o + 1;
     Ok o
@@ -899,13 +899,19 @@ module Store = struct
     let* () = delete_item t (direct_key o) in
     let* () = delete_item t (dirent_key o) in
     let* () = delete_item t (stat_key o) in
-    Ok (Ok ())
+    Ok (fun () -> Ok ())
 
   let write_super = write_super
   let inline t o = read_tail t o
   let read_block t o _ fblock = data_read_block t o fblock
   let write_data = write_data
   let truncate = truncate
+
+  let txn _ op = op ()
+  let walk_free _ ~child:_ _ = ()
+  let open_check _ _ _ = Ok ()
+  let zero_links _ _ = Ok ()
+  let rename_frees = false
 end
 
 let brand = Fs.Brand (module Posix.Make (Store))

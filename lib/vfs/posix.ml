@@ -38,21 +38,27 @@ module type STORE = sig
   val write : t -> int -> node -> (unit, Errno.t) result
   val attr : node -> attr
   val with_attr : node -> attr -> node
-  val open_dir : t -> int -> (dir, Errno.t) result
+  val open_dir : t -> int -> node option -> (dir, Errno.t) result
   val entries : t -> dir -> ((string * int) list, Errno.t) result
   val add_entry : t -> dir -> string -> int -> (unit, Errno.t) result
   val remove_entry : t -> dir -> string -> (unit, Errno.t) result
   val reparent : t -> int -> node -> int -> (unit, Errno.t) result
-  val alloc : t -> (int, Errno.t) result
+  val alloc : t -> parent:int -> (int, Errno.t) result
   val create : t -> int -> parent:int -> attr -> (unit, Errno.t) result
-  val destroy : t -> int -> node -> ((unit, Errno.t) result, Errno.t) result
+  val destroy : t -> int -> node -> (unit -> (unit, Errno.t) result, Errno.t) result
   val write_super : t -> (unit, Errno.t) result
   val inline : t -> int -> (string option, Errno.t) result
   val read_block : t -> int -> node -> int -> (bytes, Errno.t) result
   val write_data : t -> int -> node -> off:int -> bytes -> (node, Errno.t) result
 
   val truncate :
-    t -> int -> node -> int -> (node * (unit, Errno.t) result, Errno.t) result
+    t -> int -> node -> int -> (node * (unit -> (unit, Errno.t) result), Errno.t) result
+
+  val txn : t -> (unit -> ('a, Errno.t) result) -> ('a, Errno.t) result
+  val walk_free : t -> child:bool -> int -> unit
+  val open_check : t -> int -> node -> (unit, Errno.t) result
+  val zero_links : t -> int -> (unit, Errno.t) result
+  val rename_frees : bool
 end
 
 let kind_code = function
@@ -142,19 +148,27 @@ module Make (S : STORE) = struct
 
   let mkfs = S.mkfs
 
+  (* A directory's entries, its node already read. *)
+  let entries st o n =
+    let* d = S.open_dir st o (Some n) in
+    S.entries st d
+
   let mount dev =
     let* st = S.mount dev in
     let ops =
       {
         Resolver.node = S.read st;
         kind =
-          (fun ~child:_ _ n ->
-            match (S.attr n).kind with Some k -> Ok k | None -> Error Errno.EIO);
+          (fun ~child o n ->
+            match (S.attr n).kind with
+            | Some k -> Ok k
+            | None ->
+                S.walk_free st ~child o;
+                Error Errno.EIO);
         target = (fun n -> (S.attr n).target);
         lookup =
-          (fun dir _ name ->
-            let* d = S.open_dir st dir in
-            let* es = S.entries st d in
+          (fun dir n name ->
+            let* es = entries st dir n in
             match List.assoc_opt name es with
             | Some o -> Ok o
             | None -> Error Errno.ENOENT);
@@ -182,11 +196,6 @@ module Make (S : STORE) = struct
     Ok (o, n, S.attr n)
 
   let update t o n f = S.write t.st o (S.with_attr n (f (S.attr n)))
-
-  let entries t o =
-    let* d = S.open_dir t.st o in
-    S.entries t.st d
-
   let only_dots es = List.for_all (fun (n, _) -> n = "." || n = "..") es
 
   let access t path =
@@ -227,11 +236,13 @@ module Make (S : STORE) = struct
     Ok (stat_of o a)
 
   let open_ t path mode =
-    let* o, _, a = lookup t path in
+    let* o, n, a = lookup t path in
     match a.kind with
-    | None -> Error Errno.EIO
     | Some Fs.Directory when mode <> Fs.Rd -> Error Errno.EISDIR
-    | Some _ -> Ok (Fdtable.alloc t.fds { obj = o; mode })
+    | kind ->
+        let* () = S.open_check t.st o n in
+        if kind = None then Error Errno.EIO
+        else Ok (Fdtable.alloc t.fds { obj = o; mode })
 
   let close t fd = Fdtable.close t.fds fd
 
@@ -240,21 +251,22 @@ module Make (S : STORE) = struct
     if a.kind = Some Fs.Symlink then Ok a.target else Error Errno.EINVAL
 
   let getdirentries t path =
-    let* o, _, a = lookup t path in
-    if a.kind <> Some Fs.Directory then Error Errno.ENOTDIR else entries t o
+    let* o, n, a = lookup t path in
+    if a.kind <> Some Fs.Directory then Error Errno.ENOTDIR else entries t.st o n
 
   (* The new object's times and the parent's mtime and ctime are one
      instant, taken once the store has found a free id. *)
   let create_node t path kind ~perms ~target =
+    S.txn t.st @@ fun () ->
     let* dino, name = resolve_parent t path in
     let* dnode = S.read t.st dino in
     if (S.attr dnode).kind <> Some Fs.Directory then Error Errno.ENOTDIR
     else
-      let* d = S.open_dir t.st dino in
+      let* d = S.open_dir t.st dino (Some dnode) in
       let* es = S.entries t.st d in
       if List.mem_assoc name es then Error Errno.EEXIST
       else
-        let* o = S.alloc t.st in
+        let* o = S.alloc t.st ~parent:dino in
         let now = now t in
         let is_dir = kind = Fs.Directory in
         let* () =
@@ -288,7 +300,7 @@ module Make (S : STORE) = struct
 
   let remove t path ~dir =
     let* dino, name = resolve_parent t path in
-    let* d = S.open_dir t.st dino in
+    let* d = S.open_dir t.st dino None in
     let* es = S.entries t.st d in
     match List.assoc_opt name es with
     | None -> Error Errno.ENOENT
@@ -302,9 +314,10 @@ module Make (S : STORE) = struct
             let* () =
               if not dir then Ok ()
               else
-                let* ces = entries t o in
+                let* ces = entries t.st o n in
                 if only_dots ces then Ok () else Error Errno.ENOTEMPTY
             in
+            let* () = if a.links = 0 then S.zero_links t.st o else Ok () in
             let now = now t in
             let* () = S.remove_entry t.st d name in
             let links = a.links - if dir then 2 else 1 in
@@ -321,7 +334,7 @@ module Make (S : STORE) = struct
                     })
               in
               let* () = S.write_super t.st in
-              late
+              late ()
             end
             else
               let* () = S.write t.st o (S.with_attr n { a with links; ctime = now }) in
@@ -340,48 +353,61 @@ module Make (S : STORE) = struct
     let* _ = create_node t path Fs.Directory ~perms:0o755 ~target:"" in
     Ok ()
 
-  let rmdir t path = remove t path ~dir:true
+  let rmdir t path = S.txn t.st (fun () -> remove t path ~dir:true)
 
   (* A path with no names is the root or the cwd, a directory: EISDIR,
      Linux's answer for [/]. (rmdir's is the walk's EINVAL.) *)
   let unlink t path =
+    S.txn t.st @@ fun () ->
     if Path.split path = [] then Error Errno.EISDIR else remove t path ~dir:false
 
   let link t existing newpath =
+    S.txn t.st @@ fun () ->
     let* o, n, a = lookup t existing in
     if a.kind = Some Fs.Directory then Error Errno.EISDIR
     else
       let* dino, name = resolve_parent t newpath in
-      let* d = S.open_dir t.st dino in
+      let* d = S.open_dir t.st dino None in
       let* es = S.entries t.st d in
       if List.mem_assoc name es then Error Errno.EEXIST
       else
         let* () = S.add_entry t.st d name o in
         S.write t.st o (S.with_attr n { a with links = a.links + 1; ctime = now t })
 
-  (* A name already at [dst] goes first, as an unlink would; then the
-     entry moves, and a directory that changed parent takes its new
-     [".."] and the two parents' link counts. *)
+  (* A name already at [dst] goes first: as an unlink would take it,
+     or, where the store frees it in place, with one link, and with its
+     object when that was the last. Then the entry moves, and a
+     directory that changed parent takes its new [".."] and the two
+     parents' link counts. *)
   let rename t src dst =
+    S.txn t.st @@ fun () ->
     let* sdino, sname = resolve_parent t src in
-    let* ses = entries t sdino in
+    let* sd = S.open_dir t.st sdino None in
+    let* ses = S.entries t.st sd in
     match List.assoc_opt sname ses with
     | None -> Error Errno.ENOENT
     | Some o ->
         let* ddino, dname = resolve_parent t dst in
-        let* des = entries t ddino in
+        let* dd = S.open_dir t.st ddino None in
+        let* des = S.entries t.st dd in
         let* () =
           match List.assoc_opt dname des with
           | Some old when old <> o -> (
               let* on = S.read t.st old in
-              match (S.attr on).kind with
+              let a = S.attr on in
+              match a.kind with
               | Some Fs.Directory -> Error Errno.EISDIR
-              | Some _ | None -> remove t dst ~dir:false)
+              | Some _ | None ->
+                  if not S.rename_frees then remove t dst ~dir:false
+                  else
+                    let* () = S.remove_entry t.st dd dname in
+                    if a.links <= 1 then Result.map ignore (S.destroy t.st old on)
+                    else S.write t.st old (S.with_attr on { a with links = a.links - 1 }))
           | Some _ | None -> Ok ()
         in
-        let* sd = S.open_dir t.st sdino in
+        let* sd = S.open_dir t.st sdino None in
         let* () = S.remove_entry t.st sd sname in
-        let* dd = S.open_dir t.st ddino in
+        let* dd = S.open_dir t.st ddino None in
         let* () = S.add_entry t.st dd dname o in
         let* n = S.read t.st o in
         if (S.attr n).kind = Some Fs.Directory && sdino <> ddino then begin
@@ -420,6 +446,7 @@ module Make (S : STORE) = struct
     let* f = Fdtable.find t.fds fd in
     if f.mode = Fs.Rd then Error Errno.EBADF
     else
+      S.txn t.st @@ fun () ->
       let* n0 = S.read t.st f.obj in
       let len = Bytes.length data in
       let* n = S.write_data t.st f.obj n0 ~off data in
@@ -430,6 +457,7 @@ module Make (S : STORE) = struct
       Ok len
 
   let truncate t path size =
+    S.txn t.st @@ fun () ->
     let* o, n, a = lookup t path in
     if a.kind = Some Fs.Directory then Error Errno.EISDIR
     else
@@ -437,20 +465,19 @@ module Make (S : STORE) = struct
       let now = now t in
       let* () = update t o n (fun a -> { a with size; mtime = now; ctime = now }) in
       let* () = S.write_super t.st in
-      late
+      late ()
 
-  let chmod t path perms =
+  let set_attr t path f =
+    S.txn t.st @@ fun () ->
     let* o, n, a = lookup t path in
-    S.write t.st o (S.with_attr n { a with perms; ctime = now t })
+    S.write t.st o (S.with_attr n (f a))
 
-  let chown t path uid gid =
-    let* o, n, a = lookup t path in
-    S.write t.st o (S.with_attr n { a with uid; gid; ctime = now t })
+  let chmod t path perms = set_attr t path (fun a -> { a with perms; ctime = now t })
+  let chown t path uid gid = set_attr t path (fun a -> { a with uid; gid; ctime = now t })
 
   let utimes t path atime mtime =
-    let* o, n, a = lookup t path in
-    S.write t.st o
-      (S.with_attr n { a with atime = int_of_float atime; mtime = int_of_float mtime })
+    set_attr t path (fun a ->
+        { a with atime = int_of_float atime; mtime = int_of_float mtime })
 
   let fsync t fd =
     let* _ = Fdtable.find t.fds fd in

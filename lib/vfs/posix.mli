@@ -12,11 +12,14 @@
 
     Every read, write and failure decision stays in the store, which
     the layer calls in one fixed order per op; it never asks which
-    brand it serves. reiserfs, jfs and ntfs are built on it. The ext3
-    family keeps its own op layer, whose ops each run inside a
-    transaction under the stock-or-fixed switches, but shares this
-    one's parts: the path walk ({!Resolver}), the descriptor table
-    ({!Fdtable}) and the block loop ({!each_block}, {!patch}). *)
+    brand it serves. All seven brands are built on it. The ext3
+    family's transaction bracket, goal group and stock-or-fixed checks
+    are store values ({!STORE.txn}, {!STORE.alloc}, {!STORE.walk_free},
+    {!STORE.open_check}, {!STORE.zero_links}, {!STORE.rename_frees});
+    reiserfs, jfs and ntfs supply each as a plain value. The layer's
+    parts serve the stores too: the path walk ({!Resolver}), the
+    descriptor table ({!Fdtable}) and the block loop ({!each_block},
+    {!patch}). *)
 
 type attr = {
   kind : Fs.kind option;  (** [None]: a free slot *)
@@ -71,9 +74,12 @@ module type STORE = sig
   val with_attr : node -> attr -> node
   (** A store keeps only the attributes its format has room for. *)
 
-  val open_dir : t -> int -> (dir, Errno.t) result
-  (** Does not check that the object is a directory: ops that must,
-      read its node first. *)
+  val open_dir : t -> int -> node option -> (dir, Errno.t) result
+  (** [open_dir t o n]: directory [o], its node [n] when the layer has
+      just read it and checked that it is a directory. With [None] the
+      store reads what it needs, and checks only what its own format
+      asks (ext3 answers [ENOTDIR] for an inode that is not a
+      directory). *)
 
   val entries : t -> dir -> ((string * int) list, Errno.t) result
   val add_entry : t -> dir -> string -> int -> (unit, Errno.t) result
@@ -83,15 +89,17 @@ module type STORE = sig
   (** [reparent t o node p]: directory [o] moved under [p]; point its
       [".."] there. *)
 
-  val alloc : t -> (int, Errno.t) result
-  (** A free object id. *)
+  val alloc : t -> parent:int -> (int, Errno.t) result
+  (** A free object id for a new entry of directory [parent] (ext3
+      looks in the parent's group first). *)
 
   val create : t -> int -> parent:int -> attr -> (unit, Errno.t) result
   (** Write the new object's node, and a directory's ["."] and [".."]. *)
 
-  val destroy : t -> int -> node -> ((unit, Errno.t) result, Errno.t) result
-  (** Free the object's data and node. The inner result is reported
-      once the parent directory is updated. *)
+  val destroy : t -> int -> node -> (unit -> (unit, Errno.t) result, Errno.t) result
+  (** Free the object's data and node. The layer calls the function
+      returned once the parent directory is updated: it reports, and
+      may log, what freeing failed to do. *)
 
   val write_super : t -> (unit, Errno.t) result
   (** Called after each update that can allocate or free, last. *)
@@ -107,10 +115,43 @@ module type STORE = sig
       times. *)
 
   val truncate :
-    t -> int -> node -> int -> (node * (unit, Errno.t) result, Errno.t) result
+    t -> int -> node -> int -> (node * (unit -> (unit, Errno.t) result), Errno.t) result
   (** Free or zero what lies past the new size; returns the node to
-      take the size and times, and a result reported after it is
-      written. *)
+      take the size and times, and a function the layer calls once that
+      node is written, as {!destroy}'s. *)
+
+  val txn : t -> (unit -> ('a, Errno.t) result) -> ('a, Errno.t) result
+  (** The bracket around every op that can update the volume: link,
+      rename, creat, mkdir, symlink, rmdir, unlink, truncate, chmod,
+      chown, utimes, and write past its descriptor checks. ext3 answers
+      [EROFS] before the op reads a block, and folds its group
+      descriptors into the running transaction after every op that
+      succeeds; the other stores run the op as it is. *)
+
+  val walk_free : t -> child:bool -> int -> unit
+  (** The path walk met a free slot, and fails with [EIO]: as the
+      directory to search ([child] false), or as the object a name led
+      it to. ext3 logs each at error level, in its own words; that line
+      is the detection the fingerprints read (§4.3). *)
+
+  val open_check : t -> int -> node -> (unit, Errno.t) result
+  (** Runs before open hands out a descriptor, on any node but a
+      directory opened to write, free slots included; a free slot that
+      passes fails with [EIO]. ext3 logs a free inode, and answers an
+      impossible size with [EUCLEAN] (the paper's inode sanity
+      check). *)
+
+  val zero_links : t -> int -> (unit, Errno.t) result
+  (** Unlink or rmdir found the object's link count at 0, before the
+      name goes. Stock ext3 panics, the fixed profile answers
+      [EUCLEAN] (§5.1); the other stores carry on. *)
+
+  val rename_frees : bool
+  (** How rename takes a file it replaces. [false]: as unlink would,
+      through the path again, updating the parent's times and reporting
+      what freeing failed to do. [true] (ext3): in place, with one link
+      and, when that was the last, the object, leaving every time alone
+      and dropping {!destroy}'s report. *)
 end
 
 module Make (S : STORE) : Fs.S

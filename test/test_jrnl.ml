@@ -1032,7 +1032,7 @@ let t_lent_pages_stay (module S : Iron_vfs.Posix.STORE) () =
     let parent = List.nth !dirs (i mod List.length !dirs) in
     let is_dir = i mod 3 = 0 in
     let kind = if is_dir then Fs.Directory else Fs.Regular in
-    let o = ok (S.alloc st) in
+    let o = ok (S.alloc st ~parent) in
     let attr =
       {
         Iron_vfs.Posix.kind = Some kind;
@@ -1048,7 +1048,7 @@ let t_lent_pages_stay (module S : Iron_vfs.Posix.STORE) () =
       }
     in
     ok (S.create st o ~parent attr);
-    ok (S.add_entry st (ok (S.open_dir st parent)) (Printf.sprintf "n%d" i) o);
+    ok (S.add_entry st (ok (S.open_dir st parent None)) (Printf.sprintf "n%d" i) o);
     if is_dir then dirs := o :: !dirs
     else begin
       let n0 = ok (S.read st o) in
