@@ -570,7 +570,9 @@ let test_late_reports () =
     ok (F.unmount t);
     let dev = Fault.dev inj in
     let lay = Ext3.layout_of_dev dev in
-    let blk, _ = Layout.inode_location lay (if corrupt = `File then ino else Layout.root_ino) in
+    let blk, _ =
+      Layout.inode_location lay (if corrupt = `File then ino else Layout.root_ino)
+    in
     let buf = Memdisk.peek d blk in
     Bytes.set buf (Bytes.length buf - 1) '\xAA';
     Memdisk.poke d blk buf;
@@ -589,8 +591,8 @@ let test_late_reports () =
   let _, line =
     last_error ~corrupt:`File (fun (Fs.Boxed ((module F), t)) -> F.truncate t "/big" 0)
   in
-  check Alcotest.string "truncate's line, after the inode write" "2 read failures while truncating"
-    line;
+  check Alcotest.string "truncate's line, after the inode write"
+    "2 read failures while truncating" line;
   let ino, line =
     last_error ~corrupt:`Root (fun (Fs.Boxed ((module F), t)) -> F.unlink t "/big")
   in
@@ -624,7 +626,8 @@ let test_inode_goal_group () =
   check Alcotest.int "/d spills into group 1" 1 (group (ok (F.stat t "/d")).Fs.st_ino);
   ok (F.unlink t "/f0");
   mkfile fs "/d/x" "x";
-  check Alcotest.int "/d/x in its parent's group" 1 (group (ok (F.stat t "/d/x")).Fs.st_ino);
+  check Alcotest.int "/d/x in its parent's group" 1
+    (group (ok (F.stat t "/d/x")).Fs.st_ino);
   mkfile fs "/y" "y";
   check Alcotest.int "/y in the root's group" 0 (group (ok (F.stat t "/y")).Fs.st_ino)
 

@@ -385,7 +385,8 @@ let relative_prefixes = [ ""; "./"; "../"; "keep/"; "a/" ]
 
 (* Every target fits the 48 bytes the ext3 and jfs inodes keep. *)
 let targets =
-  [ "a"; "b"; "c"; "/a"; "/keep/b"; "keep"; "../c"; "./a"; "missing"; "/missing/a"; "."; ".."; "a/b" ]
+  [ "a"; "b"; "c"; "/a"; "/keep/b"; "keep"; "../c"; "./a"; "missing"; "/missing/a";
+    "."; ".."; "a/b" ]
 
 let sizes = [ 0; 1; 100; 4096; 5000; 9000 ]
 
@@ -394,7 +395,9 @@ let sizes = [ 0; 1; 100; 4096; 5000; 9000 ]
    directory from itself. *)
 let gen_op rng ~pre =
   let pick l = Iron_util.Prng.pick rng l in
-  let path ?(dots = true) () = pick pre ^ pick (if dots then names @ [ "."; ".." ] else names) in
+  let path ?(dots = true) () =
+    pick pre ^ pick (if dots then names @ [ "."; ".." ] else names)
+  in
   match Iron_util.Prng.int rng 28 with
   | 0 | 1 | 2 | 3 -> Creat (path (), pick sizes)
   | 4 | 5 -> Write (path (), pick [ 0; 100; 4000; 8192 ], pick sizes)
@@ -402,7 +405,8 @@ let gen_op rng ~pre =
   | 9 | 10 -> Symlink (pick targets, path ())
   | 11 -> Link (path (), path ())
   | 12 | 13 -> Unlink (if Iron_util.Prng.int rng 8 = 0 then pick [ "/"; "" ] else path ())
-  | 14 | 15 -> Rmdir (if Iron_util.Prng.int rng 8 = 0 then pick [ "/"; "" ] else path ~dots:false ())
+  | 14 | 15 ->
+      Rmdir (if Iron_util.Prng.int rng 8 = 0 then pick [ "/"; "" ] else path ~dots:false ())
   | 16 | 17 -> Rename (path ~dots:false (), path ~dots:false ())
   | 18 -> Truncate (path (), pick [ 0; 100; 4096; 5000; 20000 ])
   | 19 | 20 -> Stat (path ())
@@ -426,7 +430,9 @@ let gen_sequence seed ~length =
       | 1 ->
           (* A chdir here would leave the removed cwd early. *)
           let rec inner () =
-            match gen_op rng ~pre:relative_prefixes with Chdir _ -> inner () | op -> (op, true)
+            match gen_op rng ~pre:relative_prefixes with
+            | Chdir _ -> inner ()
+            | op -> (op, true)
           in
           let inside = List.init (1 + Iron_util.Prng.int rng 2) (fun _ -> inner ()) in
           go (n + 1)
@@ -439,7 +445,8 @@ let gen_sequence seed ~length =
   in
   (Mkdir "/keep", false) :: go 0 []
 
-let digest b = Printf.sprintf "%d bytes %s" (Bytes.length b) (Digest.to_hex (Digest.bytes b))
+let digest b =
+  Printf.sprintf "%d bytes %s" (Bytes.length b) (Digest.to_hex (Digest.bytes b))
 let payload n = Bytes.init n (fun i -> Char.chr (((i * 7) + n) land 0xff))
 
 let stat_text (st : Fs.stat) =
@@ -477,7 +484,8 @@ let answer (Fs.Boxed ((module F), t)) op =
     | Readlink p -> F.readlink t p
     | Readdir p ->
         let* es = F.getdirentries t p in
-        Ok (String.concat " " (List.sort compare (List.map (fun (n, _) -> String.escaped n) es)))
+        let names = List.map (fun (n, _) -> String.escaped n) es in
+        Ok (String.concat " " (List.sort compare names))
     | Cat p ->
         let* fd = F.open_ t p Fs.Rd in
         let got = F.read t fd ~off:0 ~len:65536 in
@@ -521,7 +529,8 @@ let policy brand ~gone op (result, klog) =
    cell: Corruption/dir:d reads DZero, RGuess in three goldens. *)
 let known op (result, klog) =
   match op with
-  | Cat _ when String.starts_with ~prefix:"dir: " result -> Some ("dir: its on-disk bytes", klog)
+  | Cat _ when String.starts_with ~prefix:"dir: " result ->
+      Some ("dir: its on-disk bytes", klog)
   | _ -> None
 
 (* Every step's answer and the non-Info klog lines it logged, run on a
@@ -574,15 +583,14 @@ let test_namespace_agreement () =
       (fun i (op, gone) ->
         let answers = List.map (fun (b, rs) -> (b, List.nth rs i)) runs in
         let normed = List.map (fun (b, a) -> norm b gone op a) answers in
+        let show (b, (r, k)) =
+          String.concat "\n                 | "
+            (Printf.sprintf "  %-14s %s" (Fs.brand_name b) r :: k)
+        in
         if List.exists (( <> ) (List.hd normed)) normed then
           Alcotest.failf "seed %d, step %d: %s%s\n%s" seed i (op_text op)
             (if gone then " (cwd removed)" else "")
-            (String.concat "\n"
-               (List.map
-                  (fun (b, (r, k)) ->
-                    Printf.sprintf "  %-14s %s%s" (Fs.brand_name b) r
-                      (String.concat "" (List.map (fun l -> "\n                 | " ^ l) k)))
-                  answers)))
+            (String.concat "\n" (List.map show answers)))
       ops
   done
 
